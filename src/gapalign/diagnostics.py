@@ -7,9 +7,13 @@ centroid shift caused by projecting anisotropic noise onto the sphere,
 and a sample-complexity sweep for alignment calibration.
 
 Every sampled metric takes an explicit seed and is deterministic under
-it.  Nearest neighbors use exact pairwise distances with ties broken
-toward the lower index; this is meant for desk-scale inputs (up to
-around 1e5 rows), not approximate search.
+it.  The cosine histogram gathers and scores its sampled pairs
+``_PAIR_BLOCK`` at a time, so its working memory is bounded by that
+block size rather than by ``num_pairs x d``.  Nearest neighbors use
+exact pairwise distances with ties broken toward the lower index; this
+is meant for desk-scale inputs (up to around 1e5 rows), not approximate
+search.  The histogram and kNN metrics reject input with a non-finite
+value by raising ``DataFormatError`` that names the first such row.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .errors import DataFormatError, DegenerateInputError
 from .io import as_matrix
 from .moments import stats_of
 from .realign import estimate_realign, substitution_operator
+
+_PAIR_BLOCK = 1024  # sampled pairs gathered and scored at a time
 
 
 @dataclass
@@ -60,6 +66,15 @@ def modality_gap(mu_a: np.ndarray, mu_b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _finite_rows(rows, name: str) -> np.ndarray:
+    """Return ``rows`` as a float64 matrix, rejecting any non-finite row."""
+    data = as_matrix(rows).astype(np.float64, copy=False)
+    good = np.isfinite(data).all(axis=1)
+    if not good.all():
+        raise DataFormatError(f"non-finite value in row {int(np.argmin(good))} of {name}")
+    return data
+
+
 def cosine_histogram(
     rows,
     num_pairs: int = 200_000,
@@ -74,7 +89,7 @@ def cosine_histogram(
     instead of O(N^2).  ``smoothing`` convolves the masses with a small
     triangular kernel (half-width 2 bins) and renormalizes.
     """
-    data = as_matrix(rows).astype(np.float64, copy=False)
+    data = _finite_rows(rows, "rows")
     n = data.shape[0]
     if n < 2:
         raise DataFormatError("need at least 2 rows to form pairs")
@@ -87,11 +102,14 @@ def cosine_histogram(
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=num_pairs)
     j = (i + rng.integers(1, n, size=num_pairs)) % n
-    cos = np.einsum("ij,ij->i", data[i], data[j]) / (norms[i] * norms[j])
-    cos = np.clip(cos, -1.0, 1.0)
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts, _ = np.histogram(cos, bins=edges)
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, num_pairs, _PAIR_BLOCK):
+        ii = i[start:start + _PAIR_BLOCK]
+        jj = j[start:start + _PAIR_BLOCK]
+        cos = np.einsum("ij,ij->i", data[ii], data[jj]) / (norms[ii] * norms[jj])
+        counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=edges)[0]
     masses = counts / float(num_pairs)
     if smoothing:
         kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
@@ -122,8 +140,13 @@ def js_divergence(p: CosineHistogram, q: CosineHistogram) -> float:
 def _neighbor_indices(points: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
     """Exact k nearest neighbors of every point among all others.
 
-    Ties resolve to the lower index via a stable sort of squared
-    distances.  Returns an (n, k) index array.
+    Squared distances are computed ``chunk`` rows at a time.  In each
+    tile, ``argpartition`` selects k candidates per row and they are
+    ordered by (distance, index).  Ties resolve to the lower index: a
+    row with more than k entries at or below its k-th distance re-sorts
+    all of those entries stably, so the result equals the first k
+    columns of a stable ``argsort`` of the row.  Inputs must be finite.
+    Returns an (n, k) index array, nearest first.
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
@@ -133,8 +156,15 @@ def _neighbor_indices(points: np.ndarray, k: int, chunk: int = 512) -> np.ndarra
         block = points[start:stop]
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ points.T)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
+        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cand_d2 = np.take_along_axis(d2, cand, axis=1)
+        order = np.lexsort((cand, cand_d2), axis=1)
+        nearest = np.take_along_axis(cand, order, axis=1)
+        kth = np.take_along_axis(cand_d2, order[:, -1:], axis=1)
+        for row in np.flatnonzero((d2 <= kth).sum(axis=1) > k):
+            ties = np.flatnonzero(d2[row] <= kth[row])
+            nearest[row] = ties[np.argsort(d2[row, ties], kind="stable")[:k]]
+        out[start:stop] = nearest
     return out
 
 
@@ -144,13 +174,13 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20) -> float:
     Both sets are pooled; around 0.5 for equal-size samples of the same
     distribution, near 0 for well-separated clouds.
     """
-    a = as_matrix(rows_a).astype(np.float64, copy=False)
-    b = as_matrix(rows_b).astype(np.float64, copy=False)
+    a = _finite_rows(rows_a, "rows_a")
+    b = _finite_rows(rows_b, "rows_b")
     if a.shape[1] != b.shape[1]:
         raise DataFormatError("sets have different dimensionalities")
     pool = np.vstack([a, b])
-    if k >= pool.shape[0]:
-        raise ValueError(f"k={k} must be smaller than the pooled size {pool.shape[0]}")
+    if not 0 < k < pool.shape[0]:
+        raise ValueError(f"k={k} must be positive and smaller than the pooled size {pool.shape[0]}")
     labels = np.concatenate([np.zeros(a.shape[0]), np.ones(b.shape[0])])
     nn = _neighbor_indices(pool, k)
     other = labels[nn] != labels[:, None]
@@ -163,21 +193,20 @@ def knn_overlap(rows_before, rows_after, k: int = 10) -> float:
     Rows must be index-aligned between the two sets.  Exact duplicates
     make neighbor sets ambiguous and are flagged with a warning.
     """
-    before = as_matrix(rows_before).astype(np.float64, copy=False)
-    after = as_matrix(rows_after).astype(np.float64, copy=False)
+    before = _finite_rows(rows_before, "rows_before")
+    after = _finite_rows(rows_after, "rows_after")
     if before.shape[0] != after.shape[0]:
         raise DataFormatError("sets must have equal row counts")
     n = before.shape[0]
-    if n <= k:
-        raise ValueError(f"need more than k={k} rows, got {n}")
+    if not 0 < k < n:
+        raise ValueError(f"k={k} must be positive and smaller than the row count {n}")
     for name, arr in (("before", before), ("after", after)):
         if np.unique(arr, axis=0).shape[0] != n:
             warnings.warn(f"duplicate rows in the {name!r} set; neighbor sets are ambiguous")
     nn_before = _neighbor_indices(before, k)
     nn_after = _neighbor_indices(after, k)
-    shared = np.empty(n, dtype=np.float64)
-    for idx in range(n):
-        shared[idx] = np.intersect1d(nn_before[idx], nn_after[idx]).size
+    # each neighbor row holds k distinct indices, so equal pairs count the shared ones
+    shared = (nn_before[:, :, None] == nn_after[:, None, :]).sum(axis=(1, 2))
     return float(shared.mean() / k)
 
 

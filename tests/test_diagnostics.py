@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gapalign import (
     CosineHistogram,
@@ -17,10 +22,62 @@ from gapalign import (
     stats_of,
     substitution_operator,
 )
+from gapalign.diagnostics import _neighbor_indices
 
 
 def unit_rows(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def neighbor_indices_oracle(points, k, chunk=512):
+    """Full stable argsort of every distance row: the reference the kNN kernel must match."""
+    n = points.shape[0]
+    sq = np.einsum("ij,ij->i", points, points)
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = points[start:stop]
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ points.T)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
+
+
+def cosine_masses_oracle(rows, num_pairs, bins=201, smoothing=False, seed=0):
+    """Unchunked histogram masses: every sampled pair gathered at once."""
+    data = np.asarray(rows, dtype=np.float64)
+    n = data.shape[0]
+    norms = np.linalg.norm(data, axis=1)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, size=num_pairs)
+    j = (i + rng.integers(1, n, size=num_pairs)) % n
+    cos = np.clip(np.einsum("ij,ij->i", data[i], data[j]) / (norms[i] * norms[j]), -1.0, 1.0)
+    counts, _ = np.histogram(cos, bins=np.linspace(-1.0, 1.0, bins + 1))
+    masses = counts / float(num_pairs)
+    if smoothing:
+        kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
+        masses = np.convolve(masses, kernel / kernel.sum(), mode="same")
+        masses = masses / masses.sum()
+    return masses
+
+
+def with_nan(rows, row, col=0):
+    rows = np.array(rows, dtype=np.float64)
+    rows[row, col] = np.nan
+    return rows
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Small-integer grid rows, many of them exact duplicates, plus k and a chunk size."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, n))
+    grid = draw(arrays(np.int64, (distinct, d), elements=st.integers(-2, 2)))
+    pick = draw(arrays(np.int64, n, elements=st.integers(0, distinct - 1)))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    chunk = draw(st.integers(1, n + 2))
+    return grid[pick].astype(np.float64), k, chunk
 
 
 class TestModalityGap:
@@ -70,6 +127,30 @@ class TestCosineHistogram:
         with pytest.raises(DataFormatError):
             cosine_histogram(np.ones((1, 3)), num_pairs=10)
 
+    def test_non_finite_row_rejected(self):
+        rows = unit_rows(np.random.default_rng(6).normal(size=(50, 8)))
+        with pytest.raises(DataFormatError, match="row 7"):
+            cosine_histogram(with_nan(rows, 7), num_pairs=1000)
+
+    @pytest.mark.parametrize("smoothing", [False, True])
+    @pytest.mark.parametrize("num_pairs", [1, 1023, 1024, 1025, 5000])
+    def test_blocked_masses_equal_unchunked(self, num_pairs, smoothing):
+        rows = np.random.default_rng(22).normal(size=(300, 24))
+        hist = cosine_histogram(rows, num_pairs=num_pairs, smoothing=smoothing, seed=9)
+        expected = cosine_masses_oracle(rows, num_pairs, smoothing=smoothing, seed=9)
+        assert np.array_equal(hist.masses, expected)
+
+    def test_peak_memory_independent_of_pair_count(self):
+        rows = np.random.default_rng(23).normal(size=(2000, 256))
+        tracemalloc.start()
+        try:
+            cosine_histogram(rows, num_pairs=200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gathering all pairs at once would hold two 200k x 256 float64 arrays (781 MiB)
+        assert peak < 32 * 2**20
+
 
 class TestJsDivergence:
     @staticmethod
@@ -111,6 +192,21 @@ class TestJsDivergence:
             js_divergence(p, q)
 
 
+class TestNeighborIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_points())
+    def test_matches_stable_argsort_on_ties(self, case):
+        points, k, chunk = case
+        assert np.array_equal(_neighbor_indices(points, k, chunk=chunk),
+                              neighbor_indices_oracle(points, k, chunk=chunk))
+
+    def test_matches_stable_argsort_across_default_chunks(self):
+        rng = np.random.default_rng(24)
+        points = rng.integers(-1, 2, size=(1100, 3)).astype(np.float64)
+        for k in (1, 20, 1099):
+            assert np.array_equal(_neighbor_indices(points, k), neighbor_indices_oracle(points, k))
+
+
 class TestKnnMixing:
     def test_separated_clusters(self):
         rng = np.random.default_rng(8)
@@ -146,6 +242,16 @@ class TestKnnMixing:
         with pytest.raises(ValueError):
             knn_mixing_rate(np.ones((3, 2)), np.ones((3, 2)), k=6)
 
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            knn_mixing_rate(np.eye(3), np.eye(3), k=0)
+
+    def test_non_finite_row_rejected(self):
+        rng = np.random.default_rng(25)
+        a, b = rng.normal(size=(50, 8)), rng.normal(size=(50, 8))
+        with pytest.raises(DataFormatError, match="row 4 of rows_b"):
+            knn_mixing_rate(a, with_nan(b, 4, 2), k=5)
+
 
 class TestKnnOverlap:
     def test_identity(self):
@@ -177,6 +283,24 @@ class TestKnnOverlap:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             knn_overlap(np.ones((3, 2)), np.ones((3, 2)), k=3)
+
+    def test_equals_per_row_set_intersection(self):
+        rng = np.random.default_rng(26)
+        n, k = 300, 6
+        x = rng.normal(size=(n, 5))
+        y = x + 0.5 * rng.normal(size=(n, 5))
+        nb, na = neighbor_indices_oracle(x, k), neighbor_indices_oracle(y, k)
+        shared = np.array([np.intersect1d(nb[i], na[i]).size for i in range(n)], dtype=np.float64)
+        assert knn_overlap(x, y, k=k) == shared.mean() / k
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            knn_overlap(np.eye(3), np.eye(3), k=0)
+
+    def test_non_finite_row_rejected(self):
+        x = np.random.default_rng(27).normal(size=(50, 8))
+        with pytest.raises(DataFormatError, match="row 11 of rows_before"):
+            knn_overlap(with_nan(x, 11), x, k=5)
 
 
 class TestPhantomDrift:
