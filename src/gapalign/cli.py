@@ -233,7 +233,7 @@ def _cmd_align(args):
             raise DataFormatError("blockwise needs a blockwise_stats artifact")
         from .realign import apply_blockwise
 
-        data = apply_blockwise(source.data.astype(np.float64), stats)
+        data = apply_blockwise(source.data, stats)
     elif args.method == "c3":
         data = apply_c3_baseline(
             source.data, stats.mu_src, stats.mu_tgt, noise_sigma=args.sigma, rng_seed=args.seed

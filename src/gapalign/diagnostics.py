@@ -95,6 +95,8 @@ def cosine_histogram(
         raise DataFormatError("need at least 2 rows to form pairs")
     if bins < 8:
         raise ValueError("use at least 8 bins")
+    if num_pairs <= 0:
+        raise ValueError(f"num_pairs must be positive, got {num_pairs}")
     norms = np.linalg.norm(data, axis=1)
     if np.any(norms == 0):
         raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")

@@ -31,6 +31,8 @@ class ReferenceFrame:
         self.basis = np.asarray(self.basis, dtype=np.float64)
         if self.basis.ndim != 2:
             raise DataFormatError("frame basis must be a d x r matrix")
+        if not np.isfinite(self.basis).all():
+            raise DataFormatError("frame basis contains non-finite entries")
         d, r = self.basis.shape
         if not 1 <= r <= d:
             raise DataFormatError(f"frame rank {r} outside [1, {d}]")

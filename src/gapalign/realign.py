@@ -20,12 +20,18 @@ weak directions, so its inverse square roots are floored and flagged.
 All apply operators are pure functions of their calibrated statistics;
 the isotropic-noise baseline additionally takes a seed for its
 counter-based generator.
+
+The realign and blockwise operators run in row blocks and write into one
+preallocated float64 output, widening float32 input block by block, so
+applying them needs the output plus one row block of memory.  Blockwise
+is applied as one composed d x d map, derived once from the stored
+per-block transforms and bases, instead of four per-block products.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +41,10 @@ from .io import EmbeddingSet, as_matrix
 from .moments import ModalityStats
 
 _COLLAPSE = 1e-12
+# Rows per block: the realign passes are elementwise and keep a block in
+# cache; the blockwise passes end in a d x d GEMM, which wants taller blocks.
+_ROW_BLOCK = 1024
+_GEMM_BLOCK = 8192
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -43,13 +53,37 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows * rows).sum(axis=-1))
 
 
-def _normalize_rows(rows: np.ndarray, stage: str) -> np.ndarray:
+def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int = 0) -> np.ndarray:
+    """Divide each float64 row by its norm in place and return ``rows``.
+
+    ``first_row`` is the index of ``rows[0]`` in the caller's input, so a
+    collapse is reported at its row in the whole input.
+    """
     norms = _row_norms(rows)
     flat = np.atleast_1d(norms)
     if np.any(flat < _COLLAPSE):
-        bad = int(np.argmax(flat < _COLLAPSE))
+        bad = first_row + int(np.argmax(flat < _COLLAPSE))
         raise DegenerateInputError(f"{stage}: norm collapsed below {_COLLAPSE} at row {bad}")
-    return rows / norms[..., None]
+    rows /= norms[..., None]
+    return rows
+
+
+def _affine_into(rows, mu_src, scale, mu_tgt, out: np.ndarray) -> np.ndarray:
+    """out = mu_tgt + scale * (rows - mu_src), widening ``rows`` to float64 on the fly."""
+    np.subtract(rows, mu_src, out=out, dtype=np.float64)
+    out *= scale
+    out += mu_tgt
+    return out
+
+
+def _checked(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array, which must have ``shape`` and be finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataFormatError(f"{name} contains non-finite entries")
+    return arr
 
 
 @dataclass
@@ -71,14 +105,15 @@ class AlignmentStats:
     calib_n: int
 
     def __post_init__(self):
-        self.mu_src = np.asarray(self.mu_src, dtype=np.float64)
-        self.mu_tgt = np.asarray(self.mu_tgt, dtype=np.float64)
-        self.mu_drift = np.asarray(self.mu_drift, dtype=np.float64)
+        d = np.size(self.mu_src)
+        self.mu_src = _checked("mu_src", self.mu_src, (d,))
+        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
+        self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
+        if not (np.isfinite(self.trace_src) and np.isfinite(self.trace_tgt)):
+            raise DataFormatError("non-finite trace in alignment stats")
         expected = np.sqrt(self.trace_tgt / (self.trace_src + self.eps))
         if not np.isclose(self.scale, expected, rtol=1e-12, atol=0.0):
             raise DataFormatError("scale is inconsistent with the stored traces")
-        if not np.isfinite(self.mu_drift).all():
-            raise DataFormatError("mu_drift contains non-finite entries")
         if np.linalg.norm(self.mu_drift) > 1.0 + 1e-9:
             raise DataFormatError("mu_drift longer than 1; not a mean of unit vectors")
 
@@ -114,14 +149,20 @@ class AlignmentStats:
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     """Steps 1-2 only: mu_tgt + scale * (rows - mu_src), no normalization."""
-    rows = np.asarray(rows, dtype=np.float64)
-    return stats.mu_tgt + stats.scale * (rows - stats.mu_src)
+    rows = np.asarray(rows)
+    return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(rows.shape))
 
 
 def _realign_rows(rows: np.ndarray, stats: AlignmentStats) -> np.ndarray:
-    unit1 = _normalize_rows(affine_align(rows, stats), "affine-stage normalization")
-    shifted = unit1 - stats.mu_drift + stats.mu_tgt
-    return _normalize_rows(shifted, "centroid-stage normalization")
+    out = np.empty(rows.shape, dtype=np.float64)
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        block = out[lo:lo + _ROW_BLOCK]
+        _affine_into(rows[lo:lo + _ROW_BLOCK], stats.mu_src, stats.scale, stats.mu_tgt, block)
+        _normalize_in_place(block, "affine-stage normalization", lo)
+        block -= stats.mu_drift
+        block += stats.mu_tgt
+        _normalize_in_place(block, "centroid-stage normalization", lo)
+    return out
 
 
 def estimate_realign(
@@ -140,14 +181,17 @@ def estimate_realign(
     """
     if stats_tgt.trace < 0 or stats_src.trace < 0:
         raise DataFormatError("negative trace in calibration stats")
-    calib = as_matrix(calib_src).astype(np.float64, copy=False)
+    calib = as_matrix(calib_src)
     if calib.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
     if calib.shape[1] != stats_src.dims or stats_src.dims != stats_tgt.dims:
         raise DataFormatError("dimension mismatch between stats and calibration set")
     scale = float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps)))
-    affine = stats_tgt.mean + scale * (calib - stats_src.mean)
-    unit1 = _normalize_rows(affine, "calibration normalization")
+    unit1 = np.empty(calib.shape, dtype=np.float64)
+    for lo in range(0, calib.shape[0], _ROW_BLOCK):
+        block = unit1[lo:lo + _ROW_BLOCK]
+        _affine_into(calib[lo:lo + _ROW_BLOCK], stats_src.mean, scale, stats_tgt.mean, block)
+        _normalize_in_place(block, "calibration normalization", lo)
     return AlignmentStats(
         mu_src=stats_src.mean,
         mu_tgt=stats_tgt.mean,
@@ -178,10 +222,10 @@ def substitution_operator(source_set, stats: AlignmentStats) -> EmbeddingSet:
     Accepts an EmbeddingSet or matrix and returns an EmbeddingSet in
     float64.  Per-row degeneracies propagate with the row index.
     """
-    rows = as_matrix(source_set).astype(np.float64, copy=False)
+    rows = as_matrix(source_set)
     tag = source_set.modality_tag if isinstance(source_set, EmbeddingSet) else ""
     if rows.shape[0] == 0:
-        return EmbeddingSet(rows.reshape(0, stats.dims).astype(np.float64), tag)
+        return EmbeddingSet(np.empty((0, stats.dims)), tag)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
     return EmbeddingSet(_realign_rows(rows, stats), tag)
@@ -190,7 +234,7 @@ def substitution_operator(source_set, stats: AlignmentStats) -> EmbeddingSet:
 def anchor_shift(rows, mu_src: np.ndarray, mu_tgt: np.ndarray) -> np.ndarray:
     """Mean shift plus re-normalization; the minimal alignment baseline."""
     rows = np.asarray(rows, dtype=np.float64)
-    return _normalize_rows(rows - mu_src + mu_tgt, "anchor normalization")
+    return _normalize_in_place(rows - mu_src + mu_tgt, "anchor normalization")
 
 
 def apply_c3_baseline(
@@ -214,7 +258,7 @@ def apply_c3_baseline(
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
         shifted = shifted + noise_sigma * rng.standard_normal(size=rows.shape)
-    return _normalize_rows(shifted, "noise-stage normalization")
+    return _normalize_in_place(shifted, "noise-stage normalization")
 
 
 @dataclass
@@ -226,6 +270,11 @@ class BlockwiseStats:
     used for the out-of-subspace block.  ``floored`` records that the
     source block spectrum hit the eigenvalue floor during calibration,
     the documented failure mode of aggressive covariance matching.
+
+    ``operator`` is both block transforms composed in ambient
+    coordinates, B t_in^T B^T + C t_out^T C^T for the frame basis B and
+    C = ``basis_out``, so a row maps through one d x d product.  It is
+    derived on construction and not persisted.
     """
 
     frame: ReferenceFrame
@@ -238,6 +287,18 @@ class BlockwiseStats:
     eig_floor: float
     calib_n: int
     floored: bool = False
+    operator: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d, r = self.frame.dims, self.frame.rank
+        self.basis_out = _checked("basis_out", self.basis_out, (d, d - r))
+        self.t_in = _checked("t_in", self.t_in, (r, r))
+        self.t_out = _checked("t_out", self.t_out, (d - r, d - r))
+        self.mu_src = _checked("mu_src", self.mu_src, (d,))
+        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
+        self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
+        basis, comp = self.frame.basis, self.basis_out
+        self.operator = basis @ self.t_in.T @ basis.T + comp @ self.t_out.T @ comp.T
 
     @property
     def dims(self) -> int:
@@ -286,9 +347,17 @@ def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
     return invsqrt, floored
 
 
-def _block_cov(coords: np.ndarray) -> np.ndarray:
-    centered = coords - coords.mean(axis=0)
-    return centered.T @ centered / coords.shape[0]
+def _centred_cov(rows: np.ndarray, mean: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Population covariance of ``rows`` about ``mean``, centred one block at a time.
+
+    ``scratch`` is a float64 (block rows x d) buffer for the centred block.
+    """
+    cov = np.zeros((rows.shape[1], rows.shape[1]))
+    for lo in range(0, rows.shape[0], scratch.shape[0]):
+        chunk = rows[lo:lo + scratch.shape[0]]
+        centred = np.subtract(chunk, mean, out=scratch[:chunk.shape[0]], dtype=np.float64)
+        cov += centred.T @ centred
+    return cov / rows.shape[0]
 
 
 def estimate_blockwise(
@@ -300,38 +369,45 @@ def estimate_blockwise(
     """Calibrate per-block whitening-coloring transforms in a frozen frame.
 
     The source is anchor-aligned (mean shift plus normalization) first;
-    block covariances of the anchored source and the raw target are
-    estimated in frame coordinates, and each transform is the target
-    square root times the floored source inverse square root.  The
-    drift correction is then calibrated exactly as in the scalar
-    operator.  Hitting the floor is reported via ``floored`` and a
-    warning rather than an exception: the output stays finite.
+    one centred covariance of the anchored source and one of the raw
+    target are projected onto the frame basis and its complement, and
+    each block transform is the target square root times the floored
+    source inverse square root.  The drift correction is then calibrated
+    exactly as in the scalar operator.  Hitting the floor is reported via
+    ``floored`` and a warning rather than an exception: the output stays
+    finite.
     """
-    src = as_matrix(calib_src).astype(np.float64, copy=False)
-    tgt = as_matrix(calib_tgt).astype(np.float64, copy=False)
+    src = as_matrix(calib_src)
+    tgt = as_matrix(calib_tgt)
     if src.shape[0] == 0 or tgt.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
     if src.shape[1] != frame.dims or tgt.shape[1] != frame.dims:
         raise DataFormatError("calibration sets do not match the frame dimension")
     r, d = frame.rank, frame.dims
-    if src.shape[0] <= max(r, d - r):
+    n = src.shape[0]
+    if n <= max(r, d - r):
         warnings.warn("calibration set smaller than block size; covariances will be singular")
 
-    mu_src = src.mean(axis=0)
-    mu_tgt = tgt.mean(axis=0)
-    anchored = _normalize_rows(src - mu_src + mu_tgt, "anchor normalization")
+    mu_src = src.mean(axis=0, dtype=np.float64)
+    mu_tgt = tgt.mean(axis=0, dtype=np.float64)
+    anchored = np.empty((n, d))
+    for lo in range(0, n, _GEMM_BLOCK):
+        block = anchored[lo:lo + _GEMM_BLOCK]
+        # the anchor step is the affine step with unit scale
+        _affine_into(src[lo:lo + _GEMM_BLOCK], mu_src, 1.0, mu_tgt, block)
+        _normalize_in_place(block, "anchor normalization", lo)
+    scratch = np.empty((min(max(n, tgt.shape[0]), _GEMM_BLOCK), d))
+    cov_src = _centred_cov(anchored, anchored.mean(axis=0), scratch)
+    cov_tgt = _centred_cov(tgt, mu_tgt, scratch)
     basis_out = frame.complement_basis()
 
-    cov_in_src = _block_cov(anchored @ frame.basis)
-    cov_out_src = _block_cov(anchored @ basis_out)
-    cov_in_tgt = _block_cov(tgt @ frame.basis)
-    cov_out_tgt = _block_cov(tgt @ basis_out)
+    def block_transform(basis):
+        invsqrt, floored = _floored_invsqrt(basis.T @ cov_src @ basis, eig_floor)
+        return sym_sqrt_of(basis.T @ cov_tgt @ basis) @ invsqrt, floored
 
-    invsqrt_in, floored_in = _floored_invsqrt(cov_in_src, eig_floor)
-    t_in = sym_sqrt_of(cov_in_tgt) @ invsqrt_in
+    t_in, floored_in = block_transform(frame.basis)
     if d - r > 0:
-        invsqrt_out, floored_out = _floored_invsqrt(cov_out_src, eig_floor)
-        t_out = sym_sqrt_of(cov_out_tgt) @ invsqrt_out
+        t_out, floored_out = block_transform(basis_out)
     else:
         t_out, floored_out = np.zeros((0, 0)), False
     floored = floored_in or floored_out
@@ -349,11 +425,15 @@ def estimate_blockwise(
         mu_tgt=mu_tgt,
         mu_drift=np.zeros(d),
         eig_floor=eig_floor,
-        calib_n=src.shape[0],
+        calib_n=n,
         floored=floored,
     )
-    transformed = _blockwise_rows(src, stats, skip_centroid=True)
-    stats.mu_drift = transformed.mean(axis=0)
+    drift = np.zeros(d)
+    for lo in range(0, n, _GEMM_BLOCK):
+        chunk = anchored[lo:lo + _GEMM_BLOCK]
+        shaped = np.matmul(chunk, stats.operator, out=scratch[:chunk.shape[0]])
+        drift += _normalize_in_place(shaped, "block-transform normalization", lo).sum(axis=0)
+    stats.mu_drift = drift / n
     return stats
 
 
@@ -363,25 +443,25 @@ def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T
 
 
-def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats, skip_centroid: bool = False):
-    anchored = _normalize_rows(
-        rows - stats.mu_src + stats.mu_tgt, "anchor normalization"
-    )
-    coords_in = anchored @ stats.frame.basis
-    recombined = (coords_in @ stats.t_in.T) @ stats.frame.basis.T
-    if stats.basis_out.shape[1] > 0:
-        coords_out = anchored @ stats.basis_out
-        recombined = recombined + (coords_out @ stats.t_out.T) @ stats.basis_out.T
-    shaped = _normalize_rows(recombined, "block-transform normalization")
-    if skip_centroid:
-        return shaped
-    corrected = shaped - stats.mu_drift + stats.mu_tgt
-    return _normalize_rows(corrected, "centroid-stage normalization")
+def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats) -> np.ndarray:
+    n = rows.shape[0]
+    out = np.empty((n, stats.dims))
+    anchored = np.empty((min(n, _GEMM_BLOCK), stats.dims))
+    for lo in range(0, n, _GEMM_BLOCK):
+        chunk = rows[lo:lo + _GEMM_BLOCK]
+        unit = _affine_into(chunk, stats.mu_src, 1.0, stats.mu_tgt, anchored[:chunk.shape[0]])
+        _normalize_in_place(unit, "anchor normalization", lo)
+        block = np.matmul(unit, stats.operator, out=out[lo:lo + _GEMM_BLOCK])
+        _normalize_in_place(block, "block-transform normalization", lo)
+        block -= stats.mu_drift
+        block += stats.mu_tgt
+        _normalize_in_place(block, "centroid-stage normalization", lo)
+    return out
 
 
 def apply_blockwise(e_src: np.ndarray, stats: BlockwiseStats) -> np.ndarray:
     """Map one embedding (or a batch of rows) through the blockwise pipeline."""
-    e = np.asarray(e_src, dtype=np.float64)
+    e = np.asarray(e_src)
     single = e.ndim == 1
     rows = e[None, :] if single else e
     if rows.shape[1] != stats.dims:

@@ -90,6 +90,29 @@ def test_align_reduces_gap_via_saved_stats(workdir):
     assert after < 0.05 * before
 
 
+@pytest.mark.parametrize("method, field", [("realign", "mu_tgt"), ("blockwise", "mu_drift")])
+def test_align_rejects_non_finite_saved_stats(workdir, method, field):
+    # before validation on load, a NaN here gave exit 0 and non-finite output rows
+    stats_path = str(workdir / f"{method}.stats")
+    assert main([
+        "align", "--method", method,
+        "--in", str(workdir / "src.emb"), "--out", str(workdir / "first.emb"),
+        "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+        "--energy", "0.7", "--save-stats", stats_path,
+    ]) == 0
+    doc = json.loads(open(stats_path).read())
+    doc["payload"][field][3] = float("nan")
+    with open(stats_path, "w") as fh:
+        json.dump(doc, fh)
+    out = workdir / "from_corrupt.emb"
+    code = main([
+        "align", "--method", method,
+        "--in", str(workdir / "src.emb"), "--out", str(out), "--stats", stats_path,
+    ])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_align_dimension_mismatch_exit_code(workdir, tmp_path):
     bad = str(tmp_path / "bad.emb")
     write_embeddings(EmbeddingSet(np.ones((5, 3))), bad)
@@ -121,6 +144,15 @@ def test_diagnose_report_and_series(workdir):
     assert hist[0] == "bin_center,mass_a,mass_b"
     assert len(hist) == 202
     assert open(f"{plots}/pca_coords.csv").read().splitlines()[0] == "pc1,pc2,set"
+
+
+def test_diagnose_zero_pairs_exit_code(workdir):
+    code = main([
+        "diagnose", "--a", str(workdir / "src.emb"), "--b", str(workdir / "tgt.emb"),
+        "--report", str(workdir / "diag.json"), "--pairs", "0",
+    ])
+    assert code == 2
+    assert not (workdir / "diag.json").exists()
 
 
 def test_diagnose_deterministic_given_seed(workdir):

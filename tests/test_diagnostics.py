@@ -132,6 +132,13 @@ class TestCosineHistogram:
         with pytest.raises(DataFormatError, match="row 7"):
             cosine_histogram(with_nan(rows, 7), num_pairs=1000)
 
+    @pytest.mark.parametrize("num_pairs", [0, -3])
+    def test_non_positive_pair_count_rejected(self, num_pairs):
+        # zero pairs used to divide zero counts by zero and return NaN masses
+        rows = unit_rows(np.random.default_rng(6).normal(size=(50, 8)))
+        with pytest.raises(ValueError, match="num_pairs"):
+            cosine_histogram(rows, num_pairs=num_pairs)
+
     @pytest.mark.parametrize("smoothing", [False, True])
     @pytest.mark.parametrize("num_pairs", [1, 1023, 1024, 1025, 5000])
     def test_blocked_masses_equal_unchunked(self, num_pairs, smoothing):

@@ -55,6 +55,13 @@ class TestBuildFrame:
         npt.assert_array_equal(back.basis, frame.basis)
         assert back.energy_threshold == frame.energy_threshold
 
+    def test_non_finite_basis_rejected(self):
+        # a NaN makes the orthonormality residual NaN, which no bound rejects
+        basis = np.eye(4)[:, :2].copy()
+        basis[1, 0] = np.nan
+        with pytest.raises(DataFormatError, match="non-finite"):
+            ReferenceFrame(basis=basis, energy_threshold=0.9)
+
 
 class TestProjections:
     def test_axis_frame(self):

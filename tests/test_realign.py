@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from gapalign import (
     DataFormatError,
     DegenerateInputError,
     EmbeddingSet,
+    ModalityStats,
     ReferenceFrame,
     anchor_shift,
     apply_blockwise,
@@ -35,6 +38,63 @@ def anisotropic_sphere_sample(rng, n, d, kappa=50.0, offset_scale=0.4, spread=0.
     offset /= np.linalg.norm(offset) / offset_scale
     raw = offset + spread * rng.standard_normal(size=(n, d)) * np.sqrt(variances)
     return unit_rows(raw)
+
+
+def unit_rows_f64(rows):
+    # the library's normalization: sqrt of the row sum of squares, then divide
+    return rows / np.sqrt((rows * rows).sum(axis=-1))[:, None]
+
+
+def realign_oracle(rows, stats):
+    """The realign pipeline on whole arrays, one full-size temporary per step."""
+    rows = np.asarray(rows, dtype=np.float64)
+    unit1 = unit_rows_f64(stats.mu_tgt + stats.scale * (rows - stats.mu_src))
+    return unit_rows_f64(unit1 - stats.mu_drift + stats.mu_tgt)
+
+
+def blockwise_oracle(rows, stats, skip_centroid=False):
+    """The blockwise pipeline as four per-block products on whole arrays."""
+    rows = np.asarray(rows, dtype=np.float64)
+    anchored = unit_rows_f64(rows - stats.mu_src + stats.mu_tgt)
+    basis, comp = stats.frame.basis, stats.basis_out
+    recombined = ((anchored @ basis) @ stats.t_in.T) @ basis.T
+    if comp.shape[1] > 0:
+        recombined = recombined + ((anchored @ comp) @ stats.t_out.T) @ comp.T
+    shaped = unit_rows_f64(recombined)
+    if skip_centroid:
+        return shaped
+    return unit_rows_f64(shaped - stats.mu_drift + stats.mu_tgt)
+
+
+def estimate_blockwise_oracle(frame, src, tgt, eig_floor=1e-6):
+    """Blockwise calibration from per-block covariances of projected coordinates."""
+    src, tgt = np.asarray(src, dtype=np.float64), np.asarray(tgt, dtype=np.float64)
+    mu_src, mu_tgt = src.mean(axis=0), tgt.mean(axis=0)
+    anchored = unit_rows_f64(src - mu_src + mu_tgt)
+    basis_out = frame.complement_basis()
+
+    def cov(coords):
+        centered = coords - coords.mean(axis=0)
+        return centered.T @ centered / coords.shape[0]
+
+    def transform(basis):
+        invsqrt, _ = _floored_invsqrt(cov(anchored @ basis), eig_floor)
+        return sym_sqrt_of(cov(tgt @ basis)) @ invsqrt
+
+    d, r = frame.dims, frame.rank
+    stats = BlockwiseStats(
+        frame=frame,
+        basis_out=basis_out,
+        t_in=transform(frame.basis),
+        t_out=transform(basis_out) if d > r else np.zeros((0, 0)),
+        mu_src=mu_src,
+        mu_tgt=mu_tgt,
+        mu_drift=np.zeros(d),
+        eig_floor=eig_floor,
+        calib_n=src.shape[0],
+    )
+    stats.mu_drift = blockwise_oracle(src, stats, skip_centroid=True).mean(axis=0)
+    return stats
 
 
 def make_stats(mu_src, mu_tgt, trace_src, trace_tgt, mu_drift, eps=0.0):
@@ -199,6 +259,27 @@ class TestApply:
         out = substitution_operator(src, stats)
         npt.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(200), atol=1e-12)
 
+    @pytest.mark.parametrize("operator, row", [("realign", 1500), ("calibrate", 1500),
+                                               ("blockwise", 9692)])
+    def test_collapse_names_row_in_whole_input(self, operator, row):
+        rng = np.random.default_rng(30)
+        rows = unit_rows(rng.normal(size=(row + 700, 4)))
+        rows[row] = 0.0
+        stats = make_stats(np.zeros(4), np.zeros(4), 1.0, 1.0, np.zeros(4))
+        centred = ModalityStats(mean=np.zeros(4), trace=1.0, n=10)
+        frame = ReferenceFrame(basis=np.eye(4)[:, :2], energy_threshold=0.9)
+        blockwise = BlockwiseStats(frame=frame, basis_out=frame.complement_basis(),
+                                   t_in=np.eye(2), t_out=np.eye(2), mu_src=np.zeros(4),
+                                   mu_tgt=np.zeros(4), mu_drift=np.zeros(4), eig_floor=1e-6,
+                                   calib_n=1)
+        run = {
+            "realign": lambda: substitution_operator(rows, stats),
+            "calibrate": lambda: estimate_realign(centred, centred, rows),
+            "blockwise": lambda: apply_blockwise(rows, blockwise),
+        }[operator]
+        with pytest.raises(DegenerateInputError, match=f"at row {row}$"):
+            run()
+
     def test_degenerate_collapse_names_stage(self):
         stats = make_stats(np.zeros(2), np.zeros(2), 1.0, 1.0, np.zeros(2))
         with pytest.raises(DegenerateInputError, match="affine-stage"):
@@ -226,6 +307,31 @@ class TestSubstitutionOperator:
         batch = substitution_operator(src, stats)
         loop = np.vstack([apply_realign(row, stats) for row in src])
         npt.assert_array_equal(batch.data, loop)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+    def test_blocked_equals_unblocked_bitwise(self, n, dtype):
+        rng = np.random.default_rng(24)
+        src = anisotropic_sphere_sample(rng, n, 12)
+        tgt = anisotropic_sphere_sample(rng, 3000, 12, kappa=4.0)
+        rows = src.astype(dtype)
+        stats = estimate_realign(stats_of(src), stats_of(tgt), rows)
+        unit1 = unit_rows_f64(stats.mu_tgt + stats.scale * (rows.astype(np.float64) - stats.mu_src))
+        npt.assert_array_equal(stats.mu_drift, unit1.mean(axis=0))
+        npt.assert_array_equal(substitution_operator(rows, stats).data, realign_oracle(rows, stats))
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        rng = np.random.default_rng(25)
+        rows = unit_rows(rng.standard_normal((20_000, 256))).astype(np.float32)
+        stats = make_stats(rows.mean(axis=0), np.roll(rows.mean(axis=0), 1), 1.0, 0.8, np.zeros(256))
+        tracemalloc.start()
+        try:
+            out = substitution_operator(rows, stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # whole-array steps would hold several 39 MiB float64 temporaries at once
+        assert peak < out.data.nbytes + 16 * 2**20
 
     def test_preserves_tag_and_order(self):
         rng = np.random.default_rng(13)
@@ -399,6 +505,55 @@ class TestBlockwise:
         assert stats.floored
         out = apply_blockwise(src[:100], stats)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16_385])
+    def test_composed_operator_matches_per_block_products(self, n, dtype):
+        src, tgt, fresh, frame = self.concentrated_pair(26, n=16_385)
+        stats = estimate_blockwise(frame, src, tgt)
+        rows = fresh[:n].astype(dtype)
+        npt.assert_allclose(apply_blockwise(rows, stats), blockwise_oracle(rows, stats),
+                            rtol=0, atol=1e-12)
+
+    def test_calibration_matches_projected_block_covariances(self):
+        # 8,193 calibration rows: the centred covariance and the drift pass
+        # both cross a row-block boundary
+        src, tgt, _, frame = self.concentrated_pair(27, n=8_193)
+        stats = estimate_blockwise(frame, src, tgt)
+        expected = estimate_blockwise_oracle(frame, src, tgt)
+        for name in ("t_in", "t_out", "mu_src", "mu_tgt", "mu_drift"):
+            npt.assert_allclose(getattr(stats, name), getattr(expected, name), rtol=0,
+                                atol=1e-12, err_msg=name)
+
+    def test_rank_d_frame_has_empty_complement(self):
+        src, tgt, fresh, _ = self.concentrated_pair(28, n=9_000)
+        frame = ReferenceFrame(basis=np.linalg.qr(np.random.default_rng(28).normal(size=(8, 8)))[0],
+                               energy_threshold=1.0)
+        stats = estimate_blockwise(frame, src, tgt)
+        assert stats.basis_out.shape == (8, 0) and stats.t_out.shape == (0, 0)
+        expected = estimate_blockwise_oracle(frame, src, tgt)
+        npt.assert_allclose(stats.t_in, expected.t_in, rtol=0, atol=1e-12)
+        npt.assert_allclose(apply_blockwise(fresh, stats), blockwise_oracle(fresh, stats),
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field, value", [
+        ("basis_out", np.zeros((6, 3))),
+        ("t_in", np.eye(3)),
+        ("t_out", np.full((4, 4), np.nan)),
+        ("mu_src", np.zeros(5)),
+        ("mu_tgt", np.array([0, 0, np.inf, 0, 0, 0])),
+        ("mu_drift", np.full(6, np.nan)),
+    ])
+    def test_malformed_fields_rejected(self, field, value):
+        rng = np.random.default_rng(29)
+        frame = ReferenceFrame(basis=np.linalg.qr(rng.normal(size=(6, 2)))[0], energy_threshold=0.9)
+        fields = dict(frame=frame, basis_out=frame.complement_basis(), t_in=np.eye(2),
+                      t_out=np.eye(4), mu_src=np.zeros(6), mu_tgt=np.zeros(6),
+                      mu_drift=np.zeros(6), eig_floor=1e-6, calib_n=1)
+        BlockwiseStats(**fields)
+        fields[field] = value
+        with pytest.raises(DataFormatError, match=field):
+            BlockwiseStats(**fields)
 
     def test_payload_round_trip(self):
         rng = np.random.default_rng(23)
