@@ -90,6 +90,25 @@ def test_align_reduces_gap_via_saved_stats(workdir):
     assert after < 0.05 * before
 
 
+def test_full_rank_blockwise_stats_apply_from_artifact(workdir):
+    # energy 1.0 gives a rank-d frame, so t_out is 0 x 0 and saved as []
+    stats_path = str(workdir / "full.stats")
+    out = str(workdir / "full.emb")
+    assert main([
+        "align", "--method", "blockwise",
+        "--in", str(workdir / "src.emb"), "--out", out,
+        "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+        "--energy", "1.0", "--save-stats", stats_path,
+    ]) == 0
+    assert load_artifact(stats_path).payload["t_out"] == []
+    again = str(workdir / "full2.emb")
+    assert main([
+        "align", "--method", "blockwise",
+        "--in", str(workdir / "src.emb"), "--out", again, "--stats", stats_path,
+    ]) == 0
+    npt.assert_array_equal(read_embeddings(out).data, read_embeddings(again).data)
+
+
 @pytest.mark.parametrize("method, field", [("realign", "mu_tgt"), ("blockwise", "mu_drift")])
 def test_align_rejects_non_finite_saved_stats(workdir, method, field):
     # before validation on load, a NaN here gave exit 0 and non-finite output rows

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -507,7 +508,7 @@ class TestBlockwise:
         assert np.isfinite(out).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16_385])
+    @pytest.mark.parametrize("n", [1, 1025, 8191, 8192, 8193, 16_385])
     def test_composed_operator_matches_per_block_products(self, n, dtype):
         src, tgt, fresh, frame = self.concentrated_pair(26, n=16_385)
         stats = estimate_blockwise(frame, src, tgt)
@@ -535,6 +536,10 @@ class TestBlockwise:
         npt.assert_allclose(stats.t_in, expected.t_in, rtol=0, atol=1e-12)
         npt.assert_allclose(apply_blockwise(fresh, stats), blockwise_oracle(fresh, stats),
                             rtol=0, atol=1e-12)
+        # JSON stores the 0 x 0 t_out as [], which must still load as 0 x 0
+        back = BlockwiseStats.from_payload(json.loads(json.dumps(stats.to_payload())))
+        assert back.basis_out.shape == (8, 0) and back.t_out.shape == (0, 0)
+        npt.assert_array_equal(apply_blockwise(fresh, back), apply_blockwise(fresh, stats))
 
     @pytest.mark.parametrize("field, value", [
         ("basis_out", np.zeros((6, 3))),
