@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -45,6 +46,7 @@ from .io import (
     iter_embedding_batches,
     load_artifact,
     read_embeddings,
+    row_blocks,
     save_artifact,
     write_embeddings,
 )
@@ -163,8 +165,14 @@ def _cmd_decompose(args):
     set_x = read_embeddings(args.x)
     set_y = read_embeddings(args.y)
     dec = decompose_gap(set_x, set_y, frame)
-    rebuilt = frame.lift(dec.bias_in) + dec.bias_out + frame.lift(dec.resid_in) + dec.resid_out
-    recon_err = float(np.abs(rebuilt - (set_x.data.astype(np.float64) - set_y.data)).max())
+    bias = frame.lift(dec.bias_in) + dec.bias_out
+    recon_err = 0.0
+    resid_out_sq = np.empty(set_x.rows)
+    for block in row_blocks(set_x.rows):
+        rebuilt = bias + frame.lift(dec.resid_in[block]) + dec.resid_out[block]
+        rebuilt -= np.subtract(set_x.data[block], set_y.data[block], dtype=np.float64)
+        recon_err = max(recon_err, float(np.abs(rebuilt).max()))
+        resid_out_sq[block] = np.sum(dec.resid_out[block] ** 2, axis=1)
     report = {
         "rows": set_x.rows,
         "rank": frame.rank,
@@ -172,7 +180,7 @@ def _cmd_decompose(args):
         "bias_in_norm": float(np.linalg.norm(dec.bias_in)),
         "bias_out_norm": float(np.linalg.norm(dec.bias_out)),
         "resid_in_trace": float(np.mean(np.sum(dec.resid_in**2, axis=1))),
-        "resid_out_trace": float(np.mean(np.sum(dec.resid_out**2, axis=1))),
+        "resid_out_trace": float(np.mean(resid_out_sq)),
         "mean_gap_leakage": leakage_ratio(dec.mean_gap, frame)
         if np.linalg.norm(dec.mean_gap) > 0
         else 0.0,
@@ -188,7 +196,7 @@ def _cmd_decompose(args):
 # ---------------------------------------------------------------- align
 
 
-def _calibration_stats(args):
+def _calibration_stats(args, source):
     if args.stats:
         artifact = load_artifact(args.stats)
         if artifact.kind == "alignment_stats":
@@ -198,7 +206,8 @@ def _calibration_stats(args):
         raise DataFormatError(f"{args.stats}: not an alignment artifact ({artifact.kind})")
     if not (args.calib_src and args.calib_tgt):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
-    calib_src = read_embeddings(args.calib_src)
+    same = os.path.samefile(args.in_path, args.calib_src)
+    calib_src = source if same else read_embeddings(args.calib_src)
     calib_tgt = read_embeddings(args.calib_tgt)
     if args.method == "blockwise":
         frame = build_frame(
@@ -213,7 +222,7 @@ def _calibration_stats(args):
 
 def _cmd_align(args):
     source = read_embeddings(args.in_path)
-    stats, kind = _calibration_stats(args)
+    stats, kind = _calibration_stats(args, source)
     if args.save_stats:
         save_artifact(
             StatsArtifact(
@@ -292,8 +301,6 @@ def _cmd_diagnose(args):
         after = read_embeddings(args.overlap_with)
         report["knn_overlap"] = knn_overlap(set_a, after, k=args.k_overlap)
     if args.plots_dir:
-        import os
-
         os.makedirs(args.plots_dir, exist_ok=True)
         mids = 0.5 * (hist_a.bin_edges[:-1] + hist_a.bin_edges[1:])
         _write_csv(f"{args.plots_dir}/cosine_hist.csv", ["bin_center", "mass_a", "mass_b"],

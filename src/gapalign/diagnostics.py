@@ -203,7 +203,8 @@ def knn_overlap(rows_before, rows_after, k: int = 10) -> float:
     if not 0 < k < n:
         raise ValueError(f"k={k} must be positive and smaller than the row count {n}")
     for name, arr in (("before", before), ("after", after)):
-        if np.unique(arr, axis=0).shape[0] != n:
+        # adding 0.0 turns -0.0 into 0.0, so rows equal as numbers have equal bytes
+        if len({row.tobytes() for row in arr + 0.0}) != n:
             warnings.warn(f"duplicate rows in the {name!r} set; neighbor sets are ambiguous")
     nn_before = _neighbor_indices(before, k)
     nn_after = _neighbor_indices(after, k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import as_matrix
+from .io import as_matrix, row_blocks
 from .spectral import max_principal_sine, sym_eig
 
 
@@ -144,23 +144,27 @@ def decompose_gap(paired_a, paired_b, frame: ReferenceFrame) -> GapDecomposition
     """Split index-paired differences into biases and residuals.
 
     Rows of the two inputs must be paired by index; at least two pairs
-    are required so residuals are meaningful.
+    are required so residuals are meaningful.  The inputs are not
+    widened: differences are formed in float64 straight from them, and
+    that one buffer is centred in place and becomes ``resid_out``, the
+    only N x d array the split allocates (``resid_in`` is N x r).
     """
-    x = as_matrix(paired_a).astype(np.float64, copy=False)
-    y = as_matrix(paired_b).astype(np.float64, copy=False)
+    x = as_matrix(paired_a)
+    y = as_matrix(paired_b)
     if x.shape[0] != y.shape[0]:
         raise DataFormatError(f"paired sets have {x.shape[0]} vs {y.shape[0]} rows")
     if x.shape[1] != y.shape[1] or x.shape[1] != frame.dims:
         raise DataFormatError("dimension mismatch between paired sets and frame")
     if x.shape[0] < 2:
         raise DataFormatError("need at least 2 pairs to decompose")
-    diffs = x - y
-    mean_gap = diffs.mean(axis=0)
+    resid_out = np.subtract(x, y, dtype=np.float64)
+    mean_gap = resid_out.mean(axis=0)
     bias_in = frame.coords(mean_gap)
     bias_out = mean_gap - frame.lift(bias_in)
-    centered = diffs - mean_gap
-    resid_in = frame.coords(centered)
-    resid_out = centered - frame.lift(resid_in)
+    resid_out -= mean_gap
+    resid_in = frame.coords(resid_out)
+    for block in row_blocks(x.shape[0]):
+        resid_out[block] -= frame.lift(resid_in[block])
     return GapDecomposition(
         bias_in=bias_in,
         bias_out=bias_out,

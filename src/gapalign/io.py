@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass, field
@@ -35,6 +36,29 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_OF_DTYPE = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 
 ARTIFACT_SCHEMA_VERSION = 1
+
+# Rows per block for every row-blocked pass: finiteness checks here, the gap
+# decomposition, and the realign and blockwise operators.  Blocking bounds
+# each pass's temporaries to one block.  On 50k x 768 float32 rows (2-core
+# host), realign apply took 1.0 s whole-array, 0.6 s at 1,024 rows and 0.8 s
+# at 8,192; blockwise estimate/apply took 3.5/1.6 s at 1,024 rows and
+# 3.6/1.9 s at 8,192, while 256 rows slowed the covariance GEMMs.
+_ROW_BLOCK = 1024
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of ``_ROW_BLOCK`` rows covering ``range(n)`` in order.
+
+    A lone trailing row joins the block before it: numpy multiplies a
+    one-row matrix as a matrix-vector product, whose rounding differs from
+    the matrix product's, so blocked GEMMs then match the whole-array GEMM
+    bitwise.
+    """
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= _ROW_BLOCK + 1 else lo + _ROW_BLOCK
+        yield slice(lo, hi)
+        lo = hi
 
 
 @dataclass
@@ -68,10 +92,11 @@ class EmbeddingSet:
 
     def validate_finite(self, row_offset: int = 0) -> None:
         """Raise ``DataFormatError`` naming the first non-finite row, if any."""
-        good = np.isfinite(self.data).all(axis=1)
-        if not good.all():
-            bad = int(np.argmin(good))
-            raise DataFormatError(f"non-finite value in row {row_offset + bad}")
+        for block in row_blocks(self.rows):
+            good = np.isfinite(self.data[block]).all(axis=1)
+            if not good.all():
+                bad = block.start + int(np.argmin(good))
+                raise DataFormatError(f"non-finite value in row {row_offset + bad}")
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -128,6 +153,20 @@ def _read_header(fh, path: str):
     return _DTYPE_CODES[code], rows, dims
 
 
+def _payload_size(fh) -> int | None:
+    """Bytes after the header of a regular file; None for streams of unknown size.
+
+    Called before any payload allocation, so a header claiming more rows
+    or dims than the file holds is an error instead of a huge allocation.
+    """
+    st = os.fstat(fh.fileno())
+    return st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else None
+
+
+def _native(payload: np.ndarray) -> np.ndarray:
+    return payload if payload.dtype.isnative else payload.astype(payload.dtype.newbyteorder("="))
+
+
 def read_embeddings(path: str, format: str | None = None, modality_tag: str = "") -> EmbeddingSet:
     """Load a full embedding set, validating header consistency and finiteness.
 
@@ -168,13 +207,14 @@ def read_embeddings(path: str, format: str | None = None, modality_tag: str = ""
 def _read_emb1_payload(fh, path: str):
     dtype, rows, dims = _read_header(fh, path)
     expected = rows * dims * dtype.itemsize
-    raw = fh.read(expected + 1)
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: payload has {min(len(raw), expected + 1)} bytes, header implies {expected}"
-        )
-    payload = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="), copy=True)
-    return dtype, rows, dims, payload
+    size = _payload_size(fh)
+    if size is not None and size != expected:
+        raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
+    payload = np.empty((rows, dims), dtype=dtype)
+    got = fh.readinto(payload)
+    if got != expected or fh.read(1):
+        raise DataFormatError(f"{path}: payload is not the {expected} bytes the header implies")
+    return dtype, rows, dims, _native(payload)
 
 
 def iter_embedding_batches(
@@ -195,14 +235,20 @@ def iter_embedding_batches(
 
     with open(path, "rb") as fh:
         dtype, rows, dims = _read_header(fh, path)
+        row_bytes = dims * dtype.itemsize
+        size = _payload_size(fh)
+        if size is not None and size < rows * row_bytes:
+            whole_batches = size // row_bytes // batch_rows
+            raise DataFormatError(f"{path}: truncated payload at row {whole_batches * batch_rows}")
+        if size is not None and size > rows * row_bytes:
+            raise DataFormatError(f"{path}: trailing bytes beyond declared payload")
         seen = 0
         while seen < rows:
             take = min(batch_rows, rows - seen)
-            raw = fh.read(take * dims * dtype.itemsize)
-            if len(raw) != take * dims * dtype.itemsize:
+            data = np.empty((take, dims), dtype=dtype)
+            if fh.readinto(data) != take * row_bytes:
                 raise DataFormatError(f"{path}: truncated payload at row {seen}")
-            data = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="), copy=True)
-            batch = EmbeddingSet(data.reshape(take, dims), modality_tag)
+            batch = EmbeddingSet(_native(data), modality_tag)
             batch.validate_finite(row_offset=seen)
             yield batch
             seen += take
@@ -262,7 +308,7 @@ def write_embeddings(embeddings: EmbeddingSet, path: str, format: str | None = N
 
     def write_bin(fh):
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)  # straight from the array's buffer, without a bytes copy
 
     _atomic_write(path, write_bin)
 

@@ -37,17 +37,10 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import EmbeddingSet, as_matrix
+from .io import _ROW_BLOCK, EmbeddingSet, as_matrix
 from .moments import ModalityStats
 
 _COLLAPSE = 1e-12
-# Rows per block for every realign and blockwise pass.  Blocking bounds the
-# squared-rows temporary of each normalization to one block; whole-array
-# in-place passes need an output-sized one.  On 50k x 768 float32 rows
-# (2-core host), realign apply took 1.0 s whole-array, 0.6 s at 1,024 rows
-# and 0.8 s at 8,192; blockwise estimate/apply took 3.5/1.6 s at 1,024 rows
-# and 3.6/1.9 s at 8,192, while 256 rows slowed the covariance GEMMs.
-_ROW_BLOCK = 1024
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

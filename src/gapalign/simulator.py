@@ -275,12 +275,13 @@ def _batch_loss_and_grads(e_x, e_y, config: SimulatorConfig):
             - 2.0 * e_x @ e_y.T
         ) / tau
     shift = logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+    coeff = np.exp(logits - shift)
+    total = coeff.sum(axis=1, keepdims=True)
+    logsumexp = np.log(total[:, 0]) + shift[:, 0]
     loss = float(np.mean(logsumexp - np.diag(logits)))
 
-    p = np.exp(logits - shift)
-    p /= p.sum(axis=1, keepdims=True)
-    coeff = p - np.eye(b)
+    coeff /= total  # softmax rows
+    coeff[np.diag_indices(b)] -= 1.0
     if config.similarity == "dot":
         grad_x = coeff @ e_y / (tau * b)
         grad_y = coeff.T @ e_x / (tau * b)

@@ -1,10 +1,13 @@
 import json
+import shutil
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gapalign import EmbeddingSet, load_artifact, read_embeddings, write_embeddings
+from gapalign import EmbeddingSet, ReferenceFrame, load_artifact, read_embeddings, write_embeddings
+from gapalign import cli
 from gapalign.cli import main
 from gapalign.moments import ModalityStats
 
@@ -51,6 +54,83 @@ def test_full_frame_decompose_pipeline(workdir):
     doc = json.loads(open(report).read())
     assert doc["max_reconstruction_error"] < 1e-10
     assert doc["mean_gap_norm"] > 0
+
+
+def test_decompose_report_matches_whole_array_check(workdir):
+    # rows past the first 1,024-row block are larger, so the largest rounding
+    # error of the reconstruction lies outside the first block
+    rng = np.random.default_rng(3)
+    for side in ("src", "tgt"):
+        rows = rng.normal(size=(2500, 8))
+        rows[1024:] *= 100.0
+        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+        assert main(["stats", "--in", str(workdir / f"{side}.emb"),
+                     "--out", str(workdir / f"{side}.stats")]) == 0
+    frame_path = str(workdir / "frame.stats")
+    assert main(["frame", "--x", str(workdir / "src.stats"), "--y", str(workdir / "tgt.stats"),
+                 "--energy", "0.7", "--out", frame_path]) == 0
+    report = str(workdir / "dec.json")
+    assert main(["decompose", "--x", str(workdir / "src.emb"), "--y", str(workdir / "tgt.emb"),
+                 "--frame", frame_path, "--report", report]) == 0
+    doc = json.loads(open(report).read())
+    # the whole-array reconstruction check, with full-size temporaries
+    frame = ReferenceFrame.from_payload(load_artifact(frame_path).payload)
+    x = read_embeddings(str(workdir / "src.emb")).data
+    y = read_embeddings(str(workdir / "tgt.emb")).data
+    diffs = x - y
+    mean_gap = diffs.mean(axis=0)
+    bias_in = frame.coords(mean_gap)
+    bias_out = mean_gap - frame.lift(bias_in)
+    resid_in = frame.coords(diffs - mean_gap)
+    resid_out = diffs - mean_gap - frame.lift(resid_in)
+    rebuilt = frame.lift(bias_in) + bias_out + frame.lift(resid_in) + resid_out
+    err = np.abs(rebuilt - diffs)
+    assert np.argmax(err.max(axis=1)) >= 1024
+    assert doc["max_reconstruction_error"] == float(err.max())
+    assert doc["resid_out_trace"] == float(np.mean(np.sum(resid_out**2, axis=1)))
+    assert doc["resid_in_trace"] == float(np.mean(np.sum(resid_in**2, axis=1)))
+
+
+@pytest.mark.parametrize("command", ["stats", "diagnose"])
+@pytest.mark.parametrize("rows,dims", [(2**36, 8), (2, 2**31)])
+def test_oversized_header_is_a_data_error(workdir, capsys, command, rows, dims):
+    path = str(workdir / "huge.emb")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQII", b"EMB1", 1, 0, rows, dims, 0))
+        fh.write(b"\x00" * 64)
+    if command == "stats":
+        argv = ["stats", "--in", path, "--out", str(workdir / "huge.stats")]
+    else:
+        argv = ["diagnose", "--a", path, "--b", str(workdir / "tgt.emb"),
+                "--report", str(workdir / "huge.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and "huge.emb" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["realign", "blockwise"])
+def test_align_reads_input_once_when_it_is_the_calibration_source(workdir, monkeypatch, method):
+    calls = []
+
+    def counting_read(path, *args, **kwargs):
+        calls.append(path)
+        return read_embeddings(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_embeddings", counting_read)
+    src = str(workdir / "src.emb")
+    copy = str(workdir / "src_copy.emb")
+    shutil.copyfile(src, copy)
+    outputs = {}
+    for calib_src in (src, copy):
+        calls.clear()
+        out = str(workdir / f"out_{len(outputs)}.emb")
+        assert main(["align", "--method", method, "--in", src, "--out", out,
+                     "--calib-src", calib_src, "--calib-tgt", str(workdir / "tgt.emb"),
+                     "--energy", "0.7"]) == 0
+        outputs[calib_src] = (list(calls), open(out, "rb").read())
+    assert len(outputs[src][0]) == 2
+    assert len(outputs[copy][0]) == 3
+    assert outputs[src][1] == outputs[copy][1]
 
 
 @pytest.mark.parametrize("method", ["realign", "anchor-only", "c3", "blockwise"])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -286,6 +287,26 @@ class TestKnnOverlap:
         x = np.vstack([np.eye(4), np.eye(4), np.eye(4)])
         with pytest.warns(UserWarning, match="duplicate"):
             knn_overlap(x, x + 0.0, k=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(*[
+        arrays(dtype, (n, d), elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5]))
+        for dtype in (np.float64, np.float32) for d in (1, 3)])))
+    def test_duplicate_warning_agrees_with_unique_rows(self, sets):
+        for before, after in ((sets[0], sets[1]), (sets[2], sets[3])):
+            expected = {name for name, arr in (("before", before), ("after", after))
+                        if np.unique(arr, axis=0).shape[0] != arr.shape[0]}
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                knn_overlap(before, after, k=1)
+            flagged = {name for name in ("before", "after")
+                       for w in caught if f"{name!r} set" in str(w.message)}
+            assert flagged == expected
+
+    def test_signed_zero_rows_are_duplicates(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+        with pytest.warns(UserWarning, match="'before' set"):
+            knn_overlap(x, np.eye(3)[:, :2] + np.arange(3)[:, None], k=1)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,20 @@ from gapalign import (
     relative_drift,
     spectrum_correlation,
 )
+
+
+def decompose_gap_oracle(x, y, frame):
+    """The whole-array split: widened inputs, full-size temporaries."""
+    x = np.asarray(x).astype(np.float64, copy=False)
+    y = np.asarray(y).astype(np.float64, copy=False)
+    diffs = x - y
+    mean_gap = diffs.mean(axis=0)
+    bias_in = frame.coords(mean_gap)
+    bias_out = mean_gap - frame.lift(bias_in)
+    centered = diffs - mean_gap
+    resid_in = frame.coords(centered)
+    resid_out = centered - frame.lift(resid_in)
+    return bias_in, bias_out, resid_in, resid_out, mean_gap
 
 
 def random_frame(rng, d, r):
@@ -157,6 +173,35 @@ class TestDecomposeGap:
         frame = random_frame(rng, 4, 2)
         with pytest.raises(DataFormatError):
             decompose_gap(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), frame)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 3000])
+    def test_blocked_equals_whole_array_bitwise(self, n, dtype):
+        rng = np.random.default_rng(n)
+        frame = random_frame(rng, 40, 7)
+        x = (rng.normal(size=(n, 40)) + 0.3).astype(dtype)
+        y = rng.normal(size=(n, 40)).astype(dtype)
+        dec = decompose_gap(x, y, frame)
+        got = (dec.bias_in, dec.bias_out, dec.resid_in, dec.resid_out, dec.mean_gap)
+        for name, a, b in zip(("bias_in", "bias_out", "resid_in", "resid_out", "mean_gap"),
+                              got, decompose_gap_oracle(x, y, frame)):
+            assert a.dtype == np.float64 and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_peak_memory_is_resid_out_plus_one_block(self):
+        rng = np.random.default_rng(11)
+        n, d, r = 20_000, 256, 4
+        frame = random_frame(rng, d, r)
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        y = rng.normal(size=(n, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            decompose_gap(x, y, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        resid_out, resid_in, block = n * d * 8, n * r * 8, 1025 * d * 8
+        assert peak < resid_out + resid_in + block + (1 << 20)
 
 
 class TestLeakage:

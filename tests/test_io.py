@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -63,8 +66,6 @@ def test_non_finite_reports_row(tmp_path):
     rows = np.ones((4, 2))
     rows[2, 1] = np.nan
     # bypass validation by writing raw bytes through the writer's format
-    import struct
-
     header = struct.pack("<4sIIQII", b"EMB1", 1, 1, 4, 2, 0)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -119,6 +120,66 @@ def test_streaming_visits_rows_once_in_order(tmp_path):
     got = [b.data for b in iter_embedding_batches(path, batch_rows=10)]
     assert [g.shape[0] for g in got] == [10] * 10 + [3]
     npt.assert_array_equal(np.vstack(got), rows)
+
+
+@pytest.mark.parametrize("rows,dims", [(2**36, 4), (2**20, 2**31)])
+def test_oversized_header_rejected_before_allocation(tmp_path, rows, dims):
+    path = str(tmp_path / "huge.emb")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQII", b"EMB1", 1, 0, rows, dims, 0))
+        fh.write(b"\x00" * 64)
+    implied = rows * dims * 4
+    with pytest.raises(DataFormatError, match=f"payload has 64 bytes, header implies {implied}"):
+        read_embeddings(path)
+    with pytest.raises(DataFormatError, match="truncated payload at row 0"):
+        next(iter_embedding_batches(path, batch_rows=8))
+
+
+def test_streaming_size_checked_before_first_batch(tmp_path):
+    path = str(tmp_path / "stream.emb")
+    write_embeddings(EmbeddingSet(np.ones((103, 6))), path)
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw[:-8])
+    batches = iter_embedding_batches(path, batch_rows=10)
+    with pytest.raises(DataFormatError, match="truncated payload at row 100"):
+        next(batches)
+    open(path, "wb").write(raw + b"\x00")
+    with pytest.raises(DataFormatError, match="trailing bytes beyond declared payload"):
+        next(iter_embedding_batches(path, batch_rows=10))
+
+
+def test_non_finite_row_found_in_a_later_block(tmp_path):
+    rows = np.ones((3000, 4))
+    rows[2500, 3] = np.inf
+    with pytest.raises(DataFormatError, match="row 2500"):
+        EmbeddingSet(rows).validate_finite()
+    with pytest.raises(DataFormatError, match="row 2507"):
+        EmbeddingSet(rows).validate_finite(row_offset=7)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_peak_memory_under_one_block(tmp_path):
+    rows = np.random.default_rng(2).normal(size=(20_000, 256))
+    path = str(tmp_path / "big.emb")
+    peak = _traced_peak(lambda: write_embeddings(EmbeddingSet(rows), path))
+    assert peak < 1024 * 256 * 8
+    npt.assert_array_equal(read_embeddings(path).data, rows)
+
+
+def test_read_peak_memory_is_payload_plus_one_block(tmp_path):
+    rows = np.random.default_rng(3).normal(size=(20_000, 256)).astype(np.float32)
+    path = str(tmp_path / "big.emb")
+    write_embeddings(EmbeddingSet(rows), path)
+    peak = _traced_peak(lambda: read_embeddings(path))
+    assert peak < rows.nbytes + 1025 * 256 * 8
 
 
 def test_streaming_csv(tmp_path):

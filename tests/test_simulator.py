@@ -4,6 +4,7 @@ import pytest
 
 from gapalign import ContrastiveBatch, DegenerateInputError, anchor_gradients
 from gapalign.contrastive import candidate_gradients_total
+from gapalign import simulator
 from gapalign.simulator import (
     PairedDataGenerator,
     SimulatorConfig,
@@ -29,7 +30,45 @@ def tiny_config(**overrides):
     return SimulatorConfig(**base)
 
 
+def batch_loss_and_grads_oracle(e_x, e_y, config):
+    """The two-exp loss with a dense identity: the reference the fused loss must match."""
+    b = e_x.shape[0]
+    tau = config.temperature
+    if config.similarity == "dot":
+        logits = e_x @ e_y.T / tau
+    else:
+        logits = -(
+            np.sum(e_x * e_x, axis=1)[:, None]
+            + np.sum(e_y * e_y, axis=1)[None, :]
+            - 2.0 * e_x @ e_y.T
+        ) / tau
+    shift = logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(logits - shift).sum(axis=1)) + shift[:, 0]
+    loss = float(np.mean(logsumexp - np.diag(logits)))
+    p = np.exp(logits - shift)
+    p /= p.sum(axis=1, keepdims=True)
+    coeff = p - np.eye(b)
+    if config.similarity == "dot":
+        grad_x = coeff @ e_y / (tau * b)
+        grad_y = coeff.T @ e_x / (tau * b)
+    else:
+        row = coeff.sum(axis=1, keepdims=True)
+        grad_x = (-2.0 / (tau * b)) * (row * e_x - coeff @ e_y)
+        col = coeff.sum(axis=0)[:, None]
+        grad_y = (-2.0 / (tau * b)) * (col * e_y - coeff.T @ e_x)
+    return loss, grad_x, grad_y
+
+
 class TestBatchGradients:
+    @pytest.mark.parametrize("similarity", ["dot", "sqdist"])
+    def test_training_trace_bitwise_equal_to_oracle_loss(self, monkeypatch, similarity):
+        got = run_toy_training(tiny_config(similarity=similarity))
+        monkeypatch.setattr(simulator, "_batch_loss_and_grads", batch_loss_and_grads_oracle)
+        want = run_toy_training(tiny_config(similarity=similarity))
+        assert (got.freeze_step, got.rank) == (want.freeze_step, want.rank)
+        for name in got._SERIES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_matches_contrastive_oracle_on_unit_rows(self):
         rng = np.random.default_rng(0)
         b, d = 16, 8
