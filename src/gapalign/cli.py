@@ -38,7 +38,7 @@ from .diagnostics import (
     sample_complexity_curve,
 )
 from .errors import DataFormatError, DegenerateInputError, GapAlignError
-from .frame import ReferenceFrame, build_frame, decompose_gap, leakage_ratio
+from .frame import ReferenceFrame, build_frame, decompose_gap, leakage_ratio, paired_mean_gap
 from .io import (
     StatsArtifact,
     atomic_write_text,
@@ -68,7 +68,7 @@ from .realign import (
     substitution_operator,
 )
 from .simulator import SimulatorConfig, gap_necessity_ablation, run_toy_training
-from .spectral import effective_rank, power_law_alpha, sym_eig
+from .spectral import condition_number, effective_rank, power_law_alpha, sym_eig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,28 +161,32 @@ def _load_frame(path) -> ReferenceFrame:
 
 
 def _cmd_decompose(args):
+    """The split's report, one row block at a time: no N x d array besides the inputs."""
     frame = _load_frame(args.frame)
-    set_x = read_embeddings(args.x)
-    set_y = read_embeddings(args.y)
-    dec = decompose_gap(set_x, set_y, frame)
-    bias = frame.lift(dec.bias_in) + dec.bias_out
+    x = read_embeddings(args.x).data
+    y = read_embeddings(args.y).data
+    mean_gap = paired_mean_gap(x, y, frame)
     recon_err = 0.0
-    resid_out_sq = np.empty(set_x.rows)
-    for block in row_blocks(set_x.rows):
-        rebuilt = bias + frame.lift(dec.resid_in[block]) + dec.resid_out[block]
-        rebuilt -= np.subtract(set_x.data[block], set_y.data[block], dtype=np.float64)
+    resid_in_sq = np.empty(x.shape[0])
+    resid_out_sq = np.empty(x.shape[0])
+    for block in row_blocks(x.shape[0]):
+        dec = decompose_gap(x[block], y[block], frame, mean_gap=mean_gap)
+        resid_in_sq[block] = np.sum(dec.resid_in**2, axis=1)
+        resid_out_sq[block] = np.sum(dec.resid_out**2, axis=1)
+        rebuilt = frame.lift(dec.bias_in) + dec.bias_out + frame.lift(dec.resid_in)
+        rebuilt += dec.resid_out
+        rebuilt -= np.subtract(x[block], y[block], dtype=np.float64)
         recon_err = max(recon_err, float(np.abs(rebuilt).max()))
-        resid_out_sq[block] = np.sum(dec.resid_out[block] ** 2, axis=1)
     report = {
-        "rows": set_x.rows,
+        "rows": x.shape[0],
         "rank": frame.rank,
-        "mean_gap_norm": float(np.linalg.norm(dec.mean_gap)),
+        "mean_gap_norm": float(np.linalg.norm(mean_gap)),
         "bias_in_norm": float(np.linalg.norm(dec.bias_in)),
         "bias_out_norm": float(np.linalg.norm(dec.bias_out)),
-        "resid_in_trace": float(np.mean(np.sum(dec.resid_in**2, axis=1))),
+        "resid_in_trace": float(np.mean(resid_in_sq)),
         "resid_out_trace": float(np.mean(resid_out_sq)),
-        "mean_gap_leakage": leakage_ratio(dec.mean_gap, frame)
-        if np.linalg.norm(dec.mean_gap) > 0
+        "mean_gap_leakage": leakage_ratio(mean_gap, frame)
+        if np.linalg.norm(mean_gap) > 0
         else 0.0,
         "max_reconstruction_error": recon_err,
         "provenance": _provenance(args, [args.x, args.y, args.frame]),
@@ -265,7 +269,7 @@ def _spectrum_summary(rows):
     summary = {
         "trace": float(lam.sum()),
         "effective_rank": effective_rank(lam) if lam.max() > 0 else None,
-        "condition_number": float(lam[0] / max(lam[-1], 1e-12 * lam[0])) if lam[0] > 0 else 1.0,
+        "condition_number": condition_number(lam),
     }
     try:
         summary["power_law_alpha"] = power_law_alpha(lam)
@@ -309,10 +313,9 @@ def _cmd_diagnose(args):
                    list(enumerate(lam_a.tolist(), start=1)))
         _write_csv(f"{args.plots_dir}/spectrum_b.csv", ["k", "eigenvalue"],
                    list(enumerate(lam_b.tolist(), start=1)))
-        pooled = np.vstack([set_a.data, set_b.data]).astype(np.float64)
-        centered = pooled - pooled.mean(axis=0)
-        basis = sym_eig(centered.T @ centered / pooled.shape[0]).eigenvectors[:, :2]
-        coords = centered @ basis
+        pooled = MomentAccumulator(set_a.dims).accumulate(set_a).accumulate(set_b).finalize()
+        basis = sym_eig(pooled.covariance).eigenvectors[:, :2]
+        coords = np.vstack([(s.data - pooled.mean) @ basis for s in (set_a, set_b)])
         labels = [0] * set_a.rows + [1] * set_b.rows
         _write_csv(f"{args.plots_dir}/pca_coords.csv", ["pc1", "pc2", "set"],
                    [(float(c[0]), float(c[1]), l) for c, l in zip(coords, labels)])
@@ -484,6 +487,20 @@ def _cmd_sample_curve(args):
 # ---------------------------------------------------------------- bench
 
 
+def _offset_cov_error(rows):
+    """Relative Frobenius error of the accumulator's covariance of ``rows``.
+
+    The oracle is the two-pass covariance in long double: the mean first,
+    then the scatter of the centred rows.
+    """
+    cov = MomentAccumulator(rows.shape[1]).accumulate(rows).finalize().covariance
+    wide = rows.astype(np.longdouble)
+    centred = wide - wide.mean(axis=0)
+    truth = centred.T @ centred / rows.shape[0]
+    return float(np.linalg.norm((cov - truth).astype(np.float64))
+                 / np.linalg.norm(truth.astype(np.float64)))
+
+
 def _cmd_bench(args):
     sizes = [int(float(s)) for s in args.sizes.split(",")]
     if sorted(sizes) != sizes:
@@ -516,12 +533,16 @@ def _cmd_bench(args):
     truth = oracle.mean()
     err64 = float(np.linalg.norm(f64.finalize().mean - truth))
     err32 = float(np.linalg.norm(f32.mean().astype(np.float64) - truth))
+    offset, offset_n = 1e4, 20_000
+    offset_err = _offset_cov_error(gen.normal(size=(offset_n, dims)) + offset)
     per_row = [r[1] / r[0] for r in rows]
     spread = max(per_row) / min(per_row)
     print(f"bench: time/row spread x{spread:.3f} across sizes; state bytes "
           f"{sorted(set(int(r[3]) for r in rows))}")
     print(f"bench: f32 replay err {err32:.3e} vs f64 err {err64:.3e} "
           f"(ratio {err32 / max(err64, 1e-300):.1e}) at n={replay_n}")
+    print(f"bench: covariance rel err {offset_err:.3e} at offset {offset:g} "
+          f"vs two-pass long-double oracle at n={offset_n}")
     if args.report:
         _write_json(args.report, {
             "timing": [dict(zip(["rows", "seconds", "rows_per_sec", "state_bytes"], r))
@@ -530,6 +551,9 @@ def _cmd_bench(args):
             "f32_replay_error": err32,
             "f64_error": err64,
             "replay_rows": replay_n,
+            "offset_cov_rel_error": offset_err,
+            "offset": offset,
+            "offset_rows": offset_n,
             "provenance": _provenance(args, []),
         })
     return 0

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import as_matrix, row_blocks
+from .io import _ROW_BLOCK, as_matrix, row_blocks
+from .moments import RowSum
 from .spectral import max_principal_sine, sym_eig
 
 
@@ -140,15 +141,7 @@ def build_frame(
     )
 
 
-def decompose_gap(paired_a, paired_b, frame: ReferenceFrame) -> GapDecomposition:
-    """Split index-paired differences into biases and residuals.
-
-    Rows of the two inputs must be paired by index; at least two pairs
-    are required so residuals are meaningful.  The inputs are not
-    widened: differences are formed in float64 straight from them, and
-    that one buffer is centred in place and becomes ``resid_out``, the
-    only N x d array the split allocates (``resid_in`` is N x r).
-    """
+def _paired_rows(paired_a, paired_b, frame: ReferenceFrame):
     x = as_matrix(paired_a)
     y = as_matrix(paired_b)
     if x.shape[0] != y.shape[0]:
@@ -157,13 +150,51 @@ def decompose_gap(paired_a, paired_b, frame: ReferenceFrame) -> GapDecomposition
         raise DataFormatError("dimension mismatch between paired sets and frame")
     if x.shape[0] < 2:
         raise DataFormatError("need at least 2 pairs to decompose")
+    return x, y
+
+
+def paired_mean_gap(paired_a, paired_b, frame: ReferenceFrame) -> np.ndarray:
+    """Mean of the index-paired differences, formed one row block at a time.
+
+    With two or more dims it is bitwise the ``mean_gap`` that
+    ``decompose_gap`` computes from the whole arrays (see ``RowSum``), in
+    one float64 row block of memory.
+    """
+    x, y = _paired_rows(paired_a, paired_b, frame)
+    diffs = RowSum(frame.dims, min(x.shape[0], _ROW_BLOCK + 1))
+    for block in row_blocks(x.shape[0]):
+        k = block.stop - block.start
+        np.subtract(x[block], y[block], out=diffs.block(k), dtype=np.float64)
+        diffs.add(k)
+    return diffs.total / x.shape[0]
+
+
+def decompose_gap(paired_a, paired_b, frame: ReferenceFrame,
+                  mean_gap: np.ndarray | None = None) -> GapDecomposition:
+    """Split index-paired differences into biases and residuals.
+
+    Rows of the two inputs must be paired by index; at least two pairs
+    are required so residuals are meaningful.  The inputs are not
+    widened: differences are formed in float64 straight from them, and
+    that one buffer is split in place, row block by row block, and
+    becomes ``resid_out``, the only N x d array the split allocates
+    (``resid_in`` is N x r).
+
+    ``mean_gap`` defaults to the mean of these differences.  Passing the
+    mean of a larger set (``paired_mean_gap``) splits one block of it; for
+    a block of ``row_blocks`` the values are those the whole-set split
+    gives its rows, which it computes block by block in the same way.
+    """
+    x, y = _paired_rows(paired_a, paired_b, frame)
     resid_out = np.subtract(x, y, dtype=np.float64)
-    mean_gap = resid_out.mean(axis=0)
+    if mean_gap is None:
+        mean_gap = resid_out.mean(axis=0)
     bias_in = frame.coords(mean_gap)
     bias_out = mean_gap - frame.lift(bias_in)
     resid_out -= mean_gap
-    resid_in = frame.coords(resid_out)
+    resid_in = np.empty((x.shape[0], frame.rank))
     for block in row_blocks(x.shape[0]):
+        resid_in[block] = frame.coords(resid_out[block])
         resid_out[block] -= frame.lift(resid_in[block])
     return GapDecomposition(
         bias_in=bias_in,

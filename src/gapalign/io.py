@@ -51,8 +51,10 @@ def row_blocks(n: int) -> Iterator[slice]:
 
     A lone trailing row joins the block before it: numpy multiplies a
     one-row matrix as a matrix-vector product, whose rounding differs from
-    the matrix product's, so blocked GEMMs then match the whole-array GEMM
-    bitwise.
+    the matrix product's.  Whether a blocked GEMM then rounds every row as
+    the whole-array GEMM does depends on the shapes: it does for the
+    shapes the tests pin and for the benchmark's 768 x 71 frame, but not
+    for, for example, 3,000 x 64 rows times a 64 x 10 basis.
     """
     lo = 0
     while lo < n:
@@ -108,6 +110,16 @@ def as_matrix(obj) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise DataFormatError(f"expected a matrix of row embeddings, got shape {arr.shape}")
+    return arr
+
+
+def _checked(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float64 array, which must have ``shape`` and be finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataFormatError(f"{name} contains non-finite entries")
     return arr
 
 

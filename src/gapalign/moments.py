@@ -3,21 +3,70 @@
 Accumulation always happens in float64 regardless of the input dtype:
 single-precision accumulators hit an irreducible error floor once sample
 counts reach the hundreds of thousands, which is far above the precision
-needed for statistical alignment.  State is raw moments (sum, squared
-norm, optional scatter), so shard-local accumulators merge exactly and
-the memory footprint is O(d^2) independent of the number of rows.
+needed for statistical alignment.
+
+The state is the row count, the column sum, and the centred second
+moments: the sum of squared distances to the mean and, optionally, the
+scatter matrix about the mean.  A batch is folded one row block at a
+time.  Each block is widened into one reusable float64 buffer, checked
+for non-finite values, centred about its own mean and merged into the
+state with the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+computing the sample variance", Am. Stat. 1983).  Centred moments keep
+their precision when the mean lies far from the origin, where raw
+moments lose it to the cancellation in sum(x x^T) / n - mean mean^T.
+Accumulators merge with the same update, and memory is one block plus
+O(d^2) whatever the number of rows.
+
+Within one ``accumulate`` call the column sum adds rows one after
+another in input order (``RowSum``), and each call's sum is then added
+to the running sum.  So the mean of one in-memory array is bitwise the
+whole-array ``rows.sum(axis=0) / n``, and streamed batches give the sum
+of per-batch sums, as raw-moment accumulation did.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import as_matrix
+from .io import _checked, as_matrix
+
+# Rows per block of the moment kernel.  The block's scatter GEMM dominates
+# its cost.  stats_of on 50k x 768 float32 rows (2-core host, best of 5)
+# took 0.70 s with covariance and 0.10 s without at 1,024 rows, 0.52 s and
+# 0.09 s at 4,096, and 0.50 s and 0.14 s at 8,192; the whole-array
+# raw-moment pass it replaced took 0.57 s and 0.23 s.
+_BLOCK = 4096
+
+
+class RowSum:
+    """Column sum of float64 row blocks, added row by row in input order.
+
+    Write each block into ``block(k)`` and then call ``add(k)``.  The
+    running total is carried as row 0 of one reusable buffer and summed
+    together with the block's rows, so every row is added to the total in
+    input order.  That is the order numpy's axis-0 sum of a C-contiguous
+    array with two or more columns uses, so ``total`` is bitwise that
+    whole-array sum.
+    """
+
+    def __init__(self, dims: int, block_rows: int):
+        self._buf = np.empty((block_rows + 1, dims))
+        self.total = None  # until the first block is added
+
+    def block(self, k: int) -> np.ndarray:
+        return self._buf[1:k + 1]
+
+    def add(self, k: int) -> np.ndarray:
+        if self.total is None:
+            self.total = self._buf[1:k + 1].sum(axis=0)
+        else:
+            self._buf[0] = self.total
+            self.total = self._buf[:k + 1].sum(axis=0)
+        return self.total
 
 
 @dataclass
@@ -26,13 +75,25 @@ class ModalityStats:
 
     ``trace`` is the expected squared distance to the mean, which equals
     tr(covariance) when the covariance is tracked.  Covariance uses the
-    population convention (divide by n).
+    population convention (divide by n).  Construction checks that the
+    mean is a finite vector, the trace finite and non-negative, ``n`` an
+    integer >= 1 and the covariance absent or a finite d x d matrix.
     """
 
     mean: np.ndarray
     trace: float
     n: int
     covariance: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.mean = _checked("mean", self.mean, (max(np.size(self.mean), 1),))
+        self.trace = float(_checked("trace", self.trace, ()))
+        if self.trace < 0.0:
+            raise DataFormatError(f"trace {self.trace} is negative")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise DataFormatError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.covariance is not None:
+            self.covariance = _checked("covariance", self.covariance, (self.dims, self.dims))
 
     @property
     def dims(self) -> int:
@@ -48,17 +109,23 @@ class ModalityStats:
 
     @staticmethod
     def from_payload(payload: dict) -> "ModalityStats":
-        cov = payload.get("covariance")
-        return ModalityStats(
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            trace=float(payload["trace"]),
-            n=int(payload["n"]),
-            covariance=None if cov is None else np.asarray(cov, dtype=np.float64),
-        )
+        try:
+            return ModalityStats(
+                mean=payload["mean"],
+                trace=payload["trace"],
+                n=payload["n"],
+                covariance=payload.get("covariance"),
+            )
+        except KeyError as exc:
+            raise DataFormatError(f"modality stats missing field {exc}") from exc
 
 
 class MomentAccumulator:
-    """Single-writer accumulator of raw moments in float64.
+    """Single-writer accumulator of centred moments in float64.
+
+    State: ``n`` rows, their column ``sum``, ``sumsq_norm`` (the sum of
+    squared distances to the current mean) and, when tracked, ``scatter``
+    (the sum of outer products of the centred rows).
 
     Parameters
     ----------
@@ -90,22 +157,71 @@ class MomentAccumulator:
         """Fold a batch of rows into the running moments.
 
         The batch is left unmodified; its values are widened to float64
-        before any arithmetic.
+        one block at a time before any arithmetic.
         """
         rows = as_matrix(batch)
         if rows.shape[1] != self.dims:
             raise DataFormatError(f"batch has {rows.shape[1]} dims, accumulator expects {self.dims}")
-        if rows.shape[0] == 0:
-            return self
-        good = np.isfinite(rows).all(axis=1)
-        if not good.all():
-            raise DataFormatError(f"non-finite value in batch row {int(np.argmin(good))}")
-        rows64 = rows.astype(np.float64, copy=False)
-        self.n += rows.shape[0]
-        self.sum += rows64.sum(axis=0)
-        self.sumsq_norm += float(np.sum(rows64 * rows64))
+        return self.accumulate_from(rows.shape[0],
+                                    lambda lo, out: np.copyto(out, rows[lo:lo + out.shape[0]]))
+
+    def accumulate_from(self, n: int, fill) -> "MomentAccumulator":
+        """Fold n rows that ``fill(first_row, out)`` writes block by block.
+
+        ``out`` is a float64 (k x d) view of the kernel's block buffer;
+        ``fill`` must write rows ``first_row`` to ``first_row + k`` of the
+        input into it.  Producers of float64 rows write straight into the
+        buffer, without a copy of their own.  The rows are folded into a
+        fresh accumulator whose column sum is one ``RowSum``, merged into
+        this one at the end, so a non-finite row leaves this one unchanged.
+        """
+        part = MomentAccumulator(self.dims, self.track_cov)
+        sums = RowSum(self.dims, min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            k = min(_BLOCK, n - lo)
+            block = sums.block(k)
+            fill(lo, block)
+            seen = sums.total
+            total = sums.add(k)
+            # a sum of finite values is finite unless it overflows, so only
+            # a non-finite sum needs the per-row search
+            if not np.isfinite(total).all():
+                good = np.isfinite(block).all(axis=1)
+                if not good.all():
+                    raise DataFormatError(f"non-finite value in batch row {lo + int(np.argmin(good))}")
+            # the first block's sum is the running total itself
+            mean = (total if seen is None else block.sum(axis=0)) / k
+            block -= mean
+            scatter = block.T @ block if self.scatter is not None else None
+            delta = None if seen is None else mean - seen / part.n
+            part._merge_centred(k, delta, float(np.vdot(block, block)), scatter)
+            part.n += k
+        if n:
+            part.sum = sums.total
+        return self._add(part)
+
+    def _merge_centred(self, n_b: int, delta, sumsq_b: float, scatter_b) -> None:
+        """Chan et al.'s update of the centred moments with those of n_b more rows.
+
+        ``delta`` is the new rows' mean minus the current mean.  Reads the
+        current ``n``; the caller updates ``n`` and ``sum``.
+        """
+        self.sumsq_norm += sumsq_b
         if self.scatter is not None:
-            self.scatter += rows64.T @ rows64
+            self.scatter += scatter_b
+        if self.n == 0:
+            return
+        weight = self.n * n_b / (self.n + n_b)
+        self.sumsq_norm += weight * float(delta @ delta)
+        if self.scatter is not None:
+            self.scatter += weight * np.outer(delta, delta)
+
+    def _add(self, other: "MomentAccumulator") -> "MomentAccumulator":
+        if other.n:
+            delta = other.sum / other.n - self.sum / self.n if self.n else None
+            self._merge_centred(other.n, delta, other.sumsq_norm, other.scatter)
+            self.sum = self.sum + other.sum
+            self.n += other.n
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -114,36 +230,23 @@ class MomentAccumulator:
             raise DataFormatError("cannot merge accumulators with different dims")
         if self.track_cov != other.track_cov:
             raise DataFormatError("cannot merge accumulators with different track_cov flags")
-        out = MomentAccumulator(self.dims, self.track_cov)
-        out.n = self.n + other.n
-        out.sum = self.sum + other.sum
-        out.sumsq_norm = self.sumsq_norm + other.sumsq_norm
-        if self.scatter is not None:
-            out.scatter = self.scatter + other.scatter
-        return out
+        return MomentAccumulator(self.dims, self.track_cov)._add(self)._add(other)
 
     def finalize(self) -> ModalityStats:
-        """Convert raw moments to mean/trace/covariance.
+        """Convert the centred moments to mean/trace/covariance.
 
         Requires n >= 1; the covariance path additionally requires
-        n >= 2.  A slightly negative trace from round-off (repeated
-        identical rows) clamps to zero with a warning.
+        n >= 2.
         """
         if self.n < 1:
             raise DegenerateInputError("cannot finalize an empty accumulator")
-        mean = self.sum / self.n
-        trace = self.sumsq_norm / self.n - float(mean @ mean)
-        if trace < 0.0:
-            if trace < -1e-9 * max(1.0, self.sumsq_norm / self.n):
-                warnings.warn(f"trace {trace:.3e} clamped to 0 (degenerate input)")
-            trace = 0.0
         cov = None
         if self.scatter is not None:
             if self.n < 2:
                 raise DegenerateInputError("covariance needs at least 2 samples")
-            cov = self.scatter / self.n - np.outer(mean, mean)
-            cov = 0.5 * (cov + cov.T)
-        return ModalityStats(mean=mean, trace=trace, n=self.n, covariance=cov)
+            cov = self.scatter / self.n
+        return ModalityStats(mean=self.sum / self.n, trace=self.sumsq_norm / self.n, n=self.n,
+                             covariance=cov)
 
 
 def stats_of(rows, track_cov: bool = False) -> ModalityStats:

@@ -21,11 +21,17 @@ All apply operators are pure functions of their calibrated statistics;
 the isotropic-noise baseline additionally takes a seed for its
 counter-based generator.
 
-The realign and blockwise operators run in row blocks and write into one
-preallocated float64 output, widening float32 input block by block, so
-applying them needs the output plus one row block of memory.  Blockwise
-is applied as one composed d x d map, derived once from the stored
-per-block transforms and bases, instead of four per-block products.
+Calibration and application both run in row blocks and widen float32
+input block by block.  Applying realign or blockwise writes into one
+preallocated float64 output, so it needs the output plus one row block
+of memory; calibrating needs the calibration sets plus O(block * d + d^2).
+Each calibration pass recomputes the intermediate rows it needs (the
+first normalization, the anchored rows) one block at a time instead of
+holding them for the whole set.  Covariances come from the centred
+moment kernel in ``moments``, and drift means are ``RowSum`` sums, equal
+bitwise to a whole-array mean of the same rows.  Blockwise is applied as
+one composed d x d map, derived once from the stored per-block
+transforms and bases, instead of four per-block products.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import _ROW_BLOCK, EmbeddingSet, as_matrix
-from .moments import ModalityStats
+from .io import _ROW_BLOCK, EmbeddingSet, _checked, as_matrix
+from .moments import ModalityStats, MomentAccumulator, RowSum
 
 _COLLAPSE = 1e-12
 
@@ -76,16 +82,6 @@ def _affine_unit_into(rows, mu_src, scale, mu_tgt, out: np.ndarray, stage: str,
                       first_row: int) -> np.ndarray:
     """The affine step into ``out``, then each row projected to the unit sphere."""
     return _normalize_in_place(_affine_into(rows, mu_src, scale, mu_tgt, out), stage, first_row)
-
-
-def _checked(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a float64 array, which must have ``shape`` and be finite."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise DataFormatError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass
@@ -151,8 +147,7 @@ class AlignmentStats:
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     """Steps 1-2 only: mu_tgt + scale * (rows - mu_src), no normalization."""
-    rows = np.asarray(rows)
-    return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(rows.shape))
+    return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(np.shape(rows)))
 
 
 def _realign_rows(rows: np.ndarray, stats: AlignmentStats) -> np.ndarray:
@@ -181,18 +176,19 @@ def estimate_realign(
     correction.  Roughly 1e4 calibration samples are enough for the
     drift estimate to stabilize.
     """
-    if stats_tgt.trace < 0 or stats_src.trace < 0:
-        raise DataFormatError("negative trace in calibration stats")
     calib = as_matrix(calib_src)
     if calib.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
     if calib.shape[1] != stats_src.dims or stats_src.dims != stats_tgt.dims:
         raise DataFormatError("dimension mismatch between stats and calibration set")
     scale = float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps)))
-    unit1 = np.empty(calib.shape, dtype=np.float64)
-    for lo in range(0, calib.shape[0], _ROW_BLOCK):
-        _affine_unit_into(calib[lo:lo + _ROW_BLOCK], stats_src.mean, scale, stats_tgt.mean,
-                          unit1[lo:lo + _ROW_BLOCK], "calibration normalization", lo)
+    n = calib.shape[0]
+    unit1 = RowSum(calib.shape[1], min(n, _ROW_BLOCK))
+    for lo in range(0, n, _ROW_BLOCK):
+        chunk = calib[lo:lo + _ROW_BLOCK]
+        _affine_unit_into(chunk, stats_src.mean, scale, stats_tgt.mean,
+                          unit1.block(chunk.shape[0]), "calibration normalization", lo)
+        unit1.add(chunk.shape[0])
     return AlignmentStats(
         mu_src=stats_src.mean,
         mu_tgt=stats_tgt.mean,
@@ -200,8 +196,8 @@ def estimate_realign(
         trace_tgt=stats_tgt.trace,
         scale=scale,
         eps=eps,
-        mu_drift=unit1.mean(axis=0),
-        calib_n=calib.shape[0],
+        mu_drift=unit1.total / n,
+        calib_n=n,
     )
 
 
@@ -354,19 +350,6 @@ def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
     return invsqrt, floored
 
 
-def _centred_cov(rows: np.ndarray, mean: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Population covariance of ``rows`` about ``mean``, centred one block at a time.
-
-    ``scratch`` is a float64 (block rows x d) buffer for the centred block.
-    """
-    cov = np.zeros((rows.shape[1], rows.shape[1]))
-    for lo in range(0, rows.shape[0], scratch.shape[0]):
-        chunk = rows[lo:lo + scratch.shape[0]]
-        centred = np.subtract(chunk, mean, out=scratch[:chunk.shape[0]], dtype=np.float64)
-        cov += centred.T @ centred
-    return cov / rows.shape[0]
-
-
 def estimate_blockwise(
     frame: ReferenceFrame,
     calib_src,
@@ -382,7 +365,8 @@ def estimate_blockwise(
     source inverse square root.  The drift correction is then calibrated
     exactly as in the scalar operator.  Hitting the floor is reported via
     ``floored`` and a warning rather than an exception: the output stays
-    finite.
+    finite.  The anchored rows are recomputed block by block in the
+    covariance pass and in the drift pass, never held for the whole set.
     """
     src = as_matrix(calib_src)
     tgt = as_matrix(calib_tgt)
@@ -396,15 +380,15 @@ def estimate_blockwise(
         warnings.warn("calibration set smaller than block size; covariances will be singular")
 
     mu_src = src.mean(axis=0, dtype=np.float64)
-    mu_tgt = tgt.mean(axis=0, dtype=np.float64)
-    anchored = np.empty((n, d))
-    for lo in range(0, n, _ROW_BLOCK):
+    target = MomentAccumulator(d).accumulate(tgt).finalize()
+    mu_tgt, cov_tgt = target.mean, target.covariance
+
+    def anchor_into(lo, out):
         # the anchor step is the affine step with unit scale
-        _affine_unit_into(src[lo:lo + _ROW_BLOCK], mu_src, 1.0, mu_tgt,
-                          anchored[lo:lo + _ROW_BLOCK], "anchor normalization", lo)
-    scratch = np.empty((min(max(n, tgt.shape[0]), _ROW_BLOCK), d))
-    cov_src = _centred_cov(anchored, anchored.mean(axis=0), scratch)
-    cov_tgt = _centred_cov(tgt, mu_tgt, scratch)
+        _affine_unit_into(src[lo:lo + out.shape[0]], mu_src, 1.0, mu_tgt, out,
+                          "anchor normalization", lo)
+
+    cov_src = MomentAccumulator(d).accumulate_from(n, anchor_into).finalize().covariance
     basis_out = frame.complement_basis()
 
     def block_transform(basis):
@@ -434,12 +418,13 @@ def estimate_blockwise(
         calib_n=n,
         floored=floored,
     )
-    drift = np.zeros(d)
+    unit = np.empty((min(n, _ROW_BLOCK), d))
+    shaped = RowSum(d, min(n, _ROW_BLOCK))
     for lo in range(0, n, _ROW_BLOCK):
-        chunk = anchored[lo:lo + _ROW_BLOCK]
-        shaped = np.matmul(chunk, stats.operator, out=scratch[:chunk.shape[0]])
-        drift += _normalize_in_place(shaped, "block-transform normalization", lo).sum(axis=0)
-    stats.mu_drift = drift / n
+        chunk = src[lo:lo + _ROW_BLOCK]
+        _shaped_into(chunk, stats, unit, shaped.block(chunk.shape[0]), lo)
+        shaped.add(chunk.shape[0])
+    stats.mu_drift = shaped.total / n
     return stats
 
 
@@ -449,16 +434,21 @@ def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T
 
 
+def _shaped_into(chunk, stats: BlockwiseStats, scratch: np.ndarray, out: np.ndarray,
+                 first_row: int) -> np.ndarray:
+    """Anchor step into ``scratch``, then the composed operator into ``out``, normalized."""
+    unit = _affine_unit_into(chunk, stats.mu_src, 1.0, stats.mu_tgt, scratch[:chunk.shape[0]],
+                             "anchor normalization", first_row)
+    return _normalize_in_place(np.matmul(unit, stats.operator, out=out),
+                               "block-transform normalization", first_row)
+
+
 def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats) -> np.ndarray:
     n = rows.shape[0]
     out = np.empty((n, stats.dims))
     anchored = np.empty((min(n, _ROW_BLOCK), stats.dims))
     for lo in range(0, n, _ROW_BLOCK):
-        chunk = rows[lo:lo + _ROW_BLOCK]
-        unit = _affine_unit_into(chunk, stats.mu_src, 1.0, stats.mu_tgt,
-                                 anchored[:chunk.shape[0]], "anchor normalization", lo)
-        block = np.matmul(unit, stats.operator, out=out[lo:lo + _ROW_BLOCK])
-        _normalize_in_place(block, "block-transform normalization", lo)
+        block = _shaped_into(rows[lo:lo + _ROW_BLOCK], stats, anchored, out[lo:lo + _ROW_BLOCK], lo)
         block -= stats.mu_drift
         block += stats.mu_tgt
         _normalize_in_place(block, "centroid-stage normalization", lo)

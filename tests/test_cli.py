@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -89,6 +90,76 @@ def test_decompose_report_matches_whole_array_check(workdir):
     assert doc["max_reconstruction_error"] == float(err.max())
     assert doc["resid_out_trace"] == float(np.mean(np.sum(resid_out**2, axis=1)))
     assert doc["resid_in_trace"] == float(np.mean(np.sum(resid_in**2, axis=1)))
+
+
+def decompose_report_oracle(x, y, frame):
+    """Per-row reconstruction errors and every value of the decompose report, from whole arrays."""
+    diffs = np.subtract(x, y, dtype=np.float64)
+    mean_gap = diffs.mean(axis=0)
+    bias_in = frame.coords(mean_gap)
+    bias_out = mean_gap - frame.lift(bias_in)
+    resid_in = frame.coords(diffs - mean_gap)
+    resid_out = diffs - mean_gap - frame.lift(resid_in)
+    rebuilt = frame.lift(bias_in) + bias_out + frame.lift(resid_in) + resid_out
+    row_err = np.abs(rebuilt - diffs).max(axis=1)
+    return row_err, {
+        "rows": x.shape[0],
+        "rank": frame.rank,
+        "mean_gap_norm": float(np.linalg.norm(mean_gap)),
+        "bias_in_norm": float(np.linalg.norm(bias_in)),
+        "bias_out_norm": float(np.linalg.norm(bias_out)),
+        "resid_in_trace": float(np.mean(np.sum(resid_in**2, axis=1))),
+        "resid_out_trace": float(np.mean(np.sum(resid_out**2, axis=1))),
+        "mean_gap_leakage": float(np.linalg.norm(frame.project_complement(mean_gap))
+                                  / np.linalg.norm(mean_gap)),
+        "max_reconstruction_error": float(row_err.max()),
+    }
+
+
+def write_paired_fixture(workdir, n, d, seed, middle_scale=1.0):
+    rng = np.random.default_rng(seed)
+    mix = rng.normal(size=(d, d)) / np.sqrt(d)
+    for side, offset in (("src", 0.4), ("tgt", -0.2)):
+        rows = unit_rows(offset + rng.normal(size=(n, d)) @ mix).astype(np.float32)
+        rows[1024:2048] *= middle_scale
+        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+        assert main(["stats", "--in", str(workdir / f"{side}.emb"),
+                     "--out", str(workdir / f"{side}.stats")]) == 0
+    assert main(["frame", "--x", str(workdir / "src.stats"), "--y", str(workdir / "tgt.stats"),
+                 "--energy", "0.8", "--out", str(workdir / "frame.stats")]) == 0
+    return ["decompose", "--x", str(workdir / "src.emb"), "--y", str(workdir / "tgt.emb"),
+            "--frame", str(workdir / "frame.stats"), "--report", str(workdir / "dec.json")]
+
+
+def test_decompose_report_is_bitwise_the_whole_array_report(workdir):
+    # float32 inputs and 3,001 rows: the report's passes cross two block
+    # boundaries, and the larger rows of the middle block hold the largest
+    # reconstruction error
+    argv = write_paired_fixture(workdir, 3_001, 16, 4, middle_scale=100.0)
+    assert main(argv) == 0
+    doc = json.loads(open(workdir / "dec.json").read())
+    doc.pop("provenance")
+    frame = ReferenceFrame.from_payload(load_artifact(str(workdir / "frame.stats")).payload)
+    x = read_embeddings(str(workdir / "src.emb")).data
+    y = read_embeddings(str(workdir / "tgt.emb")).data
+    row_err, expected = decompose_report_oracle(x, y, frame)
+    assert 1024 <= np.argmax(row_err) < 2048
+    assert doc == expected
+
+
+def test_decompose_memory_is_inputs_plus_blocks(workdir):
+    n, d = 20_000, 256
+    argv = write_paired_fixture(workdir, n, d, 5)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two float32 inputs, a few float64 row blocks and two per-row
+    # vectors; an N x d float64 array of differences would add 39 MiB
+    inputs, block = 2 * n * d * 4, 1025 * d * 8
+    assert peak < inputs + 8 * block + 2 * n * 8 + (2 << 20)
 
 
 @pytest.mark.parametrize("command", ["stats", "diagnose"])
@@ -212,6 +283,48 @@ def test_align_rejects_non_finite_saved_stats(workdir, method, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("mean", [0.1, 0.2, 0.3, 0.4], "covariance has shape (8, 8), expected (4, 4)"),
+    ("mean", [[0.1] * 8], "mean has shape (1, 8)"),
+    ("mean", [0.1] * 7 + [float("nan")], "mean contains non-finite"),
+    ("trace", float("nan"), "trace contains non-finite"),
+    ("trace", -0.5, "trace -0.5 is negative"),
+    ("trace", None, "trace contains non-finite"),
+    ("n", 0, "n must be an integer >= 1"),
+    ("n", 2.5, "n must be an integer >= 1"),
+    ("covariance", [[0.0] * 7] * 8, "covariance has shape (8, 7)"),
+    ("covariance", [[float("inf")] * 8] * 8, "covariance contains non-finite"),
+])
+def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, named):
+    # before validation on load, a 4-entry mean with an 8 x 8 covariance or a
+    # NaN trace loaded, and frame exited 0
+    stats_path = str(workdir / "src.stats")
+    assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0
+    assert main(["stats", "--in", str(workdir / "tgt.emb"), "--out", str(workdir / "tgt.stats")]) == 0
+    doc = json.loads(open(stats_path).read())
+    doc["payload"][field] = value
+    with open(stats_path, "w") as fh:
+        json.dump(doc, fh)
+    out = workdir / "frame.stats"
+    code = main(["frame", "--x", stats_path, "--y", str(workdir / "tgt.stats"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_frame_rejects_stats_artifact_missing_a_field(workdir, capsys):
+    stats_path = str(workdir / "src.stats")
+    assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0
+    doc = json.loads(open(stats_path).read())
+    del doc["payload"]["trace"]
+    with open(stats_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["frame", "--x", stats_path, "--y", stats_path,
+                 "--out", str(workdir / "frame.stats")]) == 2
+    assert "missing field 'trace'" in capsys.readouterr().err
+
+
 def test_align_dimension_mismatch_exit_code(workdir, tmp_path):
     bad = str(tmp_path / "bad.emb")
     write_embeddings(EmbeddingSet(np.ones((5, 3))), bad)
@@ -318,3 +431,15 @@ def test_bench_state_bytes_constant(tmp_path):
     sizes = {entry["state_bytes"] for entry in doc["timing"]}
     assert len(sizes) == 1
     assert doc["f32_replay_error"] >= 1e3 * doc["f64_error"]
+
+
+def test_bench_reports_covariance_precision_at_large_offset(tmp_path, capsys):
+    report = str(tmp_path / "bench.json")
+    assert main(["bench", "--sizes", "1e4,2e4", "--dims", "16", "--out",
+                 str(tmp_path / "bench.csv"), "--report", report]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines() if "offset" in ln]
+    assert len(line) == 1 and "two-pass long-double oracle" in line[0]
+    doc = json.loads(open(report).read())
+    assert doc["offset"] == 1e4 and doc["offset_rows"] == 20_000
+    # raw moments gave about 1e-6 here
+    assert 0 <= doc["offset_cov_rel_error"] < 1e-10

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,9 +10,14 @@ from gapalign import (
     DegenerateInputError,
     Float32ReplayMean,
     MomentAccumulator,
+    build_frame,
+    estimate_blockwise,
+    estimate_realign,
     shrink,
     stats_of,
 )
+from gapalign import moments as moments_module
+from gapalign.io import _ROW_BLOCK as ROW_BLOCK
 
 
 def two_pass_stats(rows):
@@ -187,3 +194,118 @@ def test_f32_replay_error_floor():
     err32 = np.linalg.norm(f32.mean().astype(np.float64) - truth)
     assert err32 > 0
     assert err32 >= 1e3 * err64
+
+
+# ------------------------------------------------ centred row-blocked kernel
+
+BLOCK = moments_module._BLOCK
+
+
+def long_double_oracle(rows):
+    """Covariance and trace in long double, two-pass: the mean first."""
+    wide = np.asarray(rows, dtype=np.longdouble)
+    centred = wide - wide.mean(axis=0)
+    cov = centred.T @ centred / rows.shape[0]
+    return cov, np.sum(centred * centred) / rows.shape[0]
+
+
+def offset_rows(rng, n, d, offset):
+    return rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + offset
+
+
+def rel_err(got, truth):
+    truth = np.asarray(truth, dtype=np.longdouble)
+    diff = np.asarray(got, dtype=np.longdouble) - truth
+    return float(np.sqrt(np.sum(diff * diff)) / np.sqrt(np.sum(truth * truth)))
+
+
+def test_merge_of_uneven_halves_equals_one_pass_at_large_offset():
+    rows = offset_rows(np.random.default_rng(50), 10_001, 16, 1e4)
+    single = MomentAccumulator(16).accumulate(rows).finalize()
+    a = MomentAccumulator(16).accumulate(rows[:2_345])
+    b = MomentAccumulator(16).accumulate(rows[2_345:])
+    merged = a.merge(b).finalize()
+    npt.assert_allclose(merged.mean, single.mean, rtol=1e-12)
+    assert rel_err(merged.covariance, single.covariance) <= 1e-12
+    assert abs(merged.trace - single.trace) <= 1e-12 * single.trace
+
+
+@pytest.mark.parametrize("offset", [30.0, 1e4, 1e5])
+@pytest.mark.parametrize("batches", [1, 7])
+def test_covariance_and_trace_accurate_far_from_the_origin(offset, batches):
+    # raw moments lose about eps * (offset / spread)^2 of relative precision;
+    # the centred state does not
+    rows = offset_rows(np.random.default_rng(51), 3 * BLOCK + 1, 16, offset)
+    acc = MomentAccumulator(16)
+    for part in np.array_split(rows, batches):
+        acc.accumulate(part)
+    stats = acc.finalize()
+    cov, trace = long_double_oracle(rows)
+    assert rel_err(stats.covariance, cov) <= 1e-10
+    assert rel_err(stats.trace, trace) <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_mean_is_bitwise_the_whole_array_sum(n, dtype):
+    rows = (np.random.default_rng(n).normal(size=(n, 8)) * 3.0 + 0.7).astype(dtype)
+    mean = stats_of(rows, track_cov=n > 1).mean
+    assert np.array_equal(mean, rows.astype(np.float64).sum(axis=0) / n)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stats_of_memory_does_not_grow_with_n():
+    d = 256
+    rng = np.random.default_rng(52)
+    small = rng.normal(size=(2 * BLOCK, d)).astype(np.float32)
+    large = rng.normal(size=(8 * BLOCK, d)).astype(np.float32)
+    peak_small = traced_peak(lambda: stats_of(small, track_cov=True))
+    peak_large = traced_peak(lambda: stats_of(large, track_cov=True))
+    # one float64 block buffer plus a few d x d matrices; widening the whole
+    # 8-block input would take 64 MiB
+    assert peak_small < (BLOCK + 1) * d * 8 + 8 * d * d * 8 + (1 << 20)
+    assert peak_large < peak_small + (1 << 20)
+
+
+def unit_sample(rng, n, d, spread):
+    raw = rng.normal(size=d) + spread * rng.normal(size=(n, d)) * np.linspace(1.0, 0.2, d)
+    return (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+
+
+@pytest.mark.parametrize("operator", ["realign", "blockwise"])
+def test_calibration_memory_is_inputs_plus_blocks(operator):
+    n, d = 30_000, 256
+    rng = np.random.default_rng(53)
+    src, tgt = unit_sample(rng, n, d, 0.3), unit_sample(rng, n, d, 0.2)
+    if operator == "realign":
+        s_src, s_tgt = stats_of(src), stats_of(tgt)
+        calibrate = lambda: estimate_realign(s_src, s_tgt, src)
+    else:
+        frame = build_frame(stats_of(src, track_cov=True).covariance,
+                            stats_of(tgt, track_cov=True).covariance, energy=0.9)
+        calibrate = lambda: estimate_blockwise(frame, src, tgt)
+    block = max(BLOCK, ROW_BLOCK) + 1
+    # the inputs are allocated before tracing starts; an N x d float64
+    # array of intermediate rows alone would take 59 MiB
+    assert traced_peak(calibrate) < 2 * block * d * 8 + 24 * d * d * 8 + (1 << 20)
+
+
+def test_non_finite_row_in_a_later_block_leaves_state_unchanged():
+    rng = np.random.default_rng(54)
+    acc = MomentAccumulator(4).accumulate(rng.normal(size=(10, 4)))
+    before = (acc.n, acc.sum.copy(), acc.sumsq_norm, acc.scatter.copy())
+    bad = rng.normal(size=(2 * BLOCK + 5, 4))
+    bad[BLOCK + 3, 2] = np.nan
+    with pytest.raises(DataFormatError, match=f"batch row {BLOCK + 3}$"):
+        acc.accumulate(bad)
+    assert acc.n == before[0] and acc.sumsq_norm == before[2]
+    npt.assert_array_equal(acc.sum, before[1])
+    npt.assert_array_equal(acc.scatter, before[3])
