@@ -93,6 +93,20 @@ def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+def _save_payload(obj, path, provenance):
+    save_artifact(StatsArtifact(obj.kind, obj.to_payload(), provenance), path)
+
+
+def _load_payload(path, *classes):
+    """Decode the artifact at ``path`` with whichever of ``classes`` has its kind."""
+    artifact = load_artifact(path)
+    for cls in classes:
+        if artifact.kind == cls.kind:
+            return cls.from_payload(artifact.payload)
+    kinds = " or ".join(cls.kind for cls in classes)
+    raise DataFormatError(f"{path}: expected a {kinds} artifact, got {artifact.kind}")
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -114,12 +128,7 @@ def _cmd_stats(args):
     stats = acc.finalize()
     if stats.covariance is not None and args.shrink > 0:
         stats.covariance = shrink(stats.covariance, args.shrink)
-    artifact = StatsArtifact(
-        kind="modality_stats",
-        payload=stats.to_payload(),
-        provenance=_provenance(args, [args.in_path]),
-    )
-    save_artifact(artifact, args.out)
+    _save_payload(stats, args.out, _provenance(args, [args.in_path]))
     print(f"stats: n={stats.n} dims={stats.dims} trace={stats.trace:.6g} -> {args.out}")
     return 0
 
@@ -127,34 +136,15 @@ def _cmd_stats(args):
 # ---------------------------------------------------------------- frame
 
 
-def _load_stats(path) -> ModalityStats:
-    artifact = load_artifact(path)
-    if artifact.kind != "modality_stats":
-        raise DataFormatError(f"{path}: expected a modality_stats artifact, got {artifact.kind}")
-    return ModalityStats.from_payload(artifact.payload)
-
-
 def _cmd_frame(args):
-    stats_x = _load_stats(args.x)
-    stats_y = _load_stats(args.y)
+    stats_x = _load_payload(args.x, ModalityStats)
+    stats_y = _load_payload(args.y, ModalityStats)
     if stats_x.covariance is None or stats_y.covariance is None:
         raise DataFormatError("frame construction needs covariances; rerun stats without --no-cov")
     frame = build_frame(stats_x.covariance, stats_y.covariance, energy=args.energy)
-    artifact = StatsArtifact(
-        kind="reference_frame",
-        payload=frame.to_payload(),
-        provenance=_provenance(args, [args.x, args.y]),
-    )
-    save_artifact(artifact, args.out)
+    _save_payload(frame, args.out, _provenance(args, [args.x, args.y]))
     print(f"frame: dims={frame.dims} rank={frame.rank} energy={args.energy} -> {args.out}")
     return 0
-
-
-def _load_frame(path) -> ReferenceFrame:
-    artifact = load_artifact(path)
-    if artifact.kind != "reference_frame":
-        raise DataFormatError(f"{path}: expected a reference_frame artifact, got {artifact.kind}")
-    return ReferenceFrame.from_payload(artifact.payload)
 
 
 # ------------------------------------------------------------ decompose
@@ -162,7 +152,7 @@ def _load_frame(path) -> ReferenceFrame:
 
 def _cmd_decompose(args):
     """The split's report, one row block at a time: no N x d array besides the inputs."""
-    frame = _load_frame(args.frame)
+    frame = _load_payload(args.frame, ReferenceFrame)
     x = read_embeddings(args.x).data
     y = read_embeddings(args.y).data
     mean_gap = paired_mean_gap(x, y, frame)
@@ -202,12 +192,7 @@ def _cmd_decompose(args):
 
 def _calibration_stats(args, source):
     if args.stats:
-        artifact = load_artifact(args.stats)
-        if artifact.kind == "alignment_stats":
-            return AlignmentStats.from_payload(artifact.payload), artifact.kind
-        if artifact.kind == "blockwise_stats":
-            return BlockwiseStats.from_payload(artifact.payload), artifact.kind
-        raise DataFormatError(f"{args.stats}: not an alignment artifact ({artifact.kind})")
+        return _load_payload(args.stats, AlignmentStats, BlockwiseStats)
     if not (args.calib_src and args.calib_tgt):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
     same = os.path.samefile(args.in_path, args.calib_src)
@@ -219,23 +204,15 @@ def _calibration_stats(args, source):
             stats_of(calib_tgt, track_cov=True).covariance,
             energy=args.energy,
         )
-        return estimate_blockwise(frame, calib_src, calib_tgt, eig_floor=args.eig_floor), "blockwise_stats"
-    stats = estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src, eps=args.eps)
-    return stats, "alignment_stats"
+        return estimate_blockwise(frame, calib_src, calib_tgt, eig_floor=args.eig_floor)
+    return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src, eps=args.eps)
 
 
 def _cmd_align(args):
     source = read_embeddings(args.in_path)
-    stats, kind = _calibration_stats(args, source)
+    stats = _calibration_stats(args, source)
     if args.save_stats:
-        save_artifact(
-            StatsArtifact(
-                kind=kind,
-                payload=stats.to_payload(),
-                provenance=_provenance(args, [args.calib_src, args.calib_tgt]),
-            ),
-            args.save_stats,
-        )
+        _save_payload(stats, args.save_stats, _provenance(args, [args.calib_src, args.calib_tgt]))
     if args.method == "realign":
         if not isinstance(stats, AlignmentStats):
             raise DataFormatError("realign needs an alignment_stats artifact")

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import _ROW_BLOCK, as_matrix, row_blocks
+from .io import _ROW_BLOCK, Payload, _check_int, _checked, as_matrix, row_blocks
 from .moments import RowSum
-from .spectral import max_principal_sine, sym_eig
+from .spectral import _fix_signs, max_principal_sine, sym_eig
 
 
 @dataclass
-class ReferenceFrame:
+class ReferenceFrame(Payload, kind="reference_frame"):
     """Orthonormal basis (d x r) of the high-energy subspace, frozen after build."""
 
     basis: np.ndarray
@@ -29,11 +29,10 @@ class ReferenceFrame:
     created_at_step: int | None = None
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=np.float64)
-        if self.basis.ndim != 2:
-            raise DataFormatError("frame basis must be a d x r matrix")
-        if not np.isfinite(self.basis).all():
-            raise DataFormatError("frame basis contains non-finite entries")
+        self.basis = _checked("basis", self.basis, (None, None))
+        self.energy_threshold = float(_checked("energy_threshold", self.energy_threshold, ()))
+        if self.created_at_step is not None:
+            _check_int("created_at_step", self.created_at_step, 0)
         d, r = self.basis.shape
         if not 1 <= r <= d:
             raise DataFormatError(f"frame rank {r} outside [1, {d}]")
@@ -66,26 +65,7 @@ class ReferenceFrame:
     def complement_basis(self) -> np.ndarray:
         """Deterministic orthonormal basis (d x (d-r)) of the complement."""
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        comp = u[:, self.rank :]
-        idx = np.argmax(np.abs(comp), axis=0)
-        signs = np.sign(comp[idx, np.arange(comp.shape[1])])
-        signs[signs == 0] = 1.0
-        return comp * signs
-
-    def to_payload(self) -> dict:
-        return {
-            "basis": self.basis.tolist(),
-            "energy_threshold": float(self.energy_threshold),
-            "created_at_step": self.created_at_step,
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "ReferenceFrame":
-        return ReferenceFrame(
-            basis=np.asarray(payload["basis"], dtype=np.float64),
-            energy_threshold=float(payload["energy_threshold"]),
-            created_at_step=payload.get("created_at_step"),
-        )
+        return _fix_signs(u[:, self.rank :])
 
 
 @dataclass

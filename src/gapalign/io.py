@@ -13,6 +13,15 @@ Statistics artifacts (moment summaries, reference frames, calibrated
 alignment operators) persist as a human-readable JSON key/value tree.
 Floats are rendered with shortest round-trip precision, so float64
 payloads survive a save/load cycle bit-exactly.
+
+Every persisted type is a dataclass derived from ``Payload``, and one
+codec reads its fields.  Encoding writes each ``init`` field: arrays as
+nested lists, numpy scalars as Python scalars and nested payloads as
+their own trees; derived non-init fields are not written.  Decoding
+checks that the payload is a JSON object holding every field except
+those that default to None, decodes nested payloads and hands the rest
+to the constructor, whose ``__post_init__`` validates shapes,
+finiteness and scalar types.  Every failure is a ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ import os
 import stat
 import struct
 import tempfile
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -114,13 +125,89 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def _checked(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a float64 array, which must have ``shape`` and be finite."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise DataFormatError(f"{name} has shape {arr.shape}, expected {shape}")
+    """``value`` as a finite float64 array of ``shape``.
+
+    A ``None`` entry of ``shape`` matches any length >= 1.  An empty value
+    takes an expected zero-size shape, since JSON stores a 0 x 0 matrix as
+    ``[]``.  Values numpy cannot convert (a dict, a ragged list) are a
+    ``DataFormatError`` naming the field, like every other failure.
+    """
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{name} is not a numeric array ({exc})") from exc
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)
+    if arr.ndim != len(shape) or any(
+        got != want if want is not None else got < 1 for got, want in zip(arr.shape, shape)
+    ):
+        want = str(shape).replace("None", "any")
+        raise DataFormatError(f"{name} has shape {arr.shape}, expected {want}")
     if not np.isfinite(arr).all():
         raise DataFormatError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ``DataFormatError`` unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DataFormatError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+class Payload:
+    """Base of the dataclasses persisted as artifact payloads.
+
+    A subclass names its artifact kind once, as in ``class
+    ModalityStats(Payload, kind="modality_stats")``, and gets
+    ``to_payload`` and a static ``from_payload`` from the field-driven
+    codec described in the module docstring.  ``from_payload`` is a
+    staticmethod bound to each subclass, not a classmethod, so it can be
+    wrapped per class as a plain function (``perfbench/tracer.py`` does).
+    Nested payloads go through their own class's methods.
+    """
+
+    def __init_subclass__(cls, kind: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
+
+        def from_payload(payload):
+            """Decode a JSON tree written by ``to_payload``; ``DataFormatError`` if malformed."""
+            if not isinstance(payload, dict):
+                raise DataFormatError(f"{kind} payload must be a JSON object, "
+                                      f"got {type(payload).__name__}")
+            for name, required, _ in _codec_fields(cls):
+                if required and name not in payload:
+                    raise DataFormatError(f"{kind} payload missing field {name!r}")
+            return cls(**{name: nested.from_payload(payload[name]) if nested else payload[name]
+                          for name, _, nested in _codec_fields(cls) if name in payload})
+
+        cls.from_payload = staticmethod(from_payload)
+
+    def to_payload(self) -> dict:
+        """The JSON-compatible tree of every ``init`` field."""
+        out = {}
+        for name, _, nested in _codec_fields(type(self)):
+            value = getattr(self, name)
+            if nested:
+                value = value.to_payload()
+            elif isinstance(value, (np.ndarray, np.generic)):
+                value = value.tolist()
+            out[name] = value
+        return out
+
+
+@cache
+def _codec_fields(cls) -> tuple:
+    """(name, required, nested payload class or None) for each ``init`` field of ``cls``.
+
+    Only a field whose default is None may be absent from a payload, and
+    reads as None.  Any other field is required: the encoder always writes
+    it, and a default such as ``floored=False`` would be a guess.
+    """
+    hints = typing.get_type_hints(cls)
+    nested = {name: hint for name, hint in hints.items()
+              if isinstance(hint, type) and issubclass(hint, Payload)}
+    return tuple((f.name, f.default is not None, nested.get(f.name)) for f in fields(cls) if f.init)
 
 
 def _infer_format(path: str, format: str | None) -> str:
@@ -330,8 +417,9 @@ class StatsArtifact:
     """A persisted statistics payload with schema version and provenance.
 
     ``kind`` names the payload type (for example ``modality_stats`` or
-    ``reference_frame``); ``payload`` is the type's own JSON-compatible
-    tree built by its ``to_payload``/``from_payload`` pair.
+    ``reference_frame``), as the type's ``Payload.kind`` does; ``payload``
+    is the JSON-compatible tree the shared codec builds from the type's
+    dataclass fields (``to_payload``) and reads back (``from_payload``).
     """
 
     kind: str
@@ -361,7 +449,7 @@ def load_artifact(path: str) -> StatsArtifact:
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise DataFormatError(f"{path}: corrupt artifact ({exc})") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataFormatError(f"{path}: not a statistics artifact")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import _checked, as_matrix
+from .io import Payload, _check_int, _checked, as_matrix
 
 # Rows per block of the moment kernel.  The block's scatter GEMM dominates
 # its cost.  stats_of on 50k x 768 float32 rows (2-core host, best of 5)
@@ -70,7 +70,7 @@ class RowSum:
 
 
 @dataclass
-class ModalityStats:
+class ModalityStats(Payload, kind="modality_stats"):
     """Finalized first/second moments of one embedding distribution.
 
     ``trace`` is the expected squared distance to the mean, which equals
@@ -86,38 +86,17 @@ class ModalityStats:
     covariance: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mean = _checked("mean", self.mean, (max(np.size(self.mean), 1),))
+        self.mean = _checked("mean", self.mean, (None,))
         self.trace = float(_checked("trace", self.trace, ()))
         if self.trace < 0.0:
             raise DataFormatError(f"trace {self.trace} is negative")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DataFormatError(f"n must be an integer >= 1, got {self.n!r}")
+        _check_int("n", self.n, 1)
         if self.covariance is not None:
             self.covariance = _checked("covariance", self.covariance, (self.dims, self.dims))
 
     @property
     def dims(self) -> int:
         return self.mean.shape[0]
-
-    def to_payload(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "trace": float(self.trace),
-            "n": int(self.n),
-            "covariance": None if self.covariance is None else self.covariance.tolist(),
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "ModalityStats":
-        try:
-            return ModalityStats(
-                mean=payload["mean"],
-                trace=payload["trace"],
-                n=payload["n"],
-                covariance=payload.get("covariance"),
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"modality stats missing field {exc}") from exc
 
 
 class MomentAccumulator:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import _ROW_BLOCK, EmbeddingSet, _checked, as_matrix
+from .io import _ROW_BLOCK, EmbeddingSet, Payload, _check_int, _checked, as_matrix
 from .moments import ModalityStats, MomentAccumulator, RowSum
 
 _COLLAPSE = 1e-12
@@ -85,7 +85,7 @@ def _affine_unit_into(rows, mu_src, scale, mu_tgt, out: np.ndarray, stage: str,
 
 
 @dataclass
-class AlignmentStats:
+class AlignmentStats(Payload, kind="alignment_stats"):
     """Frozen calibration of the three-step operator.
 
     ``scale`` is sqrt(trace_tgt / (trace_src + eps)); ``mu_drift`` is
@@ -103,13 +103,14 @@ class AlignmentStats:
     calib_n: int
 
     def __post_init__(self):
-        d = np.size(self.mu_src)
-        self.mu_src = _checked("mu_src", self.mu_src, (d,))
-        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
-        self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
-        if not (np.isfinite(self.trace_src) and np.isfinite(self.trace_tgt)):
-            raise DataFormatError("non-finite trace in alignment stats")
-        expected = np.sqrt(self.trace_tgt / (self.trace_src + self.eps))
+        self.mu_src = _checked("mu_src", self.mu_src, (None,))
+        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (self.dims,))
+        self.mu_drift = _checked("mu_drift", self.mu_drift, (self.dims,))
+        for name in ("trace_src", "trace_tgt", "scale", "eps"):
+            setattr(self, name, float(_checked(name, getattr(self, name), ())))
+        _check_int("calib_n", self.calib_n, 1)
+        with np.errstate(all="ignore"):  # a negative or zero denominator fails the check below
+            expected = np.sqrt(np.divide(self.trace_tgt, self.trace_src + self.eps))
         if not np.isclose(self.scale, expected, rtol=1e-12, atol=0.0):
             raise DataFormatError("scale is inconsistent with the stored traces")
         if np.linalg.norm(self.mu_drift) > 1.0 + 1e-9:
@@ -118,31 +119,6 @@ class AlignmentStats:
     @property
     def dims(self) -> int:
         return self.mu_src.shape[0]
-
-    def to_payload(self) -> dict:
-        return {
-            "mu_src": self.mu_src.tolist(),
-            "mu_tgt": self.mu_tgt.tolist(),
-            "trace_src": float(self.trace_src),
-            "trace_tgt": float(self.trace_tgt),
-            "scale": float(self.scale),
-            "eps": float(self.eps),
-            "mu_drift": self.mu_drift.tolist(),
-            "calib_n": int(self.calib_n),
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "AlignmentStats":
-        return AlignmentStats(
-            mu_src=np.asarray(payload["mu_src"], dtype=np.float64),
-            mu_tgt=np.asarray(payload["mu_tgt"], dtype=np.float64),
-            trace_src=float(payload["trace_src"]),
-            trace_tgt=float(payload["trace_tgt"]),
-            scale=float(payload["scale"]),
-            eps=float(payload["eps"]),
-            mu_drift=np.asarray(payload["mu_drift"], dtype=np.float64),
-            calib_n=int(payload["calib_n"]),
-        )
 
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
@@ -259,7 +235,7 @@ def apply_c3_baseline(
 
 
 @dataclass
-class BlockwiseStats:
+class BlockwiseStats(Payload, kind="blockwise_stats"):
     """Calibrated per-subspace whitening-coloring operator.
 
     ``t_in`` (r x r) and ``t_out`` ((d-r) x (d-r)) act in the frame's
@@ -294,47 +270,16 @@ class BlockwiseStats:
         self.mu_src = _checked("mu_src", self.mu_src, (d,))
         self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
         self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
+        self.eig_floor = float(_checked("eig_floor", self.eig_floor, ()))
+        _check_int("calib_n", self.calib_n, 1)
+        if not isinstance(self.floored, bool):
+            raise DataFormatError(f"floored must be a bool, got {self.floored!r}")
         basis, comp = self.frame.basis, self.basis_out
         self.operator = basis @ self.t_in.T @ basis.T + comp @ self.t_out.T @ comp.T
 
     @property
     def dims(self) -> int:
         return self.frame.dims
-
-    def to_payload(self) -> dict:
-        return {
-            "frame": self.frame.to_payload(),
-            "basis_out": np.asarray(self.basis_out).tolist(),
-            "t_in": np.asarray(self.t_in).tolist(),
-            "t_out": np.asarray(self.t_out).tolist(),
-            "mu_src": np.asarray(self.mu_src).tolist(),
-            "mu_tgt": np.asarray(self.mu_tgt).tolist(),
-            "mu_drift": np.asarray(self.mu_drift).tolist(),
-            "eig_floor": float(self.eig_floor),
-            "calib_n": int(self.calib_n),
-            "floored": bool(self.floored),
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "BlockwiseStats":
-        return BlockwiseStats(
-            frame=ReferenceFrame.from_payload(payload["frame"]),
-            basis_out=np.asarray(payload["basis_out"], dtype=np.float64),
-            t_in=np.asarray(payload["t_in"], dtype=np.float64),
-            t_out=_square(payload["t_out"]),
-            mu_src=np.asarray(payload["mu_src"], dtype=np.float64),
-            mu_tgt=np.asarray(payload["mu_tgt"], dtype=np.float64),
-            mu_drift=np.asarray(payload["mu_drift"], dtype=np.float64),
-            eig_floor=float(payload["eig_floor"]),
-            calib_n=int(payload["calib_n"]),
-            floored=bool(payload["floored"]),
-        )
-
-
-def _square(value) -> np.ndarray:
-    """A payload matrix as float64; JSON stores a 0 x 0 matrix as ``[]``, read back as 0 x 0."""
-    arr = np.asarray(value, dtype=np.float64)
-    return arr.reshape(0, 0) if arr.size == 0 else arr
 
 
 def _floored_invsqrt(cov: np.ndarray, eig_floor: float):

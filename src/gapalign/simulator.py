@@ -43,6 +43,9 @@ from .moments import stats_of
 from .spectral import condition_number, sym_eig, tyler_shape
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class SimulatorConfig:
     """Knobs for the toy training run.
@@ -94,20 +97,17 @@ class SimulatorConfig:
 
     @staticmethod
     def from_mapping(mapping: dict) -> "SimulatorConfig":
-        known = {f.name: f.type for f in fields(SimulatorConfig)}
+        """Parse each value as the type of its field's default; booleans in any case."""
+        defaults = {f.name: f.default for f in fields(SimulatorConfig)}
         kwargs = {}
         for key, value in mapping.items():
-            if key not in known:
+            if key not in defaults:
                 raise ValueError(f"unknown simulator config key {key!r}")
-            current = getattr(SimulatorConfig(), key)
-            if isinstance(current, bool):
-                kwargs[key] = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                kwargs[key] = int(value)
-            elif isinstance(current, float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = str(value)
+            kind = type(defaults[key])
+            if kind is bool and str(value).lower() not in _BOOLEANS:
+                raise ValueError(f"simulator config key {key!r} needs 1/true/yes or 0/false/no, "
+                                 f"got {value!r}")
+            kwargs[key] = _BOOLEANS[str(value).lower()] if kind is bool else kind(value)
         return SimulatorConfig(**kwargs)
 
 
@@ -130,21 +130,6 @@ class TrainingTrace:
     freeze_step: int = 0
     rank: int = 0
 
-    _SERIES = (
-        "steps",
-        "sin_theta",
-        "leak_ref",
-        "gamma_norm",
-        "drift",
-        "cos_stability",
-        "kappa_u",
-        "kappa_v",
-        "rho_align",
-        "gamma_noise_angle",
-        "coupling_norm",
-        "loss",
-    )
-
     def check(self):
         lengths = {name: len(getattr(self, name)) for name in self._SERIES}
         if len(set(lengths.values())) != 1:
@@ -158,6 +143,10 @@ class TrainingTrace:
 
     def rows(self):
         return list(zip(*(getattr(self, name) for name in self._SERIES)))
+
+
+# the list-valued fields, in declaration order: one column per logged series
+TrainingTrace._SERIES = tuple(f.name for f in fields(TrainingTrace) if f.default_factory is list)
 
 
 class PairedDataGenerator:

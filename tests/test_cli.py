@@ -325,6 +325,75 @@ def test_frame_rejects_stats_artifact_missing_a_field(workdir, capsys):
     assert "missing field 'trace'" in capsys.readouterr().err
 
 
+def _drop(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _set(key, value, nested=None):
+    def mutate(payload):
+        holder = payload[nested] if nested else payload
+        holder[key] = value
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize("artifact, mutate", [
+    ("realign", _drop("mu_drift")),
+    ("blockwise", _drop("mu_drift")),
+    ("blockwise", _drop("floored")),
+    ("frame", _drop("basis")),
+    ("realign", _set("calib_n", None)),
+    ("blockwise", _set("calib_n", None)),
+    ("frame", _set("energy_threshold", None)),
+    ("blockwise", _set("energy_threshold", None, nested="frame")),
+    ("realign", lambda payload: [payload]),
+    ("blockwise", _set("floored", "no")),
+    ("realign", _set("calib_n", 2.5)),
+    ("frame", _set("created_at_step", "abc")),
+], ids=["realign-no-mu_drift", "blockwise-no-mu_drift", "blockwise-no-floored", "frame-no-basis",
+        "realign-null-calib_n", "blockwise-null-calib_n", "frame-null-energy_threshold",
+        "blockwise-frame-null-energy_threshold", "realign-list-payload", "blockwise-floored-no",
+        "realign-fractional-calib_n", "frame-string-created_at_step"])
+def test_malformed_artifact_field_exits_2(workdir, capsys, artifact, mutate):
+    # each of these once raised KeyError or TypeError, or loaded a wrong value and exited 0
+    path = str(workdir / f"{artifact}.json")
+    calib = ["--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
+    if artifact == "frame":
+        for side in ("src", "tgt"):
+            assert main(["stats", "--in", str(workdir / f"{side}.emb"),
+                         "--out", str(workdir / f"{side}.stats")]) == 0
+        assert main(["frame", "--x", str(workdir / "src.stats"), "--y", str(workdir / "tgt.stats"),
+                     "--out", path]) == 0
+        out = workdir / "decompose.json"
+        consume = ["decompose", "--x", str(workdir / "src.emb"), "--y", str(workdir / "tgt.emb"),
+                   "--frame", path, "--report", str(out)]
+    else:
+        assert main(["align", "--method", artifact, "--in", str(workdir / "src.emb"),
+                     "--out", str(workdir / "first.emb"), *calib, "--save-stats", path]) == 0
+        out = workdir / "from_artifact.emb"
+        consume = ["align", "--method", artifact, "--in", str(workdir / "src.emb"),
+                   "--out", str(out), "--stats", path]
+    doc = json.loads(open(path).read())
+    doc["payload"] = mutate(doc["payload"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(consume) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["normalize_outputs = on", "shared_encoder = flase"])
+def test_simulate_rejects_unknown_boolean_spelling(tmp_path, capsys, line):
+    config = tmp_path / "sim.cfg"
+    config.write_text(f"steps = 40\n{line}\n")
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(config), "--trace", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("gapalign: ")
+    assert not out.exists()
+
+
 def test_align_dimension_mismatch_exit_code(workdir, tmp_path):
     bad = str(tmp_path / "bad.emb")
     write_embeddings(EmbeddingSet(np.ones((5, 3))), bad)

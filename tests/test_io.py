@@ -230,3 +230,16 @@ def test_corrupt_artifact_rejected(tmp_path):
         fh.write("{ not json")
     with pytest.raises(DataFormatError):
         load_artifact(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"schema_version": 1, "kind": "modality_stats", "payload": '
+    + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"schema_version": 1, "kind": "\xff"}',
+], ids=["nested-too-deep", "not-utf8"])
+def test_undecodable_artifact_rejected(tmp_path, content):
+    # deep nesting once escaped as RecursionError and bad UTF-8 as UnicodeDecodeError
+    path = tmp_path / "bad.stats"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match="corrupt artifact"):
+        load_artifact(str(path))

@@ -187,6 +187,17 @@ class TestRunToyTraining:
         with pytest.raises(ValueError):
             SimulatorConfig.from_mapping({"not_a_key": 1})
 
+    @pytest.mark.parametrize("spelling", ["on", "flase", "", "2"])
+    def test_config_from_mapping_rejects_unknown_boolean_spellings(self, spelling):
+        # these once parsed as False: "on" turned normalisation off
+        with pytest.raises(ValueError, match="normalize_outputs"):
+            SimulatorConfig.from_mapping({"normalize_outputs": spelling})
+
+    def test_config_from_mapping_booleans_ignore_case(self):
+        for text, want in [("YES", True), ("True", True), ("1", True),
+                           ("No", False), ("FALSE", False), ("0", False)]:
+            assert SimulatorConfig.from_mapping({"shared_encoder": text}).shared_encoder is want
+
 
 class TestAblation:
     def test_report_structure_and_shared_suppression(self):
