@@ -27,6 +27,7 @@ from .contrastive import (
     estimate_coupling,
     grad_anchor,
     leakage_bound_check,
+    loss_and_grads,
     moment_identity_check,
 )
 from .diagnostics import (
@@ -40,6 +41,7 @@ from .diagnostics import (
 from .errors import DataFormatError, DegenerateInputError, GapAlignError
 from .frame import ReferenceFrame, build_frame, decompose_gap, leakage_ratio, paired_mean_gap
 from .io import (
+    EmbeddingSet,
     StatsArtifact,
     atomic_write_text,
     file_digest,
@@ -61,7 +63,7 @@ from .moments import (
 from .realign import (
     AlignmentStats,
     BlockwiseStats,
-    anchor_shift,
+    apply_blockwise,
     apply_c3_baseline,
     estimate_blockwise,
     estimate_realign,
@@ -216,22 +218,14 @@ def _cmd_align(args):
     if args.method == "realign":
         if not isinstance(stats, AlignmentStats):
             raise DataFormatError("realign needs an alignment_stats artifact")
-        out = substitution_operator(source, stats)
-        data = out.data
+        data = substitution_operator(source, stats).data
     elif args.method == "blockwise":
         if not isinstance(stats, BlockwiseStats):
             raise DataFormatError("blockwise needs a blockwise_stats artifact")
-        from .realign import apply_blockwise
-
         data = apply_blockwise(source.data, stats)
-    elif args.method == "c3":
-        data = apply_c3_baseline(
-            source.data, stats.mu_src, stats.mu_tgt, noise_sigma=args.sigma, rng_seed=args.seed
-        )
-    else:  # anchor-only
-        data = anchor_shift(source.data, stats.mu_src, stats.mu_tgt)
-    from .io import EmbeddingSet
-
+    else:  # c3, or anchor-only: c3 without noise
+        sigma = args.sigma if args.method == "c3" else 0.0
+        data = apply_c3_baseline(source.data, stats.mu_src, stats.mu_tgt, sigma, args.seed)
     write_embeddings(EmbeddingSet(np.asarray(data), source.modality_tag), args.out)
     print(f"align[{args.method}]: {source.rows} rows -> {args.out}")
     return 0
@@ -344,47 +338,38 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------- verify
 
 
+def _unit_batch(rng, tau):
+    """A random batch of 8 unit-norm anchor/candidate pairs in 16 dimensions."""
+    rows = rng.normal(size=(2, 8, 16))
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    return ContrastiveBatch(rows[0], rows[1], tau)
+
+
 def _verify_gradients(rng):
-    checks = []
+    worst = 0.0
+    h = 1e-5
     for trial in range(20):
-        b, d = 8, 16
-        tau = [0.05, 0.5, 1.0][trial % 3]
-        anchors = rng.normal(size=(b, d))
-        anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-        cands = rng.normal(size=(b, d))
-        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-        batch = ContrastiveBatch(anchors, cands, tau)
-        i = int(rng.integers(b))
+        batch = _unit_batch(rng, [0.05, 0.5, 1.0][trial % 3])
+        i = int(rng.integers(batch.size))
         g = grad_anchor(batch, i)
-        h = 1e-5
-        fd = np.empty(d)
-        for axis in range(d):
-            plus, minus = anchors[i].copy(), anchors[i].copy()
-            plus[axis] += h
-            minus[axis] -= h
-            up = cands @ plus / tau
-            dn = cands @ minus / tau
-            lu = np.log(np.exp(up - up.max()).sum()) + up.max() - up[i]
-            ld = np.log(np.exp(dn - dn.max()).sum()) + dn.max() - dn[i]
-            fd[axis] = (lu - ld) / (2 * h)
-        checks.append(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0))
-    worst = max(checks)
+
+        def loss_at(step):
+            anchors = batch.anchors.copy()
+            anchors[i] += step
+            return loss_and_grads(anchors, batch.candidates, batch.temperature).losses[i]
+
+        fd = np.array([(loss_at(e) - loss_at(-e)) / (2 * h) for e in h * np.eye(g.shape[0])])
+        worst = max(worst, np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0))
     return [("anchor gradient vs central differences", worst < 1e-6, f"max rel err {worst:.2e}")]
 
 
 def _verify_span(rng):
     worst = 0.0
     for _ in range(20):
-        b, d = 8, 16
-        anchors = rng.normal(size=(b, d))
-        anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-        cands = rng.normal(size=(b, d))
-        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-        batch = ContrastiveBatch(anchors, cands, 0.5)
-        i = int(rng.integers(b))
-        g = grad_anchor(batch, i)
-        coeffs, *_ = np.linalg.lstsq(cands.T, g, rcond=None)
-        worst = max(worst, np.linalg.norm(g - cands.T @ coeffs) / np.linalg.norm(g))
+        batch = _unit_batch(rng, 0.5)
+        g = grad_anchor(batch, int(rng.integers(batch.size)))
+        coeffs, *_ = np.linalg.lstsq(batch.candidates.T, g, rcond=None)
+        worst = max(worst, np.linalg.norm(g - batch.candidates.T @ coeffs) / np.linalg.norm(g))
     return [("anchor gradient lies in candidate span", worst < 1e-10, f"max residual {worst:.2e}")]
 
 
@@ -451,10 +436,8 @@ def _cmd_sample_curve(args):
     table = sample_complexity_curve(
         src, tgt, sizes, trials=args.trials, seed=args.seed, holdout=args.holdout
     )
-    rows = []
-    for entry in table:
-        rows.append([entry["size"], entry["gap_mean"], entry["gap_std"]]
-                    + [float(g) for g in entry["gaps"]])
+    rows = [[e["size"], e["gap_mean"], e["gap_std"]] + [float(g) for g in e["gaps"]]
+            for e in table]
     header = ["size", "gap_mean", "gap_std"] + [f"trial_{i}" for i in range(args.trials)]
     _write_csv(args.out, header, rows)
     print(f"sample-curve: {len(table)} sizes -> {args.out}")

@@ -1,13 +1,16 @@
 """Analytic gradients of the temperature-scaled contrastive loss, plus
 coupling estimation between subspace residuals.
 
-For a batch of B unit-normalized anchor/candidate pairs, the per-anchor
-loss is the negative log softmax of the matched similarity over all
-candidate similarities.  Its embedding-level gradients have closed
-forms: the anchor gradient is a probability-weighted combination of the
-candidates (so it lies in their span), and the candidate gradient is a
-scalar multiple of the anchor.  These closed forms are the oracle the
-rest of the package is verified against.
+For a batch of B anchor/candidate pairs, the per-anchor loss is the
+negative log softmax of the matched similarity over all candidate
+similarities.  Its embedding-level gradients have closed forms: the
+anchor gradient is a probability-weighted combination of the candidates
+(so it lies in their span), and the candidate gradient is a scalar
+multiple of the anchor.  These closed forms are the oracle the rest of
+the package is verified against.  ``loss_and_grads`` is the one kernel
+that computes them: the simulator's loss and the per-anchor and batched
+functions here are calls or views of it.  The independent references
+live in the tests: the textbook formulas there and finite differences.
 
 The coupling estimator quantifies how much of the out-of-subspace
 residual is linearly explained by the in-subspace residual; its
@@ -17,6 +20,7 @@ spectral norm extends the purely geometric leakage bound.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +56,60 @@ class ContrastiveBatch:
         return self.anchors.shape[0]
 
 
+ContrastiveTerms = namedtuple("ContrastiveTerms",
+                              "loss grad_anchors grad_candidates losses weights")
+
+
+def loss_and_grads(anchors, candidates, tau: float, head: str = "dot") -> ContrastiveTerms:
+    """The contrastive kernel; anchor i matches candidate i, rows of any norm.  The
+    ``dot`` head scores a pair by x.y / tau, the ``sqdist`` head by -|x - y|^2 / tau.
+    Returns the mean loss, its gradients with respect to the anchors and the
+    candidates, the per-anchor losses and the softmax rows."""
+    b = anchors.shape[0]
+    if head == "dot":
+        logits = anchors @ candidates.T / tau
+    else:
+        logits = -(
+            np.sum(anchors * anchors, axis=1)[:, None]
+            + np.sum(candidates * candidates, axis=1)[None, :]
+            - 2.0 * anchors @ candidates.T
+        ) / tau
+    shift = logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits - shift)
+    total = weights.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) + shift[:, 0] - np.diag(logits)
+
+    weights /= total
+    coeff = weights - np.eye(b)  # d loss_i / d logit_ij
+    if head == "dot":
+        grad_x = coeff @ candidates / (tau * b)
+        grad_y = coeff.T @ anchors / (tau * b)
+    else:
+        # d(-|x-y|^2/tau)/dx = -2(x-y)/tau
+        row = coeff.sum(axis=1, keepdims=True)
+        grad_x = (-2.0 / (tau * b)) * (row * anchors - coeff @ candidates)
+        col = coeff.sum(axis=0)[:, None]
+        grad_y = (-2.0 / (tau * b)) * (col * candidates - coeff.T @ anchors)
+    return ContrastiveTerms(float(np.mean(losses)), grad_x, grad_y, losses, weights)
+
+
+def _terms(batch: ContrastiveBatch) -> ContrastiveTerms:
+    return loss_and_grads(batch.anchors, batch.candidates, batch.temperature)
+
+
 def softmax_weights(batch: ContrastiveBatch, i: int) -> np.ndarray:
     """Softmax weights of anchor i over all candidates (sums to 1)."""
-    logits = (batch.candidates @ batch.anchors[i]) / batch.temperature
-    logits = logits - logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    return _terms(batch).weights[i]
 
 
 def infonce_loss(batch: ContrastiveBatch, i: int) -> float:
     """Loss of anchor i: -log softmax probability of its own candidate."""
-    logits = (batch.candidates @ batch.anchors[i]) / batch.temperature
-    shift = logits.max()
-    return float(np.log(np.exp(logits - shift).sum()) + shift - logits[i])
+    return float(_terms(batch).losses[i])
 
 
 def grad_anchor(batch: ContrastiveBatch, i: int) -> np.ndarray:
     """Exact gradient of anchor i's loss with respect to its own embedding."""
-    p = softmax_weights(batch, i)
-    return (p @ batch.candidates - batch.candidates[i]) / batch.temperature
+    return anchor_gradients(batch)[i]
 
 
 def grad_candidate(batch: ContrastiveBatch, i: int, j: int) -> np.ndarray:
@@ -78,29 +117,22 @@ def grad_candidate(batch: ContrastiveBatch, i: int, j: int) -> np.ndarray:
 
     Always a scalar multiple of anchor i.
     """
-    p = softmax_weights(batch, i)
-    coeff = (p[j] - (1.0 if j == i else 0.0)) / batch.temperature
-    return coeff * batch.anchors[i]
+    return (_terms(batch).weights[i, j] - (j == i)) / batch.temperature * batch.anchors[i]
 
 
 def all_softmax_weights(batch: ContrastiveBatch) -> np.ndarray:
     """Row i holds anchor i's softmax weights over the candidates."""
-    logits = (batch.anchors @ batch.candidates.T) / batch.temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
+    return _terms(batch).weights
 
 
 def anchor_gradients(batch: ContrastiveBatch) -> np.ndarray:
     """Per-sample anchor gradients, one row per anchor."""
-    p = all_softmax_weights(batch)
-    return (p @ batch.candidates - batch.candidates) / batch.temperature
+    return _terms(batch).grad_anchors * batch.size
 
 
 def candidate_gradients_total(batch: ContrastiveBatch) -> np.ndarray:
     """Row j is the gradient of the summed batch loss w.r.t. candidate j."""
-    p = all_softmax_weights(batch)
-    return (p - np.eye(batch.size)).T @ batch.anchors / batch.temperature
+    return _terms(batch).grad_candidates * batch.size
 
 
 @dataclass

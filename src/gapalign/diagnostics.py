@@ -156,7 +156,13 @@ def _neighbor_indices(points: np.ndarray, k: int, chunk: int = 512) -> np.ndarra
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = points[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ points.T)
+        # (|a|^2 + |b|^2) - 2 a.b in two tile buffers: with the four temporaries of one
+        # expression, the peak RSS moved by a tile with the allocator's history
+        d2 = np.add.outer(sq[start:stop], sq)
+        gram = block @ points.T
+        gram *= 2.0
+        d2 -= gram
+        del gram
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
         cand_d2 = np.take_along_axis(d2, cand, axis=1)

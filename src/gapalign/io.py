@@ -6,8 +6,10 @@ Two on-disk embedding formats are supported:
   code (0 = float32, 1 = float64), u64 rows, u32 dims, u32 reserved (=0),
   followed by the row-major little-endian payload.  Bit-exact and
   seekable, so it can be streamed in fixed-size row batches.
-* ``csv`` -- one row per line, comma-separated decimal floats.  Loading
-  always promotes to float64.
+* ``csv`` -- one row per line, comma-separated decimal floats; ``#``
+  comments and blank lines are skipped.  Loading always promotes to
+  float64.  Whole-file reads and streamed batches parse the same way:
+  ``np.loadtxt`` over a fixed number of lines at a time.
 
 Statistics artifacts (moment summaries, reference frames, calibrated
 alignment operators) persist as a human-readable JSON key/value tree.
@@ -27,12 +29,14 @@ finiteness and scalar types.  Every failure is a ``DataFormatError``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import stat
 import struct
 import tempfile
 import typing
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Iterator
@@ -129,9 +133,16 @@ def _checked(name: str, value, shape: tuple) -> np.ndarray:
 
     A ``None`` entry of ``shape`` matches any length >= 1.  An empty value
     takes an expected zero-size shape, since JSON stores a 0 x 0 matrix as
-    ``[]``.  Values numpy cannot convert (a dict, a ragged list) are a
-    ``DataFormatError`` naming the field, like every other failure.
+    ``[]``.  Every entry must be a number: strings and bools, which numpy
+    would convert, are a ``DataFormatError`` naming the field, as are
+    values numpy cannot convert (a dict, a ragged list).  A JSON null reads
+    as NaN and fails the finiteness check.
     """
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        odd = {k.__name__ for k in set(map(type, np.asarray(value, dtype=object).ravel().tolist()))
+               if k is bool or not issubclass(k, (int, float, np.number, type(None)))}
+        if odd:
+            raise DataFormatError(f"{name} is not a numeric array (holds {', '.join(sorted(odd))})")
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -286,15 +297,10 @@ def read_embeddings(path: str, format: str | None = None, modality_tag: str = ""
     """
     fmt = _infer_format(path, format)
     if fmt == "csv":
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: malformed CSV ({exc})") from exc
-        if data.size == 0:
+        batches = [batch.data for batch in _iter_csv_batches(path, _ROW_BLOCK, modality_tag)]
+        if not batches:
             raise DataFormatError(f"{path}: empty CSV has no dimension information")
-        out = EmbeddingSet(data, modality_tag)
-        out.validate_finite()
-        return out
+        return EmbeddingSet(np.concatenate(batches), modality_tag)
 
     with open(path, "rb") as fh:
         dtype, rows, dims, payload = _read_emb1_payload(fh, path)
@@ -356,33 +362,39 @@ def iter_embedding_batches(
 
 
 def _iter_csv_batches(path: str, batch_rows: int, modality_tag: str):
-    buf: list[np.ndarray] = []
-    offset = 0
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: malformed CSV at line {lineno + 1}") from exc
-            buf.append(row)
-            if len(buf) == batch_rows:
-                yield _flush_csv_batch(path, buf, offset, modality_tag)
-                offset += len(buf)
-                buf = []
-    if buf:
-        yield _flush_csv_batch(path, buf, offset, modality_tag)
+    """``np.loadtxt`` on ``batch_rows`` lines at a time; every row as wide as the first."""
+    dims, row = None, 0
+    with open(path, "rb") as fh:
+        for first_line in itertools.count(1, batch_rows):
+            lines = list(itertools.islice(fh, batch_rows))
+            if not lines:
+                return
+            data = _parse_csv(lines)
+            if data is None or (dims and data.size and data.shape[1] != dims):
+                for number, line in enumerate(lines, first_line):
+                    one = _parse_csv([line])
+                    if one is None:
+                        raise DataFormatError(f"{path}: malformed CSV at line {number}")
+                    dims = dims or (one.shape[1] if one.size else None)
+                    if one.size and one.shape[1] != dims:
+                        raise DataFormatError(f"{path}: line {number} has {one.shape[1]} "
+                                              f"columns, expected {dims}")
+            if data.size:
+                dims = data.shape[1]
+                batch = EmbeddingSet(data, modality_tag)
+                batch.validate_finite(row_offset=row)
+                yield batch
+                row += batch.rows
 
 
-def _flush_csv_batch(path, buf, offset, modality_tag):
-    dims = {len(r) for r in buf}
-    if len(dims) != 1:
-        raise DataFormatError(f"{path}: inconsistent column counts near row {offset}")
-    batch = EmbeddingSet(np.vstack(buf), modality_tag)
-    batch.validate_finite(row_offset=offset)
-    return batch
+def _parse_csv(lines: list) -> np.ndarray | None:
+    """``lines`` as a float64 matrix, or None if ``np.loadtxt`` rejects them."""
+    with warnings.catch_warnings():  # lines holding only comments or blanks are no error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
 
 
 def write_embeddings(embeddings: EmbeddingSet, path: str, format: str | None = None) -> None:
@@ -435,13 +447,8 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
         "payload": artifact.payload,
         "provenance": artifact.provenance,
     }
-    text = json.dumps(doc, indent=1, sort_keys=True)
-
-    def write(fh):
-        fh.write(text.encode())
-        fh.write(b"\n")
-
-    _atomic_write(path, write)
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def load_artifact(path: str) -> StatsArtifact:

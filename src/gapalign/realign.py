@@ -22,7 +22,7 @@ the isotropic-noise baseline additionally takes a seed for its
 counter-based generator.
 
 Calibration and application both run in row blocks and widen float32
-input block by block.  Applying realign or blockwise writes into one
+input block by block.  Applying any operator writes into one
 preallocated float64 output, so it needs the output plus one row block
 of memory; calibrating needs the calibration sets plus O(block * d + d^2).
 Each calibration pass recomputes the intermediate rows it needs (the
@@ -31,7 +31,7 @@ holding them for the whole set.  Covariances come from the centred
 moment kernel in ``moments``, and drift means are ``RowSum`` sums, equal
 bitwise to a whole-array mean of the same rows.  Blockwise is applied as
 one composed d x d map, derived once from the stored per-block
-transforms and bases, instead of four per-block products.
+transforms and bases; its square roots come from ``spectral.sym_apply``.
 """
 
 from __future__ import annotations
@@ -45,28 +45,24 @@ from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
 from .io import _ROW_BLOCK, EmbeddingSet, Payload, _check_int, _checked, as_matrix
 from .moments import ModalityStats, MomentAccumulator, RowSum
+from .spectral import sym_apply
 
 _COLLAPSE = 1e-12
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # sqrt of the last-axis sum; identical reduction order for a single
-    # row and for rows of a matrix, so batch and scalar paths agree bitwise
-    return np.sqrt((rows * rows).sum(axis=-1))
-
-
-def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int = 0) -> np.ndarray:
-    """Divide each float64 row by its norm in place and return ``rows``.
+def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndarray:
+    """Divide each row of a float64 matrix by its norm in place and return ``rows``.
 
     ``first_row`` is the index of ``rows[0]`` in the caller's input, so a
-    collapse is reported at its row in the whole input.
+    collapse is reported at its row in the whole input.  A single row is
+    normalized by the same row-wise reduction as the rows of a matrix, so
+    batch and single-row paths agree bitwise.
     """
-    norms = _row_norms(rows)
-    flat = np.atleast_1d(norms)
-    if np.any(flat < _COLLAPSE):
-        bad = first_row + int(np.argmax(flat < _COLLAPSE))
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    if np.any(norms < _COLLAPSE):
+        bad = first_row + int(np.argmax(norms < _COLLAPSE))
         raise DegenerateInputError(f"{stage}: norm collapsed below {_COLLAPSE} at row {bad}")
-    rows /= norms[..., None]
+    rows /= norms[:, None]
     return rows
 
 
@@ -206,8 +202,9 @@ def substitution_operator(source_set, stats: AlignmentStats) -> EmbeddingSet:
 
 def anchor_shift(rows, mu_src: np.ndarray, mu_tgt: np.ndarray) -> np.ndarray:
     """Mean shift plus re-normalization; the minimal alignment baseline."""
-    rows = np.asarray(rows, dtype=np.float64)
-    return _normalize_in_place(rows - mu_src + mu_tgt, "anchor normalization")
+    rows = np.asarray(rows)
+    out = apply_c3_baseline(rows, mu_src, mu_tgt, noise_sigma=0.0)
+    return out[0] if rows.ndim == 1 else out
 
 
 def apply_c3_baseline(
@@ -222,16 +219,21 @@ def apply_c3_baseline(
     Noise comes from a Philox counter-based generator keyed by
     ``rng_seed``, so outputs are reproducible across runs and platforms
     for a given numpy version.  ``noise_sigma=0`` makes the operator
-    deterministic and equal to ``anchor_shift``.
+    deterministic and equal to ``anchor_shift``.  Rows are shifted, noised
+    and normalized in row blocks; blocked draws equal one whole draw.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    shifted = rows - np.asarray(mu_src) + np.asarray(mu_tgt)
-    if noise_sigma > 0:
-        rng = np.random.Generator(np.random.Philox(key=rng_seed))
-        shifted = shifted + noise_sigma * rng.standard_normal(size=rows.shape)
-    return _normalize_in_place(shifted, "noise-stage normalization")
+    rows = np.atleast_2d(rows)
+    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    stage = "noise-stage normalization" if noise_sigma > 0 else "anchor normalization"
+    out = np.empty(rows.shape)
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        block = _affine_into(rows[lo:lo + _ROW_BLOCK], mu_src, 1.0, mu_tgt, out[lo:lo + _ROW_BLOCK])
+        if noise_sigma > 0:
+            block += noise_sigma * rng.standard_normal(size=block.shape)
+        _normalize_in_place(block, stage, lo)
+    return out
 
 
 @dataclass
@@ -284,15 +286,18 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
 
 def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
     """Inverse symmetric square root with a relative eigenvalue floor."""
-    lam, q = np.linalg.eigh(0.5 * (cov + cov.T))
-    lam = np.maximum(lam, 0.0)
-    top = lam[-1]
-    if top <= 0:
-        raise DegenerateInputError("block covariance is zero; cannot whiten")
-    floor = eig_floor * top
-    floored = bool(np.any(lam < floor))
-    invsqrt = (q / np.sqrt(np.maximum(lam, floor))) @ q.T
-    return invsqrt, floored
+    floored = False
+
+    def floored_inverse_root(lam):
+        nonlocal floored
+        lam = np.maximum(lam, 0.0)
+        if lam[0] <= 0:
+            raise DegenerateInputError("block covariance is zero; cannot whiten")
+        floor = eig_floor * lam[0]
+        floored = bool(np.any(lam < floor))
+        return 1.0 / np.sqrt(np.maximum(lam, floor))
+
+    return sym_apply(cov, floored_inverse_root), floored
 
 
 def estimate_blockwise(
@@ -375,8 +380,7 @@ def estimate_blockwise(
 
 def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root (negative round-off eigenvalues clamped)."""
-    lam, q = np.linalg.eigh(0.5 * (np.asarray(cov) + np.asarray(cov).T))
-    return (q * np.sqrt(np.maximum(lam, 0.0))) @ q.T
+    return sym_apply(cov, lambda lam: np.sqrt(np.maximum(lam, 0.0)))
 
 
 def _shaped_into(chunk, stats: BlockwiseStats, scratch: np.ndarray, out: np.ndarray,

@@ -22,11 +22,11 @@ training step end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .contrastive import estimate_coupling
+from .contrastive import estimate_coupling, loss_and_grads
 from .errors import DegenerateInputError
 from .frame import (
     ReferenceFrame,
@@ -253,49 +253,14 @@ class _Encoders:
 
 def _batch_loss_and_grads(e_x, e_y, config: SimulatorConfig):
     """Mean contrastive loss over the batch and its embedding gradients."""
-    b = e_x.shape[0]
-    tau = config.temperature
-    if config.similarity == "dot":
-        logits = e_x @ e_y.T / tau
-    else:
-        logits = -(
-            np.sum(e_x * e_x, axis=1)[:, None]
-            + np.sum(e_y * e_y, axis=1)[None, :]
-            - 2.0 * e_x @ e_y.T
-        ) / tau
-    shift = logits.max(axis=1, keepdims=True)
-    coeff = np.exp(logits - shift)
-    total = coeff.sum(axis=1, keepdims=True)
-    logsumexp = np.log(total[:, 0]) + shift[:, 0]
-    loss = float(np.mean(logsumexp - np.diag(logits)))
-
-    coeff /= total  # softmax rows
-    coeff[np.diag_indices(b)] -= 1.0
-    if config.similarity == "dot":
-        grad_x = coeff @ e_y / (tau * b)
-        grad_y = coeff.T @ e_x / (tau * b)
-    else:
-        # d(-|x-y|^2/tau)/dx = -2(x-y)/tau
-        row = coeff.sum(axis=1, keepdims=True)
-        grad_x = (-2.0 / (tau * b)) * (row * e_x - coeff @ e_y)
-        col = coeff.sum(axis=0)[:, None]
-        grad_y = (-2.0 / (tau * b)) * (col * e_y - coeff.T @ e_x)
-    return loss, grad_x, grad_y
+    return loss_and_grads(e_x, e_y, config.temperature, config.similarity)[:3]
 
 
 def _probe_anchor_gradients(e_x, e_y, config: SimulatorConfig):
-    """Per-sample anchor gradients over the probe set, chunked to batch size.
-
-    Each chunk is treated as one contrastive batch; the mean-loss
-    gradient is rescaled back to per-sample gradients.
-    """
-    grads = np.empty_like(e_x)
+    """Per-sample anchor gradients: each ``batch_size`` rows' mean-loss gradient times their count."""
     b = config.batch_size
-    for start in range(0, e_x.shape[0], b):
-        stop = min(start + b, e_x.shape[0])
-        _, grad_x, _ = _batch_loss_and_grads(e_x[start:stop], e_y[start:stop], config)
-        grads[start:stop] = grad_x * (stop - start)
-    return grads
+    return np.vstack([_batch_loss_and_grads(e_x[lo:lo + b], e_y[lo:lo + b], config)[1]
+                      * len(e_x[lo:lo + b]) for lo in range(0, len(e_x), b)])
 
 
 def run_toy_training(config: SimulatorConfig) -> TrainingTrace:
@@ -374,18 +339,12 @@ def run_toy_training(config: SimulatorConfig) -> TrainingTrace:
 
         coupling = estimate_coupling(dec.resid_in, zeta_coords, ridge=config.coupling_ridge)
 
-        trace.steps.append(step)
-        trace.sin_theta.append(sin_theta)
-        trace.leak_ref.append(leak)
-        trace.gamma_norm.append(gamma_norm)
-        trace.drift.append(drift)
-        trace.cos_stability.append(stability)
-        trace.kappa_u.append(kappa_u)
-        trace.kappa_v.append(kappa_v)
-        trace.rho_align.append(rho)
-        trace.gamma_noise_angle.append(angle)
-        trace.coupling_norm.append(coupling.spectral_norm)
-        trace.loss.append(last_loss)
+        logged = dict(steps=step, sin_theta=sin_theta, leak_ref=leak, gamma_norm=gamma_norm,
+                      drift=drift, cos_stability=stability, kappa_u=kappa_u, kappa_v=kappa_v,
+                      rho_align=rho, gamma_noise_angle=angle,
+                      coupling_norm=coupling.spectral_norm, loss=last_loss)
+        for name, value in logged.items():
+            getattr(trace, name).append(value)
 
     trace.check()
     return trace
@@ -410,8 +369,6 @@ def gap_necessity_ablation(
     with the baseline-to-shared ratio.  ``variants`` may name a subset
     (the baseline is always included).
     """
-    from dataclasses import replace
-
     names = list(_ABLATION_VARIANTS) if variants is None else list(variants)
     if "baseline" not in names:
         names.insert(0, "baseline")

@@ -1,9 +1,11 @@
 """Symmetric eigenanalysis, subspace angles, and spectrum summaries.
 
-Everything here is a pure function of its inputs.  Eigenvalues are
-reported in descending order throughout the package, and eigenvector
-signs follow a fixed convention (largest-magnitude coordinate positive)
-so repeated runs produce identical bases.
+Everything here is a pure function of its inputs.  ``sym_eig`` is the
+package's only eigendecomposition; matrix functions (``sym_apply``) and
+the Tyler iteration go through it.  Eigenvalues are reported in
+descending order throughout the package, and eigenvector signs follow a
+fixed convention (largest-magnitude coordinate positive) so repeated
+runs produce identical bases.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ def sym_eig(mat: np.ndarray) -> EigenDecomposition:
     lam, vec = np.linalg.eigh(sym)
     order = np.argsort(lam)[::-1]
     return EigenDecomposition(eigenvalues=lam[order], eigenvectors=_fix_signs(vec[:, order]))
+
+
+def sym_apply(mat: np.ndarray, fn) -> np.ndarray:
+    """Q fn(lam) Q^T from ``sym_eig``; ``fn`` maps the descending eigenvalues to new ones."""
+    eig = sym_eig(mat)
+    return (eig.eigenvectors * fn(eig.eigenvalues)) @ eig.eigenvectors.T
 
 
 def condition_number(eigenvalues: np.ndarray, floor: float = 1e-12) -> float:
@@ -216,9 +224,10 @@ def tyler_shape(samples: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> 
     regularized = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        lam, q = np.linalg.eigh(sigma)
+        eig = sym_eig(sigma)
+        lam, q = eig.eigenvalues, eig.eigenvectors
         floor = 1e-12 * lam.sum() / d
-        if lam[0] < floor:
+        if lam[-1] < floor:
             regularized = True
             lam = np.maximum(lam, floor)
         w = v @ q

@@ -294,6 +294,10 @@ def test_align_rejects_non_finite_saved_stats(workdir, method, field):
     ("n", 2.5, "n must be an integer >= 1"),
     ("covariance", [[0.0] * 7] * 8, "covariance has shape (8, 7)"),
     ("covariance", [[float("inf")] * 8] * 8, "covariance contains non-finite"),
+    # numpy converts these, so they loaded as 1000.0, 1.0 and [1.0, 0.1, ...]
+    ("trace", "1e3", "trace is not a numeric array (holds str)"),
+    ("trace", True, "trace is not a numeric array (holds bool)"),
+    ("mean", [True] + [0.1] * 7, "mean is not a numeric array (holds bool)"),
 ])
 def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, named):
     # before validation on load, a 4-entry mean with an 8 x 8 covariance or a

@@ -190,6 +190,46 @@ def test_streaming_csv(tmp_path):
     npt.assert_array_equal(got, rows)
 
 
+# each file's rows, or the error both readers must raise
+CSV_FILES = {
+    "comment": ("# header\n1,2\n3,4 # trailing\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-lines": ("\n1,2\n\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "whitespace-line": ("1,2\n  \n3,4\n", "malformed CSV at line 2"),
+    "ragged-wide": ("1,2\n3,4\n5,6,7\n", "line 3 has 3 columns, expected 2"),
+    "ragged-narrow": ("1,2\n# c\n3\n", "line 3 has 1 columns, expected 2"),
+    "non-numeric": ("1,2\n\nx,4\n", "malformed CSV at line 3"),
+    "non-finite": ("1,2\n3,nan\n", "non-finite value in row 1"),
+    "empty": ("# nothing\n\n", "empty CSV"),
+}
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, 1024])
+@pytest.mark.parametrize("name", list(CSV_FILES))
+def test_csv_readers_agree(tmp_path, name, batch_rows):
+    # read_embeddings once used np.loadtxt and streaming its own line parser:
+    # a comment failed only the stream, and a ragged row between batches was
+    # reported as a batch of another width
+    text, expected = CSV_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text)
+
+    def outcome(read):
+        try:
+            return read()
+        except DataFormatError as exc:
+            return str(exc)
+
+    whole = outcome(lambda: read_embeddings(str(path)).data)
+    batches = outcome(lambda: [b.data for b in iter_embedding_batches(str(path), batch_rows)])
+    if isinstance(expected, str):
+        assert expected in whole
+        assert batches == whole or (name == "empty" and batches == [])
+    else:
+        npt.assert_array_equal(whole, expected)
+        npt.assert_array_equal(np.vstack(batches), whole)
+        assert all(b.shape[0] <= batch_rows for b in batches)
+
+
 def test_artifact_round_trip_modality_stats(tmp_path):
     stats = ModalityStats(mean=np.array([0.0, 0.0]), trace=1.0, n=10)
     art = StatsArtifact(kind="modality_stats", payload=stats.to_payload())

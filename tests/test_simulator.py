@@ -69,6 +69,24 @@ class TestBatchGradients:
         for name in got._SERIES:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    @pytest.mark.parametrize("similarity", ["dot", "sqdist"])
+    def test_kernel_bitwise_equal_to_oracle(self, similarity):
+        # the trace test above cannot see a last-ulp gradient change: the
+        # learning rate shrinks it below one ulp of the weights
+        rng = np.random.default_rng(4)
+        for b, d, tau in ((2, 3, 1.0), (17, 5, 0.07), (32, 16, 0.5), (256, 64, 1.0)):
+            e_x = rng.normal(size=(b, d))
+            e_y = rng.normal(size=(b, d))
+            if b == 256:
+                e_x /= np.linalg.norm(e_x, axis=1, keepdims=True)
+                e_y /= np.linalg.norm(e_y, axis=1, keepdims=True)
+            cfg = tiny_config(temperature=tau, similarity=similarity)
+            got = _batch_loss_and_grads(e_x, e_y, cfg)
+            want = batch_loss_and_grads_oracle(e_x, e_y, cfg)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(g, w)
+
     def test_matches_contrastive_oracle_on_unit_rows(self):
         rng = np.random.default_rng(0)
         b, d = 16, 8
