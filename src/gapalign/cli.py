@@ -41,7 +41,7 @@ from .diagnostics import (
 from .errors import DataFormatError, DegenerateInputError, GapAlignError
 from .frame import ReferenceFrame, build_frame, decompose_gap, leakage_ratio, paired_mean_gap
 from .io import (
-    EmbeddingSet,
+    RowMap,
     StatsArtifact,
     atomic_write_text,
     file_digest,
@@ -49,6 +49,7 @@ from .io import (
     load_artifact,
     read_embeddings,
     row_blocks,
+    row_source,
     save_artifact,
     write_embeddings,
 )
@@ -153,21 +154,25 @@ def _cmd_frame(args):
 
 
 def _cmd_decompose(args):
-    """The split's report, one row block at a time: no N x d array besides the inputs."""
+    """The split's report, one row block at a time: no N x d array, the inputs included.
+
+    Both inputs are row sources; the mean-gap pass and the split pass each
+    read every block of them once.
+    """
     frame = _load_payload(args.frame, ReferenceFrame)
-    x = read_embeddings(args.x).data
-    y = read_embeddings(args.y).data
+    x, y = row_source(args.x), row_source(args.y)
     mean_gap = paired_mean_gap(x, y, frame)
     recon_err = 0.0
     resid_in_sq = np.empty(x.shape[0])
     resid_out_sq = np.empty(x.shape[0])
     for block in row_blocks(x.shape[0]):
-        dec = decompose_gap(x[block], y[block], frame, mean_gap=mean_gap)
+        x_rows, y_rows = x[block], y[block]
+        dec = decompose_gap(x_rows, y_rows, frame, mean_gap=mean_gap)
         resid_in_sq[block] = np.sum(dec.resid_in**2, axis=1)
         resid_out_sq[block] = np.sum(dec.resid_out**2, axis=1)
         rebuilt = frame.lift(dec.bias_in) + dec.bias_out + frame.lift(dec.resid_in)
         rebuilt += dec.resid_out
-        rebuilt -= np.subtract(x[block], y[block], dtype=np.float64)
+        rebuilt -= np.subtract(x_rows, y_rows, dtype=np.float64)
         recon_err = max(recon_err, float(np.abs(rebuilt).max()))
     report = {
         "rows": x.shape[0],
@@ -192,42 +197,52 @@ def _cmd_decompose(args):
 # ---------------------------------------------------------------- align
 
 
-def _calibration_stats(args, source):
+def _calibration_stats(args):
     if args.stats:
         return _load_payload(args.stats, AlignmentStats, BlockwiseStats)
     if not (args.calib_src and args.calib_tgt):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
-    same = os.path.samefile(args.in_path, args.calib_src)
-    calib_src = source if same else read_embeddings(args.calib_src)
-    calib_tgt = read_embeddings(args.calib_tgt)
+    calib_src, calib_tgt = row_source(args.calib_src), row_source(args.calib_tgt)
     if args.method == "blockwise":
-        frame = build_frame(
-            stats_of(calib_src, track_cov=True).covariance,
-            stats_of(calib_tgt, track_cov=True).covariance,
-            energy=args.energy,
-        )
-        return estimate_blockwise(frame, calib_src, calib_tgt, eig_floor=args.eig_floor)
+        stats_src = stats_of(calib_src, track_cov=True)
+        stats_tgt = stats_of(calib_tgt, track_cov=True)
+        frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
+        return estimate_blockwise(frame, stats_src, stats_tgt, calib_src, eig_floor=args.eig_floor)
     return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src, eps=args.eps)
 
 
 def _cmd_align(args):
-    source = read_embeddings(args.in_path)
-    stats = _calibration_stats(args, source)
+    """Map ``--in`` through a calibrated or loaded operator, one row block at a time.
+
+    ``--in`` and the calibration files are row sources: every calibration
+    pass and the apply pass read them one row block at a time, and each
+    output block is written as soon as it is computed.  So the command
+    holds O(block * d + d^2) whatever the row count.  The output file
+    appears by an atomic rename after its last block, so an error midway
+    (a non-finite input row, a collapse) leaves no ``--out``.
+    """
+    source = row_source(args.in_path)
+    stats = _calibration_stats(args)
     if args.save_stats:
         _save_payload(stats, args.save_stats, _provenance(args, [args.calib_src, args.calib_tgt]))
     if args.method == "realign":
         if not isinstance(stats, AlignmentStats):
             raise DataFormatError("realign needs an alignment_stats artifact")
-        data = substitution_operator(source, stats).data
+        apply = lambda rows, lo: substitution_operator(rows, stats, first_row=lo).data
     elif args.method == "blockwise":
         if not isinstance(stats, BlockwiseStats):
             raise DataFormatError("blockwise needs a blockwise_stats artifact")
-        data = apply_blockwise(source.data, stats)
-    else:  # c3, or anchor-only: c3 without noise
+        apply = lambda rows, lo: apply_blockwise(rows, stats, first_row=lo)
+    else:  # c3, or anchor-only: c3 without noise; the blocks draw from one noise stream
         sigma = args.sigma if args.method == "c3" else 0.0
-        data = apply_c3_baseline(source.data, stats.mu_src, stats.mu_tgt, sigma, args.seed)
-    write_embeddings(EmbeddingSet(np.asarray(data), source.modality_tag), args.out)
-    print(f"align[{args.method}]: {source.rows} rows -> {args.out}")
+        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        apply = lambda rows, lo: apply_c3_baseline(rows, stats.mu_src, stats.mu_tgt, sigma, rng,
+                                                   first_row=lo)
+    if source.shape[1] != stats.dims:
+        raise DataFormatError(f"{args.in_path} has {source.shape[1]} dims, "
+                              f"the operator expects {stats.dims}")
+    write_embeddings(RowMap(source, apply), args.out)
+    print(f"align[{args.method}]: {source.shape[0]} rows -> {args.out}")
     return 0
 
 

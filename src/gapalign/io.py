@@ -5,11 +5,22 @@ Two on-disk embedding formats are supported:
 * ``emb1`` -- native binary: magic ``EMB1``, u32 version (=1), u32 dtype
   code (0 = float32, 1 = float64), u64 rows, u32 dims, u32 reserved (=0),
   followed by the row-major little-endian payload.  Bit-exact and
-  seekable, so it can be streamed in fixed-size row batches.
+  seekable, so it can be streamed in fixed-size row batches, and
+  ``read_embeddings(path, rows=slice(lo, hi))`` reads one row range.
 * ``csv`` -- one row per line, comma-separated decimal floats; ``#``
   comments and blank lines are skipped.  Loading always promotes to
   float64.  Whole-file reads and streamed batches parse the same way:
   ``np.loadtxt`` over a fixed number of lines at a time.
+
+Row-blocked passes read their inputs through a row source: anything
+with ``shape``, ``ndim``, ``dtype`` and row-range slicing, sliced one
+block at a time.  An in-memory array is one.  ``EmbeddingFile`` is one
+over a regular emb1 file: each slice reads just those rows, so a pass
+holds one block of the file however many rows it has.  ``row_source``
+opens a path as one or the other, and ``RowMap`` maps a function over a
+source's row blocks.  ``write_embeddings`` writes any row source one
+block at a time, so an output computed block by block is written as it
+is computed and never held whole.
 
 Statistics artifacts (moment summaries, reference frames, calibrated
 alignment operators) persist as a human-readable JSON key/value tree.
@@ -117,9 +128,11 @@ class EmbeddingSet:
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Return the (N, d) array behind an ``EmbeddingSet`` or array-like."""
+    """The (N, d) array behind an ``EmbeddingSet`` or array-like; row sources as they are."""
     if isinstance(obj, EmbeddingSet):
         return obj.data
+    if isinstance(obj, (EmbeddingFile, RowMap)):
+        return obj
     arr = np.asarray(obj)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -277,8 +290,9 @@ def _native(payload: np.ndarray) -> np.ndarray:
     return payload if payload.dtype.isnative else payload.astype(payload.dtype.newbyteorder("="))
 
 
-def read_embeddings(path: str, format: str | None = None, modality_tag: str = "") -> EmbeddingSet:
-    """Load a full embedding set, validating header consistency and finiteness.
+def read_embeddings(path: str, format: str | None = None, modality_tag: str = "",
+                    rows: slice | None = None, out: np.ndarray | None = None) -> EmbeddingSet:
+    """Load a full embedding set, or one row range of an emb1 file, checking header and finiteness.
 
     Parameters
     ----------
@@ -288,38 +302,128 @@ def read_embeddings(path: str, format: str | None = None, modality_tag: str = ""
         Explicit format; inferred from the extension when None.
     modality_tag : str
         Tag attached to the returned set.
+    rows : slice, optional
+        Read only this contiguous row range of an emb1 file.  The header
+        and the payload size are checked as for a whole read.
+    out : ndarray, optional
+        A C-contiguous array of the header's dtype and exactly the shape of
+        the rows read.  The payload is read into it, and on a
+        little-endian host it is the returned set's ``data``.
 
     Raises
     ------
     DataFormatError
         Malformed header, truncated payload, or a non-finite value
-        (the message names the offending row index).
+        (the message names the offending row's index in the whole file).
     """
     fmt = _infer_format(path, format)
     if fmt == "csv":
+        if rows is not None or out is not None:
+            raise ValueError("row ranges are read from emb1 files only")
         batches = [batch.data for batch in _iter_csv_batches(path, _ROW_BLOCK, modality_tag)]
         if not batches:
             raise DataFormatError(f"{path}: empty CSV has no dimension information")
         return EmbeddingSet(np.concatenate(batches), modality_tag)
 
     with open(path, "rb") as fh:
-        dtype, rows, dims, payload = _read_emb1_payload(fh, path)
-    out = EmbeddingSet(payload.reshape(rows, dims), modality_tag)
-    out.validate_finite()
-    return out
+        first, payload = _read_emb1_payload(fh, path, rows, out)
+    result = EmbeddingSet(payload, modality_tag)
+    result.validate_finite(row_offset=first)
+    return result
 
 
-def _read_emb1_payload(fh, path: str):
+def _read_emb1_header(fh, path: str):
+    """The header's dtype, rows and dims, once the payload size is known to match them."""
     dtype, rows, dims = _read_header(fh, path)
     expected = rows * dims * dtype.itemsize
     size = _payload_size(fh)
     if size is not None and size != expected:
         raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
-    payload = np.empty((rows, dims), dtype=dtype)
-    got = fh.readinto(payload)
-    if got != expected or fh.read(1):
-        raise DataFormatError(f"{path}: payload is not the {expected} bytes the header implies")
-    return dtype, rows, dims, _native(payload)
+    return dtype, rows, dims
+
+
+def _read_emb1_payload(fh, path: str, rows: slice | None, out: np.ndarray | None):
+    """(first row, payload) of the rows ``rows`` (all of them when None)."""
+    dtype, n, dims = _read_emb1_header(fh, path)
+    lo, hi, step = (rows or slice(None)).indices(n)
+    hi = max(lo, hi)
+    if step != 1:
+        raise ValueError("only contiguous row ranges can be read")
+    if out is None:
+        out = np.empty((hi - lo, dims), dtype=dtype)
+    elif out.shape != (hi - lo, dims) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {(hi - lo, dims)}")
+    if lo:
+        fh.seek(lo * dims * dtype.itemsize, os.SEEK_CUR)
+    if fh.readinto(out) != out.nbytes or (hi == n and fh.read(1)):
+        raise DataFormatError(f"{path}: payload is not the {n * dims * dtype.itemsize} bytes "
+                              f"the header implies")
+    return lo, _native(out)
+
+
+class EmbeddingFile:
+    """The rows of a regular emb1 file, read on demand one row range at a time.
+
+    A row source (see the module docstring) that stands in for a read-only
+    (rows, dims) array: ``src[lo:hi]`` reads those rows through
+    ``read_embeddings`` and checks them for finiteness, naming a bad row by
+    its index in the whole file.  Opening checks the header and the payload
+    size, so a truncated or oversized file fails before any pass reads a
+    row.  Each read fills one buffer that the source reuses, grown to the
+    largest range read so far: rows returned by a read stay valid until the
+    same source's next read.  There is no ``data``; nothing holds every row.
+    """
+
+    ndim = 2
+
+    def __init__(self, path: str):
+        with open(path, "rb") as fh:
+            dtype, rows, dims = _read_emb1_header(fh, path)
+        self.path = path
+        self.shape = (rows, dims)
+        self.dtype = dtype.newbyteorder("=")
+        self._buffer = np.empty((0, dims), dtype=dtype)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        k = max(hi - lo, 0)
+        if self._buffer.shape[0] < k:
+            self._buffer = np.empty((k, self.shape[1]), dtype=self._buffer.dtype)
+        return read_embeddings(self.path, rows=rows, out=self._buffer[:k]).data
+
+
+class RowMap:
+    """A row source whose rows are a function of another source's rows.
+
+    ``RowMap(source, fn)[lo:hi]`` is ``fn(source[lo:hi], lo)``: as many
+    float64 rows of the source's width, computed when sliced.  ``lo`` is
+    the index of the range's first row in the whole source, for ``fn`` to
+    name rows in its error messages.
+    """
+
+    ndim = 2
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, source, fn):
+        self.source = source
+        self.fn = fn
+        self.shape = source.shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.fn(self.source[rows], rows.indices(self.shape[0])[0])
+
+
+def row_source(path: str, format: str | None = None):
+    """The rows of an embedding file as a row source.
+
+    A regular emb1 file opens as an ``EmbeddingFile``, whose header and
+    payload size are checked now and whose rows are read when sliced.  A
+    CSV file, or an emb1 stream such as a pipe, is read whole into an
+    array, which slices the same way.
+    """
+    if _infer_format(path, format) == "emb1" and stat.S_ISREG(os.stat(path).st_mode):
+        return EmbeddingFile(path)
+    return read_embeddings(path, format).data
 
 
 def iter_embedding_batches(
@@ -397,31 +501,37 @@ def _parse_csv(lines: list) -> np.ndarray | None:
             return None
 
 
-def write_embeddings(embeddings: EmbeddingSet, path: str, format: str | None = None) -> None:
-    """Write an embedding set; a re-read returns identical values.
+def write_embeddings(embeddings, path: str, format: str | None = None) -> None:
+    """Write an embedding set or row source; a re-read returns identical values.
 
-    Binary writes are bit-exact.  CSV uses shortest round-trip decimal
-    rendering, so float64 values also survive exactly and float32 values
-    round-trip at float32 precision.
+    ``embeddings`` is an ``EmbeddingSet``, a float32 or float64 matrix or
+    any row source.  It is sliced and written one row block
+    (``row_blocks``) at a time, so a ``RowMap`` is computed as it is
+    written.  Binary writes are bit-exact.  CSV uses shortest round-trip
+    decimal rendering, so float64 values also survive exactly and float32
+    values round-trip at float32 precision.
     """
-    fmt = _infer_format(path, format)
-    if fmt == "csv":
-        def write_csv(fh):
-            digits = 17 if embeddings.data.dtype == np.float64 else 9
-            for row in embeddings.data:
-                fh.write((",".join(f"{v:.{digits}g}" for v in row) + "\n").encode())
-        _atomic_write(path, write_csv)
-        return
+    rows = as_matrix(embeddings)
+    (n, dims), dtype = rows.shape, np.dtype(rows.dtype).newbyteorder("=")
+    if dtype not in _CODE_OF_DTYPE:
+        raise DataFormatError(f"unsupported dtype {dtype}; use float32 or float64")
+    if _infer_format(path, format) == "csv":
+        digits = 17 if dtype == np.float64 else 9
 
-    code = _CODE_OF_DTYPE[embeddings.data.dtype]
-    header = _HEADER.pack(_MAGIC, 1, code, embeddings.rows, embeddings.dims, 0)
-    payload = np.ascontiguousarray(embeddings.data, dtype=embeddings.data.dtype.newbyteorder("<"))
+        def write(fh):
+            for block in row_blocks(n):
+                for row in rows[block]:
+                    fh.write((",".join(f"{v:.{digits}g}" for v in row) + "\n").encode())
+    else:
+        header = _HEADER.pack(_MAGIC, 1, _CODE_OF_DTYPE[dtype], n, dims, 0)
 
-    def write_bin(fh):
-        fh.write(header)
-        fh.write(payload)  # straight from the array's buffer, without a bytes copy
+        def write(fh):
+            fh.write(header)
+            for block in row_blocks(n):
+                # straight from the block's buffer, without a bytes copy
+                fh.write(np.ascontiguousarray(rows[block], dtype=dtype.newbyteorder("<")))
 
-    _atomic_write(path, write_bin)
+    _atomic_write(path, write)
 
 
 @dataclass

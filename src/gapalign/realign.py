@@ -22,11 +22,15 @@ the isotropic-noise baseline additionally takes a seed for its
 counter-based generator.
 
 Calibration and application both run in row blocks and widen float32
-input block by block.  Applying any operator writes into one
-preallocated float64 output, so it needs the output plus one row block
-of memory; calibrating needs the calibration sets plus O(block * d + d^2).
-Each calibration pass recomputes the intermediate rows it needs (the
-first normalization, the anchored rows) one block at a time instead of
+input block by block, so each needs O(block * d + d^2) memory beyond
+its rows and its output, whether the rows are in memory or in a file.
+Calibration slices a row source such as ``io.EmbeddingFile`` one block
+at a time, as it slices an array, and the file's rows are read block by
+block.  Apply maps every row block on its own, so applying to
+consecutive blocks and writing each output block as it comes, as
+``gapalign align`` does, holds no whole input or output.  Each
+calibration pass recomputes the intermediate rows it needs (the first
+normalization, the anchored rows) one block at a time instead of
 holding them for the whole set.  Covariances come from the centred
 moment kernel in ``moments``, and drift means are ``RowSum`` sums, equal
 bitwise to a whole-array mean of the same rows.  Blockwise is applied as
@@ -122,15 +126,16 @@ def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(np.shape(rows)))
 
 
-def _realign_rows(rows: np.ndarray, stats: AlignmentStats) -> np.ndarray:
+def _realign_rows(rows: np.ndarray, stats: AlignmentStats, first_row: int = 0) -> np.ndarray:
     out = np.empty(rows.shape, dtype=np.float64)
     for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        at = first_row + lo
         block = _affine_unit_into(rows[lo:lo + _ROW_BLOCK], stats.mu_src, stats.scale,
                                   stats.mu_tgt, out[lo:lo + _ROW_BLOCK],
-                                  "affine-stage normalization", lo)
+                                  "affine-stage normalization", at)
         block -= stats.mu_drift
         block += stats.mu_tgt
-        _normalize_in_place(block, "centroid-stage normalization", lo)
+        _normalize_in_place(block, "centroid-stage normalization", at)
     return out
 
 
@@ -185,11 +190,13 @@ def apply_realign(e_src: np.ndarray, stats: AlignmentStats) -> np.ndarray:
     return _realign_rows(e[None, :], stats)[0]
 
 
-def substitution_operator(source_set, stats: AlignmentStats) -> EmbeddingSet:
+def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0) -> EmbeddingSet:
     """Batch form of ``apply_realign``; row order is preserved.
 
     Accepts an EmbeddingSet or matrix and returns an EmbeddingSet in
-    float64.  Per-row degeneracies propagate with the row index.
+    float64.  Per-row degeneracies propagate with the row index, counted
+    from ``first_row``: the index of the first row in a larger input the
+    rows are a block of.
     """
     rows = as_matrix(source_set)
     tag = source_set.modality_tag if isinstance(source_set, EmbeddingSet) else ""
@@ -197,7 +204,7 @@ def substitution_operator(source_set, stats: AlignmentStats) -> EmbeddingSet:
         return EmbeddingSet(np.empty((0, stats.dims)), tag)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
-    return EmbeddingSet(_realign_rows(rows, stats), tag)
+    return EmbeddingSet(_realign_rows(rows, stats, first_row), tag)
 
 
 def anchor_shift(rows, mu_src: np.ndarray, mu_tgt: np.ndarray) -> np.ndarray:
@@ -212,27 +219,33 @@ def apply_c3_baseline(
     mu_src: np.ndarray,
     mu_tgt: np.ndarray,
     noise_sigma: float = 0.04,
-    rng_seed: int = 0,
+    rng_seed: int | np.random.Generator = 0,
+    first_row: int = 0,
 ) -> np.ndarray:
     """Centroid alignment plus isotropic Gaussian noise, then normalization.
 
     Noise comes from a Philox counter-based generator keyed by
     ``rng_seed``, so outputs are reproducible across runs and platforms
-    for a given numpy version.  ``noise_sigma=0`` makes the operator
-    deterministic and equal to ``anchor_shift``.  Rows are shifted, noised
-    and normalized in row blocks; blocked draws equal one whole draw.
+    for a given numpy version.  ``rng_seed`` may instead be a generator,
+    used as it is (as ``np.random.default_rng`` does): calls on
+    consecutive row blocks with one generator keyed by a seed give the
+    rows one call with that seed gives.  ``noise_sigma=0`` makes the
+    operator deterministic and equal to ``anchor_shift``.  Rows are
+    shifted, noised and normalized in row blocks; blocked draws equal one
+    whole draw.  A collapse names its row counted from ``first_row``.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     rows = np.atleast_2d(rows)
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
+           else np.random.Generator(np.random.Philox(key=rng_seed)))
     stage = "noise-stage normalization" if noise_sigma > 0 else "anchor normalization"
     out = np.empty(rows.shape)
     for lo in range(0, rows.shape[0], _ROW_BLOCK):
         block = _affine_into(rows[lo:lo + _ROW_BLOCK], mu_src, 1.0, mu_tgt, out[lo:lo + _ROW_BLOCK])
         if noise_sigma > 0:
             block += noise_sigma * rng.standard_normal(size=block.shape)
-        _normalize_in_place(block, stage, lo)
+        _normalize_in_place(block, stage, first_row + lo)
     return out
 
 
@@ -302,36 +315,40 @@ def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
 
 def estimate_blockwise(
     frame: ReferenceFrame,
+    stats_src: ModalityStats,
+    stats_tgt: ModalityStats,
     calib_src,
-    calib_tgt,
     eig_floor: float = 1e-6,
 ) -> BlockwiseStats:
     """Calibrate per-block whitening-coloring transforms in a frozen frame.
 
-    The source is anchor-aligned (mean shift plus normalization) first;
-    one centred covariance of the anchored source and one of the raw
-    target are projected onto the frame basis and its complement, and
-    each block transform is the target square root times the floored
-    source inverse square root.  The drift correction is then calibrated
-    exactly as in the scalar operator.  Hitting the floor is reported via
-    ``floored`` and a warning rather than an exception: the output stays
-    finite.  The anchored rows are recomputed block by block in the
-    covariance pass and in the drift pass, never held for the whole set.
+    ``stats_src`` and ``stats_tgt`` are the moments of the source and
+    target calibration sets, as for ``estimate_realign``; the target's
+    must carry its covariance (``stats_of(rows, track_cov=True)``, the
+    moments a frame is built from).  The source rows ``calib_src`` are
+    anchor-aligned (mean shift plus normalization) first; one centred
+    covariance of the anchored source and the target covariance are
+    projected onto the frame basis and its complement, and each block
+    transform is the target square root times the floored source inverse
+    square root.  The drift correction is then calibrated exactly as in
+    the scalar operator.  Hitting the floor is reported via ``floored``
+    and a warning rather than an exception: the output stays finite.  The
+    anchored rows are recomputed block by block in the covariance pass
+    and in the drift pass, never held for the whole set.
     """
     src = as_matrix(calib_src)
-    tgt = as_matrix(calib_tgt)
-    if src.shape[0] == 0 or tgt.shape[0] == 0:
+    if src.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
-    if src.shape[1] != frame.dims or tgt.shape[1] != frame.dims:
+    if stats_tgt.covariance is None:
+        raise DataFormatError("blockwise calibration needs the target covariance")
+    if {src.shape[1], stats_src.dims, stats_tgt.dims} != {frame.dims}:
         raise DataFormatError("calibration sets do not match the frame dimension")
     r, d = frame.rank, frame.dims
     n = src.shape[0]
     if n <= max(r, d - r):
         warnings.warn("calibration set smaller than block size; covariances will be singular")
 
-    mu_src = src.mean(axis=0, dtype=np.float64)
-    target = MomentAccumulator(d).accumulate(tgt).finalize()
-    mu_tgt, cov_tgt = target.mean, target.covariance
+    mu_src, mu_tgt, cov_tgt = stats_src.mean, stats_tgt.mean, stats_tgt.covariance
 
     def anchor_into(lo, out):
         # the anchor step is the affine step with unit scale
@@ -392,24 +409,29 @@ def _shaped_into(chunk, stats: BlockwiseStats, scratch: np.ndarray, out: np.ndar
                                "block-transform normalization", first_row)
 
 
-def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats) -> np.ndarray:
+def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats, first_row: int) -> np.ndarray:
     n = rows.shape[0]
     out = np.empty((n, stats.dims))
     anchored = np.empty((min(n, _ROW_BLOCK), stats.dims))
     for lo in range(0, n, _ROW_BLOCK):
-        block = _shaped_into(rows[lo:lo + _ROW_BLOCK], stats, anchored, out[lo:lo + _ROW_BLOCK], lo)
+        at = first_row + lo
+        block = _shaped_into(rows[lo:lo + _ROW_BLOCK], stats, anchored, out[lo:lo + _ROW_BLOCK], at)
         block -= stats.mu_drift
         block += stats.mu_tgt
-        _normalize_in_place(block, "centroid-stage normalization", lo)
+        _normalize_in_place(block, "centroid-stage normalization", at)
     return out
 
 
-def apply_blockwise(e_src: np.ndarray, stats: BlockwiseStats) -> np.ndarray:
-    """Map one embedding (or a batch of rows) through the blockwise pipeline."""
+def apply_blockwise(e_src: np.ndarray, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
+    """Map one embedding (or a batch of rows) through the blockwise pipeline.
+
+    A collapse names its row counted from ``first_row``, as in
+    ``substitution_operator``.
+    """
     e = np.asarray(e_src)
     single = e.ndim == 1
     rows = e[None, :] if single else e
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"expected dimension {stats.dims}, got {rows.shape[1]}")
-    out = _blockwise_rows(rows, stats)
+    out = _blockwise_rows(rows, stats, first_row)
     return out[0] if single else out

@@ -421,7 +421,7 @@ def test_criterion_14_blockwise_operator():
         stats_of(tgt, track_cov=True).covariance,
         energy=0.7,
     )
-    stats = estimate_blockwise(frame, src, tgt)
+    stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
     out = apply_blockwise(fresh, stats)
     rels = []
     for basis in (frame.basis, stats.basis_out):
@@ -442,7 +442,9 @@ def test_criterion_14_blockwise_operator():
         energy=0.9,
     )
     with pytest.warns(UserWarning, match="floor"):
-        hard_stats = estimate_blockwise(hard_frame, hard_src, tgt[:20_000], eig_floor=1e-2)
+        hard_stats = estimate_blockwise(hard_frame, stats_of(hard_src),
+                                        stats_of(tgt[:20_000], track_cov=True), hard_src,
+                                        eig_floor=1e-2)
     hard_out = apply_blockwise(hard_src[:1000], hard_stats)
     ok = max(rels) < 0.03 and hard_stats.floored and np.isfinite(hard_out).all()
     report(14, ok, f"block cov rel ({rels[0]:.4f}, {rels[1]:.4f}) < 0.03; ill-conditioned "

@@ -2,13 +2,24 @@ import json
 import shutil
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gapalign import EmbeddingSet, ReferenceFrame, load_artifact, read_embeddings, write_embeddings
-from gapalign import cli
+from gapalign import (
+    AlignmentStats,
+    BlockwiseStats,
+    EmbeddingSet,
+    ReferenceFrame,
+    apply_blockwise,
+    apply_c3_baseline,
+    load_artifact,
+    read_embeddings,
+    substitution_operator,
+    write_embeddings,
+)
 from gapalign.cli import main
 from gapalign.moments import ModalityStats
 
@@ -52,7 +63,7 @@ def test_full_frame_decompose_pipeline(workdir):
         "decompose", "--x", str(workdir / "src.emb"), "--y", str(workdir / "tgt.emb"),
         "--frame", frame_path, "--report", report,
     ]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["max_reconstruction_error"] < 1e-10
     assert doc["mean_gap_norm"] > 0
 
@@ -73,7 +84,7 @@ def test_decompose_report_matches_whole_array_check(workdir):
     report = str(workdir / "dec.json")
     assert main(["decompose", "--x", str(workdir / "src.emb"), "--y", str(workdir / "tgt.emb"),
                  "--frame", frame_path, "--report", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     # the whole-array reconstruction check, with full-size temporaries
     frame = ReferenceFrame.from_payload(load_artifact(frame_path).payload)
     x = read_embeddings(str(workdir / "src.emb")).data
@@ -116,11 +127,11 @@ def decompose_report_oracle(x, y, frame):
     }
 
 
-def write_paired_fixture(workdir, n, d, seed, middle_scale=1.0):
+def write_paired_fixture(workdir, n, d, seed, middle_scale=1.0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     mix = rng.normal(size=(d, d)) / np.sqrt(d)
     for side, offset in (("src", 0.4), ("tgt", -0.2)):
-        rows = unit_rows(offset + rng.normal(size=(n, d)) @ mix).astype(np.float32)
+        rows = unit_rows(offset + rng.normal(size=(n, d)) @ mix).astype(dtype)
         rows[1024:2048] *= middle_scale
         write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
         assert main(["stats", "--in", str(workdir / f"{side}.emb"),
@@ -137,7 +148,7 @@ def test_decompose_report_is_bitwise_the_whole_array_report(workdir):
     # reconstruction error
     argv = write_paired_fixture(workdir, 3_001, 16, 4, middle_scale=100.0)
     assert main(argv) == 0
-    doc = json.loads(open(workdir / "dec.json").read())
+    doc = json.loads((workdir / "dec.json").read_text())
     doc.pop("provenance")
     frame = ReferenceFrame.from_payload(load_artifact(str(workdir / "frame.stats")).payload)
     x = read_embeddings(str(workdir / "src.emb")).data
@@ -180,28 +191,178 @@ def test_oversized_header_is_a_data_error(workdir, capsys, command, rows, dims):
 
 
 @pytest.mark.parametrize("method", ["realign", "blockwise"])
-def test_align_reads_input_once_when_it_is_the_calibration_source(workdir, monkeypatch, method):
-    calls = []
-
-    def counting_read(path, *args, **kwargs):
-        calls.append(path)
-        return read_embeddings(path, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "read_embeddings", counting_read)
+def test_align_calibrates_from_in_as_from_a_copy_of_it(workdir, method):
     src = str(workdir / "src.emb")
     copy = str(workdir / "src_copy.emb")
     shutil.copyfile(src, copy)
-    outputs = {}
+    outputs = []
     for calib_src in (src, copy):
-        calls.clear()
-        out = str(workdir / f"out_{len(outputs)}.emb")
-        assert main(["align", "--method", method, "--in", src, "--out", out,
+        out = workdir / f"out_{len(outputs)}.emb"
+        assert main(["align", "--method", method, "--in", src, "--out", str(out),
                      "--calib-src", calib_src, "--calib-tgt", str(workdir / "tgt.emb"),
                      "--energy", "0.7"]) == 0
-        outputs[calib_src] = (list(calls), open(out, "rb").read())
-    assert len(outputs[src][0]) == 2
-    assert len(outputs[copy][0]) == 3
-    assert outputs[src][1] == outputs[copy][1]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# ------------------------------------------------- streaming align and decompose
+
+STREAM_DIMS = 8
+
+
+@pytest.fixture(scope="module")
+def saved_operators(tmp_path_factory):
+    """Realign and blockwise artifacts calibrated by the CLI on 600 fixed rows."""
+    workdir = tmp_path_factory.mktemp("operators")
+    rng = np.random.default_rng(11)
+    d = STREAM_DIMS
+    for side, offset in (("src", 0.5), ("tgt", -0.3)):
+        rows = unit_rows(offset + rng.normal(size=(600, d)))
+        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+    calib = ["--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
+    paths = {}
+    for method in ("realign", "blockwise"):
+        paths[method] = str(workdir / f"{method}.stats")
+        assert main(["align", "--method", method, "--in", str(workdir / "src.emb"),
+                     "--out", str(workdir / "out.emb"), *calib, "--energy", "0.7",
+                     "--save-stats", paths[method]]) == 0
+    return paths
+
+
+def library_output(method, rows, paths):
+    """What the whole-array library call gives for ``align --method method --stats ...``."""
+    if method == "blockwise":
+        return apply_blockwise(rows, BlockwiseStats.from_payload(load_artifact(paths[method]).payload))
+    stats = AlignmentStats.from_payload(load_artifact(paths["realign"]).payload)
+    if method == "realign":
+        return substitution_operator(rows, stats).data
+    sigma = 0.05 if method == "c3" else 0.0
+    return apply_c3_baseline(rows, stats.mu_src, stats.mu_tgt, sigma, 7)
+
+
+def align_with_stats(method, in_path, out_path, paths):
+    stats = paths["blockwise" if method == "blockwise" else "realign"]
+    return main(["align", "--method", method, "--in", str(in_path), "--out", str(out_path),
+                 "--stats", stats, "--sigma", "0.05", "--seed", "7"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2049, 3001])
+def test_streamed_cli_output_is_bitwise_the_whole_array_library_call(
+        tmp_path, saved_operators, n, dtype):
+    rng = np.random.default_rng(n)
+    rows = unit_rows(0.5 + rng.normal(size=(n, STREAM_DIMS))).astype(dtype)
+    in_path = tmp_path / "in.emb"
+    write_embeddings(EmbeddingSet(rows), str(in_path))
+    for method in ("realign", "blockwise", "anchor-only", "c3"):
+        out, expected = tmp_path / f"{method}.emb", tmp_path / f"{method}_whole.emb"
+        assert align_with_stats(method, in_path, out, saved_operators) == 0
+        whole = library_output(method, rows, saved_operators)
+        write_embeddings(EmbeddingSet(whole), str(expected))
+        assert out.read_bytes() == expected.read_bytes(), method
+    assert main(write_paired_fixture(tmp_path, n, 16, 4, dtype=dtype)) == 0
+    doc = json.loads((tmp_path / "dec.json").read_text())
+    doc.pop("provenance")
+    frame = ReferenceFrame.from_payload(load_artifact(str(tmp_path / "frame.stats")).payload)
+    x = read_embeddings(str(tmp_path / "src.emb")).data
+    y = read_embeddings(str(tmp_path / "tgt.emb")).data
+    assert doc == decompose_report_oracle(x, y, frame)[1]
+
+
+def traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["realign", "blockwise", "c3", "anchor-only", "decompose"])
+def test_align_and_decompose_memory_does_not_grow_with_rows(tmp_path, command):
+    d = 32
+    for n in (20_000, 80_000):
+        argv = write_paired_fixture(tmp_path, n, d, 6)
+        if command != "decompose":
+            argv = ["align", "--method", command, "--in", argv[2], "--out",
+                    str(tmp_path / "out.emb"), "--calib-src", argv[2], "--calib-tgt", argv[4]]
+        # a few 4,096-row float64 blocks of the moment kernel, and for decompose
+        # its two per-row float64 vectors; the n x d float64 output alone takes
+        # 4.9 MiB at 20k rows and 19.5 MiB at 80k
+        bound = 4 * 4096 * d * 8 + (2 * n * 8 if command == "decompose" else 0)
+        assert traced_peak(argv) < bound, n
+
+
+def write_rows(path, rows):
+    write_embeddings(EmbeddingSet(rows), str(path))
+    return str(path)
+
+
+def test_align_non_finite_input_row_leaves_no_output(workdir, capsys):
+    rows = read_embeddings(str(workdir / "src.emb")).data
+    rows = np.vstack([rows, rows[:500]])
+    rows[1500, 3] = np.nan  # in the second row block, after the first was written
+    bad = write_rows(workdir / "bad.emb", rows)
+    out = workdir / "out.emb"
+    assert main(["align", "--method", "realign", "--in", bad, "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"),
+                 "--calib-tgt", str(workdir / "tgt.emb")]) == 2
+    assert "non-finite value in row 1500" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(workdir.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("method", ["realign", "blockwise", "anchor-only"])
+def test_align_collapse_names_row_in_whole_input(tmp_path, saved_operators, capsys, method):
+    stats = AlignmentStats.from_payload(load_artifact(saved_operators["realign"]).payload)
+    if method == "blockwise":
+        stats = BlockwiseStats.from_payload(load_artifact(saved_operators[method]).payload)
+    scale = stats.scale if method == "realign" else 1.0
+    rows = unit_rows(np.random.default_rng(8).normal(size=(2000, STREAM_DIMS)))
+    rows[1500] = stats.mu_src - stats.mu_tgt / scale  # the affine or anchor step maps it to 0
+    out = tmp_path / "out.emb"
+    assert align_with_stats(method, write_rows(tmp_path / "in.emb", rows), out,
+                            saved_operators) == 3
+    assert capsys.readouterr().err.rstrip().endswith("at row 1500")
+    assert not out.exists()
+
+
+def test_align_dims_mismatch_with_saved_stats_leaves_no_output(workdir, saved_operators, capsys):
+    bad = write_rows(workdir / "wide.emb", np.ones((3000, STREAM_DIMS + 1)))
+    out = workdir / "out.emb"
+    assert main(["align", "--method", "realign", "--in", bad, "--out", str(out),
+                 "--stats", saved_operators["realign"]]) == 2
+    assert "dims" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(workdir.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("method", ["realign", "blockwise", "c3"])
+def test_align_out_may_be_in(workdir, saved_operators, method):
+    in_path = workdir / "in.emb"
+    shutil.copyfile(workdir / "src.emb", in_path)
+    assert align_with_stats(method, workdir / "src.emb", workdir / "apart.emb",
+                            saved_operators) == 0
+    assert align_with_stats(method, in_path, in_path, saved_operators) == 0
+    assert in_path.read_bytes() == (workdir / "apart.emb").read_bytes()
+
+
+def test_align_zero_row_input_writes_zero_row_output(tmp_path, saved_operators):
+    empty = write_rows(tmp_path / "empty.emb", np.empty((0, STREAM_DIMS), dtype=np.float32))
+    out = tmp_path / "out.emb"
+    assert align_with_stats("realign", empty, out, saved_operators) == 0
+    moved = read_embeddings(str(out)).data
+    assert moved.shape == (0, STREAM_DIMS) and moved.dtype == np.float64
+
+
+def test_align_csv_input_matches_emb1_input(tmp_path, saved_operators):
+    rows = unit_rows(np.random.default_rng(2).normal(size=(1100, STREAM_DIMS)))
+    csv_path, emb_path = write_rows(tmp_path / "in.csv", rows), write_rows(tmp_path / "in.emb", rows)
+    for method in ("realign", "blockwise", "c3"):
+        from_csv, from_emb = tmp_path / f"{method}_csv.emb", tmp_path / f"{method}_emb.emb"
+        assert align_with_stats(method, csv_path, from_csv, saved_operators) == 0
+        assert align_with_stats(method, emb_path, from_emb, saved_operators) == 0
+        assert from_csv.read_bytes() == from_emb.read_bytes(), method
 
 
 @pytest.mark.parametrize("method", ["realign", "anchor-only", "c3", "blockwise"])
@@ -270,7 +431,7 @@ def test_align_rejects_non_finite_saved_stats(workdir, method, field):
         "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
         "--energy", "0.7", "--save-stats", stats_path,
     ]) == 0
-    doc = json.loads(open(stats_path).read())
+    doc = json.loads(Path(stats_path).read_text())
     doc["payload"][field][3] = float("nan")
     with open(stats_path, "w") as fh:
         json.dump(doc, fh)
@@ -305,7 +466,7 @@ def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, n
     stats_path = str(workdir / "src.stats")
     assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0
     assert main(["stats", "--in", str(workdir / "tgt.emb"), "--out", str(workdir / "tgt.stats")]) == 0
-    doc = json.loads(open(stats_path).read())
+    doc = json.loads(Path(stats_path).read_text())
     doc["payload"][field] = value
     with open(stats_path, "w") as fh:
         json.dump(doc, fh)
@@ -320,7 +481,7 @@ def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, n
 def test_frame_rejects_stats_artifact_missing_a_field(workdir, capsys):
     stats_path = str(workdir / "src.stats")
     assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0
-    doc = json.loads(open(stats_path).read())
+    doc = json.loads(Path(stats_path).read_text())
     del doc["payload"]["trace"]
     with open(stats_path, "w") as fh:
         json.dump(doc, fh)
@@ -377,7 +538,7 @@ def test_malformed_artifact_field_exits_2(workdir, capsys, artifact, mutate):
         out = workdir / "from_artifact.emb"
         consume = ["align", "--method", artifact, "--in", str(workdir / "src.emb"),
                    "--out", str(out), "--stats", path]
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["payload"] = mutate(doc["payload"])
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -422,13 +583,13 @@ def test_diagnose_report_and_series(workdir):
         "--report", report, "--plots-dir", plots, "--pairs", "20000", "--seed", "3",
     ])
     assert code == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["modality_gap"] > 0
     assert 0 <= doc["js_divergence_nats"] <= np.log(2) + 1e-12
-    hist = open(f"{plots}/cosine_hist.csv").read().splitlines()
+    hist = Path(f"{plots}/cosine_hist.csv").read_text().splitlines()
     assert hist[0] == "bin_center,mass_a,mass_b"
     assert len(hist) == 202
-    assert open(f"{plots}/pca_coords.csv").read().splitlines()[0] == "pc1,pc2,set"
+    assert Path(f"{plots}/pca_coords.csv").read_text().splitlines()[0] == "pc1,pc2,set"
 
 
 def test_diagnose_zero_pairs_exit_code(workdir):
@@ -448,7 +609,7 @@ def test_diagnose_deterministic_given_seed(workdir):
             "diagnose", "--a", str(workdir / "src.emb"), "--b", str(workdir / "tgt.emb"),
             "--report", path, "--pairs", "5000", "--seed", "11",
         ]) == 0
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc.pop("provenance")
         reports.append(doc)
     assert reports[0] == reports[1]
@@ -462,7 +623,7 @@ def test_simulate_writes_trace(tmp_path):
     )
     trace = str(tmp_path / "trace.csv")
     assert main(["simulate", "--config", str(cfg), "--trace", trace]) == 0
-    lines = open(trace).read().splitlines()
+    lines = Path(trace).read_text().splitlines()
     assert lines[0].startswith("# gapalign")
     assert lines[1].split(",")[0] == "steps"
     assert len(lines) > 2
@@ -488,7 +649,7 @@ def test_sample_curve_csv(workdir):
         "--sizes", "50,200", "--trials", "3", "--seed", "0", "--out", out,
     ])
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "size,gap_mean,gap_std,trial_0,trial_1,trial_2"
     assert len(lines) == 3
 
@@ -500,7 +661,7 @@ def test_bench_state_bytes_constant(tmp_path):
         "bench", "--sizes", "20000,40000", "--dims", "8", "--out", out, "--report", report,
     ])
     assert code == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     sizes = {entry["state_bytes"] for entry in doc["timing"]}
     assert len(sizes) == 1
     assert doc["f32_replay_error"] >= 1e3 * doc["f64_error"]
@@ -512,7 +673,7 @@ def test_bench_reports_covariance_precision_at_large_offset(tmp_path, capsys):
                  str(tmp_path / "bench.csv"), "--report", report]) == 0
     line = [ln for ln in capsys.readouterr().out.splitlines() if "offset" in ln]
     assert len(line) == 1 and "two-pass long-double oracle" in line[0]
-    doc = json.loads(open(report).read())
+    doc = json.loads(Path(report).read_text())
     assert doc["offset"] == 1e4 and doc["offset_rows"] == 20_000
     # raw moments gave about 1e-6 here
     assert 0 <= doc["offset_cov_rel_error"] < 1e-10

@@ -1,5 +1,8 @@
+import os
 import struct
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +20,7 @@ from gapalign import (
     save_artifact,
     write_embeddings,
 )
+from gapalign.io import EmbeddingFile, RowMap, as_matrix, row_blocks, row_source
 
 
 def test_read_identity_fixture(tmp_path):
@@ -38,8 +42,8 @@ def test_empty_set_round_trip(tmp_path):
 def test_truncated_payload_rejected(tmp_path):
     path = str(tmp_path / "trunc.emb")
     write_embeddings(EmbeddingSet(np.random.default_rng(0).normal(size=(5, 3))), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-8])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-8])
     with pytest.raises(DataFormatError):
         read_embeddings(path)
 
@@ -77,10 +81,10 @@ def test_non_finite_reports_row(tmp_path):
 def test_round_trip_single_value_bitwise(tmp_path):
     path = str(tmp_path / "one.emb")
     write_embeddings(EmbeddingSet(np.array([[0.5]])), path)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     out = read_embeddings(path)
     write_embeddings(out, path)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_round_trip_random_f64(tmp_path):
@@ -138,12 +142,12 @@ def test_oversized_header_rejected_before_allocation(tmp_path, rows, dims):
 def test_streaming_size_checked_before_first_batch(tmp_path):
     path = str(tmp_path / "stream.emb")
     write_embeddings(EmbeddingSet(np.ones((103, 6))), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-8])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-8])
     batches = iter_embedding_batches(path, batch_rows=10)
     with pytest.raises(DataFormatError, match="truncated payload at row 100"):
         next(batches)
-    open(path, "wb").write(raw + b"\x00")
+    Path(path).write_bytes(raw + b"\x00")
     with pytest.raises(DataFormatError, match="trailing bytes beyond declared payload"):
         next(iter_embedding_batches(path, batch_rows=10))
 
@@ -180,6 +184,91 @@ def test_read_peak_memory_is_payload_plus_one_block(tmp_path):
     write_embeddings(EmbeddingSet(rows), path)
     peak = _traced_peak(lambda: read_embeddings(path))
     assert peak < rows.nbytes + 1025 * 256 * 8
+
+
+# ------------------------------------------------------------------ row sources
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_file_slices_like_the_whole_array(tmp_path, dtype):
+    rows = np.random.default_rng(4).normal(size=(3001, 5)).astype(dtype)
+    path = str(tmp_path / "rows.emb")
+    write_embeddings(EmbeddingSet(rows), path)
+    src = EmbeddingFile(path)
+    assert (src.shape, src.ndim, src.dtype) == (rows.shape, 2, rows.dtype)
+    assert not hasattr(src, "data") and as_matrix(src) is src
+    for lo, hi in [(0, 1024), (2048, 3001), (1000, 1000), (3000, 5000), (0, 3001), (17, 18)]:
+        got = src[lo:hi]
+        assert got.dtype == rows.dtype
+        npt.assert_array_equal(got, rows[lo:hi])
+
+
+def test_embedding_file_checks_size_on_open_and_names_rows_in_the_whole_file(tmp_path):
+    rows = np.ones((3000, 4))
+    rows[2500, 3] = np.nan
+    path = tmp_path / "rows.emb"
+    header = struct.pack("<4sIIQII", b"EMB1", 1, 1, 3000, 4, 0)
+    path.write_bytes(header + rows.astype("<f8").tobytes())
+    src = EmbeddingFile(str(path))
+    npt.assert_array_equal(src[0:2048], rows[:2048])
+    with pytest.raises(DataFormatError, match="non-finite value in row 2500"):
+        src[2048:3000]
+    for payload in (rows.astype("<f8").tobytes()[:-8], rows.astype("<f8").tobytes() + b"\0"):
+        path.write_bytes(header + payload)
+        with pytest.raises(DataFormatError, match="payload has"):
+            EmbeddingFile(str(path))
+
+
+def test_row_source_reads_csv_and_pipes_whole(tmp_path):
+    rows = np.random.default_rng(5).normal(size=(40, 3))
+    csv_path = str(tmp_path / "rows.csv")
+    write_embeddings(EmbeddingSet(rows), csv_path)
+    from_csv = row_source(csv_path)
+    assert isinstance(from_csv, np.ndarray)
+    npt.assert_array_equal(from_csv, rows)
+    emb_path = str(tmp_path / "rows.emb")
+    write_embeddings(EmbeddingSet(rows), emb_path)
+    assert isinstance(row_source(emb_path), EmbeddingFile)
+    fifo = str(tmp_path / "pipe.emb")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: Path(fifo).write_bytes(Path(emb_path).read_bytes()),
+                              daemon=True)
+    writer.start()
+    from_pipe = row_source(fifo)
+    writer.join(timeout=10)
+    assert isinstance(from_pipe, np.ndarray)
+    npt.assert_array_equal(from_pipe, rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1025, 2049])
+def test_write_row_sources_block_by_block(tmp_path, n):
+    rows = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
+    whole = tmp_path / "whole.emb"
+    write_embeddings(EmbeddingSet(rows), str(whole))
+    copy = tmp_path / "copy.emb"
+    write_embeddings(EmbeddingFile(str(whole)), str(copy))
+    assert copy.read_bytes() == whole.read_bytes()
+    firsts = []
+
+    def double(block, first_row):
+        firsts.append(first_row)
+        return 2.0 * block
+
+    mapped = tmp_path / "mapped.emb"
+    write_embeddings(RowMap(EmbeddingFile(str(whole)), double), str(mapped))
+    expected = tmp_path / "expected.emb"
+    write_embeddings(EmbeddingSet(2.0 * rows.astype(np.float64)), str(expected))
+    assert mapped.read_bytes() == expected.read_bytes()
+    assert firsts == [block.start for block in row_blocks(n)]
+
+
+def test_row_source_passes_read_one_block_at_a_time(tmp_path):
+    rows = np.random.default_rng(6).normal(size=(20_000, 256)).astype(np.float32)
+    path = str(tmp_path / "big.emb")
+    write_embeddings(EmbeddingSet(rows), path)
+    out = str(tmp_path / "copy.emb")
+    peak = _traced_peak(lambda: write_embeddings(EmbeddingFile(path), out))
+    assert peak < 2 * 1025 * 256 * 8
 
 
 def test_streaming_csv(tmp_path):

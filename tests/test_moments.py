@@ -289,9 +289,10 @@ def test_calibration_memory_is_inputs_plus_blocks(operator):
         s_src, s_tgt = stats_of(src), stats_of(tgt)
         calibrate = lambda: estimate_realign(s_src, s_tgt, src)
     else:
+        s_src, s_tgt = stats_of(src), stats_of(tgt, track_cov=True)
         frame = build_frame(stats_of(src, track_cov=True).covariance,
-                            stats_of(tgt, track_cov=True).covariance, energy=0.9)
-        calibrate = lambda: estimate_blockwise(frame, src, tgt)
+                            s_tgt.covariance, energy=0.9)
+        calibrate = lambda: estimate_blockwise(frame, s_src, s_tgt, src)
     block = max(BLOCK, ROW_BLOCK) + 1
     # the inputs are allocated before tracing starts; an N x d float64
     # array of intermediate rows alone would take 59 MiB

@@ -32,8 +32,10 @@ def _samples() -> dict:
         "modality_stats_no_cov": stats_of(tgt),
         "reference_frame": frame,
         "alignment_stats": estimate_realign(stats_src, stats_tgt, src),
-        "blockwise_stats": estimate_blockwise(frame, src, tgt),
-        "blockwise_stats_rank_d": estimate_blockwise(full, src, tgt),
+        "blockwise_stats": estimate_blockwise(frame, stats_of(src),
+                                              stats_of(tgt, track_cov=True), src),
+        "blockwise_stats_rank_d": estimate_blockwise(full, stats_of(src),
+                                                     stats_of(tgt, track_cov=True), src),
     }
     return {name: (type(obj), _json_payload(obj)) for name, obj in objects.items()}
 

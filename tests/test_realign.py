@@ -420,14 +420,14 @@ class TestBlockwise:
     def test_identical_blocks_give_identity_transform(self):
         rng = np.random.default_rng(17)
         src, _, frame = self.make_pair(rng, n=5_000)
-        stats = estimate_blockwise(frame, src, src)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(src, track_cov=True), src)
         npt.assert_allclose(stats.t_in, np.eye(frame.rank), atol=1e-8)
         npt.assert_allclose(stats.t_out, np.eye(frame.dims - frame.rank), atol=1e-8)
 
     def test_transform_matches_block_covariance_on_calibration(self):
         rng = np.random.default_rng(18)
         src, tgt, frame = self.make_pair(rng)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         anchored = anchor_shift(src, stats.mu_src, stats.mu_tgt)
         coords = anchored @ frame.basis
         cov_src = np.cov(coords.T, bias=True)
@@ -437,7 +437,7 @@ class TestBlockwise:
 
     def test_applied_output_matches_target_blocks(self):
         src, tgt, fresh, frame = self.concentrated_pair(19, n=40_000)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         out = apply_blockwise(fresh, stats)
         for basis in (frame.basis, stats.basis_out):
             cov_out = np.cov((out @ basis).T, bias=True)
@@ -502,7 +502,8 @@ class TestBlockwise:
             energy=0.9,
         )
         with pytest.warns(UserWarning, match="floor"):
-            stats = estimate_blockwise(frame, src, tgt, eig_floor=1e-2)
+            stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src,
+                                       eig_floor=1e-2)
         assert stats.floored
         out = apply_blockwise(src[:100], stats)
         assert np.isfinite(out).all()
@@ -511,7 +512,7 @@ class TestBlockwise:
     @pytest.mark.parametrize("n", [1, 1025, 8191, 8192, 8193, 16_385])
     def test_composed_operator_matches_per_block_products(self, n, dtype):
         src, tgt, fresh, frame = self.concentrated_pair(26, n=16_385)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         rows = fresh[:n].astype(dtype)
         npt.assert_allclose(apply_blockwise(rows, stats), blockwise_oracle(rows, stats),
                             rtol=0, atol=1e-12)
@@ -520,7 +521,7 @@ class TestBlockwise:
         # 8,193 calibration rows: the centred covariance and the drift pass
         # both cross a row-block boundary
         src, tgt, _, frame = self.concentrated_pair(27, n=8_193)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         expected = estimate_blockwise_oracle(frame, src, tgt)
         for name in ("t_in", "t_out", "mu_src", "mu_tgt", "mu_drift"):
             npt.assert_allclose(getattr(stats, name), getattr(expected, name), rtol=0,
@@ -530,7 +531,7 @@ class TestBlockwise:
         src, tgt, fresh, _ = self.concentrated_pair(28, n=9_000)
         frame = ReferenceFrame(basis=np.linalg.qr(np.random.default_rng(28).normal(size=(8, 8)))[0],
                                energy_threshold=1.0)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         assert stats.basis_out.shape == (8, 0) and stats.t_out.shape == (0, 0)
         expected = estimate_blockwise_oracle(frame, src, tgt)
         npt.assert_allclose(stats.t_in, expected.t_in, rtol=0, atol=1e-12)
@@ -563,7 +564,7 @@ class TestBlockwise:
     def test_payload_round_trip(self):
         rng = np.random.default_rng(23)
         src, tgt, frame = self.make_pair(rng, n=3_000)
-        stats = estimate_blockwise(frame, src, tgt)
+        stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
         back = BlockwiseStats.from_payload(stats.to_payload())
         npt.assert_array_equal(back.t_in, stats.t_in)
         npt.assert_array_equal(back.mu_drift, stats.mu_drift)
