@@ -7,13 +7,18 @@ centroid shift caused by projecting anisotropic noise onto the sphere,
 and a sample-complexity sweep for alignment calibration.
 
 Every sampled metric takes an explicit seed and is deterministic under
-it.  The cosine histogram gathers and scores its sampled pairs
-``_PAIR_BLOCK`` at a time, so its working memory is bounded by that
-block size rather than by ``num_pairs x d``.  Nearest neighbors use
-exact pairwise distances with ties broken toward the lower index; this
-is meant for desk-scale inputs (up to around 1e5 rows), not approximate
-search.  The histogram and kNN metrics reject input with a non-finite
-value by raising ``DataFormatError`` that names the first such row.
+it.  The histogram and kNN metrics never widen a whole input set: they
+read float32 or float64 rows in place and widen to float64 one block or
+tile at a time.  The cosine histogram gathers and scores its sampled
+pairs ``_PAIR_BLOCK`` at a time, so its working memory is bounded by
+that block size rather than by ``num_pairs x d``.  Nearest neighbors
+use exact pairwise distances, formed in square tiles of ``_TILE`` rows
+a side and merged into a running k nearest per row, with ties broken
+toward the lower index; memory beyond the inputs is O(tile^2 + n k).
+This is meant for desk-scale inputs (up to around 1e5 rows), not
+approximate search.  The histogram and kNN metrics reject input with a
+non-finite value by raising ``DataFormatError`` that names the first
+such row.
 """
 
 from __future__ import annotations
@@ -24,11 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import as_matrix
+from .io import as_matrix, row_blocks
 from .moments import stats_of
 from .realign import estimate_realign, substitution_operator
 
 _PAIR_BLOCK = 1024  # sampled pairs gathered and scored at a time
+# Rows per side of a kNN distance tile: its Gram, distances and candidate mask
+# take 17 MiB however many rows the sets have.  On 8,000 pooled 768-d rows
+# (k = 20, 2-core host) 512/768/1,024/1,536-row tiles took 1.30/1.20/1.23/1.30 s.
+_TILE = 1024
+_NO_INDEX = np.iinfo(np.int64).max  # pads a merge row past its candidates
 
 
 @dataclass
@@ -67,11 +77,13 @@ def modality_gap(mu_a: np.ndarray, mu_b: np.ndarray) -> float:
 
 
 def _finite_rows(rows, name: str) -> np.ndarray:
-    """Return ``rows`` as a float64 matrix, rejecting any non-finite row."""
-    data = as_matrix(rows).astype(np.float64, copy=False)
-    good = np.isfinite(data).all(axis=1)
-    if not good.all():
-        raise DataFormatError(f"non-finite value in row {int(np.argmin(good))} of {name}")
+    """Return ``rows`` as a matrix in its own dtype, rejecting any non-finite row."""
+    data = as_matrix(rows)
+    for block in row_blocks(data.shape[0]):
+        good = np.isfinite(data[block]).all(axis=1)
+        if not good.all():
+            raise DataFormatError(
+                f"non-finite value in row {block.start + int(np.argmin(good))} of {name}")
     return data
 
 
@@ -97,7 +109,8 @@ def cosine_histogram(
         raise ValueError("use at least 8 bins")
     if num_pairs <= 0:
         raise ValueError(f"num_pairs must be positive, got {num_pairs}")
-    norms = np.linalg.norm(data, axis=1)
+    norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
+                            for block in row_blocks(n)])
     if np.any(norms == 0):
         raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")
 
@@ -110,7 +123,9 @@ def cosine_histogram(
     for start in range(0, num_pairs, _PAIR_BLOCK):
         ii = i[start:start + _PAIR_BLOCK]
         jj = j[start:start + _PAIR_BLOCK]
-        cos = np.einsum("ij,ij->i", data[ii], data[jj]) / (norms[ii] * norms[jj])
+        left = data[ii].astype(np.float64, copy=False)
+        right = data[jj].astype(np.float64, copy=False)
+        cos = np.einsum("ij,ij->i", left, right) / (norms[ii] * norms[jj])
         counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=edges)[0]
     masses = counts / float(num_pairs)
     if smoothing:
@@ -139,60 +154,157 @@ def js_divergence(p: CosineHistogram, q: CosineHistogram) -> float:
     return max(0.0, 0.5 * kl(pm, mid) + 0.5 * kl(qm, mid))
 
 
-def _neighbor_indices(points: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
-    """Exact k nearest neighbors of every point among all others.
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges of ``size`` rows covering ``range(n)`` in order.
 
-    Squared distances are computed ``chunk`` rows at a time.  In each
-    tile, ``argpartition`` selects k candidates per row and they are
-    ordered by (distance, index).  Ties resolve to the lower index: a
-    row with more than k entries at or below its k-th distance re-sorts
-    all of those entries stably, so the result equals the first k
-    columns of a stable ``argsort`` of the row.  Inputs must be finite.
-    Returns an (n, k) index array, nearest first.
+    A trailing range narrower than 3 rows joins the one before it: BLAS
+    multiplies operands 1 or 2 wide by other kernels, whose rounding
+    differs from the wide product's.
     """
-    n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
-    out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = points[start:stop]
-        # (|a|^2 + |b|^2) - 2 a.b in two tile buffers: with the four temporaries of one
-        # expression, the peak RSS moved by a tile with the allocator's history
-        d2 = np.add.outer(sq[start:stop], sq)
-        gram = block @ points.T
-        gram *= 2.0
-        d2 -= gram
-        del gram
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        cand_d2 = np.take_along_axis(d2, cand, axis=1)
-        order = np.lexsort((cand, cand_d2), axis=1)
-        nearest = np.take_along_axis(cand, order, axis=1)
-        kth = np.take_along_axis(cand_d2, order[:, -1:], axis=1)
-        for row in np.flatnonzero((d2 <= kth).sum(axis=1) > k):
-            ties = np.flatnonzero(d2[row] <= kth[row])
-            nearest[row] = ties[np.argsort(d2[row, ties], kind="stable")[:k]]
-        out[start:stop] = nearest
-    return out
+    spans, lo = [], 0
+    while lo < n:
+        hi = n if n - lo < size + 3 else lo + size
+        spans.append((lo, hi))
+        lo = hi
+    return spans
+
+
+def _widened(parts, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of the row concatenation of ``parts``, as float64."""
+    pieces, start = [], 0
+    for part in parts:
+        stop = start + part.shape[0]
+        if lo < stop and start < hi:
+            pieces.append(part[max(lo - start, 0):min(hi, stop) - start])
+        start = stop
+    if len(pieces) == 1:
+        return pieces[0].astype(np.float64, copy=False)
+    return np.concatenate(pieces, dtype=np.float64)
+
+
+def _merge_tile(best_d, best_i, d2, col0: int, k: int, spare: np.ndarray):
+    """Merge a distance tile into its rows' running k nearest.
+
+    ``best_d`` and ``best_i`` hold each row's nearest so far in
+    (distance, index) order.  ``d2`` holds the rows' distances to columns
+    ``col0, col0 + 1, ...``, which come after every column merged before,
+    so once a row holds k neighbors only an entry strictly nearer than its
+    k-th can enter.  Until then the candidates are the entries at or below
+    the row's k-th smallest in this tile, found by partitioning a copy in
+    ``spare`` (``d2``'s shape, free to overwrite).  Of the row's neighbors
+    and candidates, the first k by (distance, index) stay.
+    """
+    rows, width = d2.shape
+    have = best_d.shape[1]
+    if have == k:
+        hit = d2 < best_d[:, -1:]
+    elif width > k:
+        np.copyto(spare, d2)
+        spare.partition(k - 1, axis=1)
+        hit = d2 <= spare[:, k - 1:k]
+    else:
+        hit = np.ones(d2.shape, dtype=bool)
+    flat = np.flatnonzero(hit)
+    del hit
+    row, col = np.divmod(flat, width)
+    counts = np.bincount(row, minlength=rows)
+    slot = have + np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
+    dist = np.full((rows, have + int(counts.max(initial=0))), np.inf)
+    index = np.full(dist.shape, _NO_INDEX)
+    dist[:, :have] = best_d
+    index[:, :have] = best_i
+    dist[row, slot] = d2[row, col]
+    index[row, slot] = col0 + col
+    keep = np.lexsort((index, dist), axis=1)[:, :min(k, have + width)]
+    return np.take_along_axis(dist, keep, axis=1), np.take_along_axis(index, keep, axis=1)
+
+
+def _neighbor_indices(points, k: int, chunk: int = _TILE) -> np.ndarray:
+    """Exact k nearest neighbors of every row among all other rows.
+
+    ``points`` is one matrix or a tuple of matrices read as their row
+    concatenation; rows are widened to float64 one tile at a time, so no
+    pooled copy is made.  Squared distances ``(|a|^2 + |b|^2) - 2 a.b``
+    are formed in tiles between ranges of ``chunk`` rows (``_spans``).
+    Each unordered pair of ranges is multiplied once: the tile serves the
+    first range's rows and its transpose the second's, since float
+    addition commutes and the BLAS product's transpose equals the
+    swapped product (checked bit for bit on OpenBLAS 0.3.31).  Every row
+    keeps a running k nearest in (distance, index) order, and each tile
+    merges into it (``_merge_tile``); tiles reach a row in increasing
+    column order.  Ties resolve to the lower index across tiles as
+    within one, so the result equals the first k columns of a stable
+    ``argsort`` of each full distance row.  Memory beyond the inputs is
+    O(chunk^2 + n k).  Inputs must be finite.  Returns an (n, k) index
+    array, nearest first.
+    """
+    parts = points if isinstance(points, tuple) else (points,)
+    spans = _spans(sum(part.shape[0] for part in parts), chunk)
+    sq = np.concatenate([np.einsum("ij,ij->i", block, block)
+                         for block in (_widened(parts, lo, hi) for lo, hi in spans)])
+    # the Gram and distance tiles reuse two buffers, so no tile is allocated twice
+    buffers = np.empty((2, max(hi - lo for lo, hi in spans) ** 2))
+    best = [(np.empty((hi - lo, 0)), np.empty((hi - lo, 0), dtype=np.int64)) for lo, hi in spans]
+    for a, (lo_a, hi_a) in enumerate(spans):
+        rows_a = _widened(parts, lo_a, hi_a)
+        for b in range(a, len(spans)):
+            lo_b, hi_b = spans[b]
+            rows_b = rows_a if b == a else _widened(parts, lo_b, hi_b)
+            shape = (hi_a - lo_a, hi_b - lo_b)
+            gram, d2 = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
+            np.matmul(rows_a, rows_b.T, out=gram)
+            gram *= 2.0
+            np.add.outer(sq[lo_a:hi_a], sq[lo_b:hi_b], out=d2)
+            d2 -= gram
+            if b == a:
+                np.fill_diagonal(d2, np.inf)
+            # the Gram tile is spent, so its buffer is the merges' spare
+            best[a] = _merge_tile(*best[a], d2, lo_b, k, spare=gram)
+            if b != a:
+                best[b] = _merge_tile(*best[b], d2.T, lo_a, k, spare=gram.reshape(shape[::-1]))
+    return np.vstack([index for _, index in best])
 
 
 def knn_mixing_rate(rows_a, rows_b, k: int = 20) -> float:
     """Mean fraction of cross-modality points among each point's k neighbors.
 
-    Both sets are pooled; around 0.5 for equal-size samples of the same
-    distribution, near 0 for well-separated clouds.
+    Both sets are pooled, in place: neighbors are found over their row
+    concatenation without copying it.  Around 0.5 for equal-size samples
+    of the same distribution, near 0 for well-separated clouds.
     """
     a = _finite_rows(rows_a, "rows_a")
     b = _finite_rows(rows_b, "rows_b")
     if a.shape[1] != b.shape[1]:
         raise DataFormatError("sets have different dimensionalities")
-    pool = np.vstack([a, b])
-    if not 0 < k < pool.shape[0]:
-        raise ValueError(f"k={k} must be positive and smaller than the pooled size {pool.shape[0]}")
-    labels = np.concatenate([np.zeros(a.shape[0]), np.ones(b.shape[0])])
-    nn = _neighbor_indices(pool, k)
-    other = labels[nn] != labels[:, None]
+    n = a.shape[0] + b.shape[0]
+    if not 0 < k < n:
+        raise ValueError(f"k={k} must be positive and smaller than the pooled size {n}")
+    nn = _neighbor_indices((a, b), k)
+    # pooled index i lies in the second set when i >= len(a)
+    other = (nn >= a.shape[0]) != (np.arange(n) >= a.shape[0])[:, None]
     return float(other.mean())
+
+
+def _has_duplicate_rows(data) -> bool:
+    """Whether two rows of ``data`` are equal as numbers (-0.0 equals 0.0).
+
+    Rows are hashed a block at a time from the bits of their float64
+    values plus 0.0, which turns -0.0 into 0.0; rows whose hashes agree
+    are then compared byte for byte.  Memory is O(n + block x d).
+    """
+    # odd weights are invertible modulo 2^64, so no column's bits are lost
+    weights = 2 * np.random.default_rng(0).integers(0, 2**63, data.shape[1], dtype=np.uint64) + 1
+    keys = np.empty(data.shape[0], dtype=np.uint64)
+    for block in row_blocks(data.shape[0]):
+        bits = np.add(data[block], 0.0, dtype=np.float64).view(np.uint64)
+        bits *= weights
+        keys[block] = bits.sum(axis=1)
+    ranked = np.sort(keys)
+    for key in np.unique(ranked[1:][ranked[1:] == ranked[:-1]]):
+        rows = np.add(data[keys == key], 0.0, dtype=np.float64)
+        if len({row.tobytes() for row in rows}) < len(rows):
+            return True
+    return False
 
 
 def knn_overlap(rows_before, rows_after, k: int = 10) -> float:
@@ -209,8 +321,7 @@ def knn_overlap(rows_before, rows_after, k: int = 10) -> float:
     if not 0 < k < n:
         raise ValueError(f"k={k} must be positive and smaller than the row count {n}")
     for name, arr in (("before", before), ("after", after)):
-        # adding 0.0 turns -0.0 into 0.0, so rows equal as numbers have equal bytes
-        if len({row.tobytes() for row in arr + 0.0}) != n:
+        if _has_duplicate_rows(arr):
             warnings.warn(f"duplicate rows in the {name!r} set; neighbor sets are ambiguous")
     nn_before = _neighbor_indices(before, k)
     nn_after = _neighbor_indices(after, k)

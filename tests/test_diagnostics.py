@@ -12,6 +12,7 @@ from gapalign import (
     CosineHistogram,
     DataFormatError,
     DegenerateInputError,
+    EmbeddingSet,
     cosine_histogram,
     estimate_realign,
     js_divergence,
@@ -22,8 +23,10 @@ from gapalign import (
     sample_complexity_curve,
     stats_of,
     substitution_operator,
+    write_embeddings,
 )
-from gapalign.diagnostics import _neighbor_indices
+from gapalign.cli import main
+from gapalign.diagnostics import _has_duplicate_rows, _neighbor_indices
 
 
 def unit_rows(rows):
@@ -42,6 +45,36 @@ def neighbor_indices_oracle(points, k, chunk=512):
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
+
+
+def mixing_rate_oracle(a, b, k):
+    """Pooled float64 copy of both sets, labelled by set: the rate the in-place kernel must match."""
+    pool = np.vstack([a, b]).astype(np.float64)
+    labels = np.concatenate([np.zeros(len(a)), np.ones(len(b))])
+    return float((labels[neighbor_indices_oracle(pool, k)] != labels[:, None]).mean())
+
+
+def overlap_oracle(before, after, k):
+    """Float64 copies of both sets and per-row set intersections of their neighbor lists."""
+    nb = neighbor_indices_oracle(np.asarray(before, dtype=np.float64), k)
+    na = neighbor_indices_oracle(np.asarray(after, dtype=np.float64), k)
+    return float(np.mean([np.intersect1d(nb[i], na[i]).size for i in range(len(nb))]) / k)
+
+
+def duplicate_rows_oracle(rows):
+    """The set-of-bytes rule: float64 rows plus 0.0 (so -0.0 is 0.0), compared byte for byte."""
+    return len({row.tobytes() for row in rows.astype(np.float64) + 0.0}) != len(rows)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``tracemalloc`` sees while ``fn`` runs, over what was allocated before."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def cosine_masses_oracle(rows, num_pairs, bins=201, smoothing=False, seed=0):
@@ -79,6 +112,52 @@ def tie_heavy_points(draw):
     k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
     chunk = draw(st.integers(1, n + 2))
     return grid[pick].astype(np.float64), k, chunk
+
+
+@st.composite
+def two_set_tie_points(draw):
+    """Tie-heavy grid rows split into two sets of either dtype, with a tile size and k.
+
+    Row counts cover n = 1 and 2 (mod tile), where the trailing range
+    folds into the one before it, and the set boundary falls at a tile
+    edge as well as inside a tile.
+    """
+    chunk = draw(st.integers(3, 8))
+    n = max(2, draw(st.integers(1, 5)) * chunk + draw(st.one_of(st.sampled_from([1, 2]),
+                                                                 st.integers(0, chunk - 1))))
+    d = draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    grid = draw(arrays(np.int64, (distinct, d), elements=st.integers(-2, 2)))
+    pick = draw(arrays(np.int64, n, elements=st.integers(0, distinct - 1)))
+    edges = [chunk * t for t in range(1, n // chunk + 1) if chunk * t < n]
+    split = draw(st.sampled_from(edges) if edges and draw(st.booleans()) else st.integers(1, n - 1))
+    k = draw(st.sampled_from([1, min(20, n - 1), n - 1]))
+    points = grid[pick]
+    parts = tuple(part.astype(draw(st.sampled_from([np.float32, np.float64])))
+                  for part in (points[:split], points[split:]))
+    return parts, k, chunk
+
+
+@st.composite
+def rows_with_planted_twins(draw):
+    """Random rows with signed zeros, optionally with one row copied over another.
+
+    The copy is exact, or differs from its source only in the sign of a
+    zero, which still makes the two rows equal as numbers.
+    """
+    n = draw(st.one_of(st.integers(2, 40), st.sampled_from([1025, 2049])))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, d))
+    zeros = rng.random((n, d)) < 0.3
+    rows[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    twin = draw(st.sampled_from(["none", "exact", "signed_zero"]))
+    if twin != "none":
+        src, dst = rng.choice(n, size=2, replace=False)
+        rows[dst] = rows[src]
+        if twin == "signed_zero":
+            rows[src, 0], rows[dst, 0] = 0.0, -0.0
+    return rows.astype(draw(st.sampled_from([np.float32, np.float64])))
 
 
 class TestModalityGap:
@@ -208,6 +287,14 @@ class TestNeighborIndices:
         assert np.array_equal(_neighbor_indices(points, k, chunk=chunk),
                               neighbor_indices_oracle(points, k, chunk=chunk))
 
+    @settings(max_examples=300, deadline=None)
+    @given(two_set_tie_points())
+    def test_two_sets_in_place_match_pooled_argsort(self, case):
+        parts, k, chunk = case
+        pooled = np.vstack(parts).astype(np.float64)
+        assert np.array_equal(_neighbor_indices(parts, k, chunk=chunk),
+                              neighbor_indices_oracle(pooled, k))
+
     def test_matches_stable_argsort_across_default_chunks(self):
         rng = np.random.default_rng(24)
         points = rng.integers(-1, 2, size=(1100, 3)).astype(np.float64)
@@ -253,6 +340,24 @@ class TestKnnMixing:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             knn_mixing_rate(np.eye(3), np.eye(3), k=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_pooled_copy_oracle(self, dtype):
+        rng = np.random.default_rng(28)
+        a = rng.normal(size=(1100, 6)).astype(dtype)
+        b = (rng.normal(size=(700, 6)) + 0.5).astype(dtype)
+        assert knn_mixing_rate(a, b, k=20) == mixing_rate_oracle(a, b, 20)
+
+    def test_working_memory_flat_in_rows(self):
+        # the pooled kernel formed 512 x n tiles and a pooled float64 copy,
+        # which grew by 37 MiB here when n doubled
+        rng = np.random.default_rng(29)
+        peaks = []
+        for n in (1536, 3072):
+            a = rng.normal(size=(n, 16)).astype(np.float32)
+            b = rng.normal(size=(n, 16)).astype(np.float32)
+            peaks.append(traced_peak(knn_mixing_rate, a, b, k=20))
+        assert peaks[1] - peaks[0] < 4 * 2**20
 
     def test_non_finite_row_rejected(self):
         rng = np.random.default_rng(25)
@@ -325,10 +430,57 @@ class TestKnnOverlap:
         with pytest.raises(ValueError, match="positive"):
             knn_overlap(np.eye(3), np.eye(3), k=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_float64_copy_oracle(self, dtype):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(1100, 6)).astype(dtype)
+        y = (x + 0.3 * rng.normal(size=(1100, 6))).astype(dtype)
+        assert knn_overlap(x, y, k=10) == overlap_oracle(x, y, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_with_planted_twins())
+    def test_duplicate_check_matches_set_of_bytes(self, rows):
+        assert _has_duplicate_rows(rows) == duplicate_rows_oracle(rows)
+
+    def test_working_memory_flat_in_rows(self):
+        # float64 copies, n-wide tiles and the set of row bytes grew by 18 MiB here
+        rng = np.random.default_rng(31)
+        peaks = []
+        for n in (1536, 3072):
+            x = rng.normal(size=(n, 16)).astype(np.float32)
+            peaks.append(traced_peak(knn_overlap, x, x + np.float32(0.1), k=10))
+        assert peaks[1] - peaks[0] < 4 * 2**20
+
     def test_non_finite_row_rejected(self):
         x = np.random.default_rng(27).normal(size=(50, 8))
         with pytest.raises(DataFormatError, match="row 11 of rows_before"):
             knn_overlap(with_nan(x, 11), x, k=5)
+
+
+class TestDiagnoseMemory:
+    """``gapalign diagnose`` working memory beyond its inputs must not grow with n."""
+
+    @staticmethod
+    def diagnose_peak(tmp_path, n):
+        rng = np.random.default_rng(32)
+        a = unit_rows(rng.normal(size=(n, 16))).astype(np.float32)
+        b = unit_rows(rng.normal(size=(n, 16)) + 0.3).astype(np.float32)
+        paths = {name: str(tmp_path / f"{name}{n}.emb1") for name in ("a", "b", "after")}
+        write_embeddings(EmbeddingSet(a), paths["a"])
+        write_embeddings(EmbeddingSet(b), paths["b"])
+        write_embeddings(EmbeddingSet(a.astype(np.float64) + 0.01), paths["after"])
+        argv = ["diagnose", "--a", paths["a"], "--b", paths["b"], "--overlap-with", paths["after"],
+                "--plots-dir", str(tmp_path / f"plots{n}"), "--report", str(tmp_path / f"r{n}.json")]
+        peak = traced_peak(main, argv)
+        inputs = a.nbytes + b.nbytes + 2 * a.nbytes
+        return peak, inputs
+
+    def test_cli_peak_beyond_inputs_flat_in_rows(self, tmp_path):
+        # guards the command against a stage whose working memory grows with n again:
+        # the pooled kernel's tiles and float64 copies grew by 37 MiB here
+        (peak_n, inputs_n), (peak_2n, inputs_2n) = (self.diagnose_peak(tmp_path, n)
+                                                    for n in (1536, 3072))
+        assert (peak_2n - inputs_2n) - (peak_n - inputs_n) < 4 * 2**20
 
 
 class TestPhantomDrift:
