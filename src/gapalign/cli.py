@@ -2,9 +2,15 @@
 
 Subcommands: stats, frame, decompose, align, diagnose, simulate, verify,
 sample-curve, bench.  Every report embeds the tool version, the full
-flag set, and SHA-256 digests of the input files; outputs are written
+flag set, what its numbers depend on (numpy, BLAS and the thread
+settings), and SHA-256 digests of the input files; outputs are written
 atomically (temp file plus rename) so interrupted jobs never leave torn
 artifacts.
+
+A statistics artifact is its JSON file plus the ``.npy`` sidecars it
+names beside it (see ``gapalign.io``); copy or move them together.  An
+artifact's ``input_digests`` entry is the digest of its JSON file, which
+covers the sidecars through the SHA-256 recorded for each.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, shape or
 version mismatches), 3 numerical degeneracy (zero norms, collapsed
@@ -83,12 +89,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _provenance(args, inputs):
+    """What a report's numbers depend on: the tool, its flags and inputs, numpy and BLAS.
+
+    Rounding in BLAS-backed kernels can depend on the BLAS build and its
+    thread count, so the report records the thread variables and the CPUs
+    this process may run on.  Every entry is fixed for a fixed environment.
+    """
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.25 has no dict mode
+        blas = {}
     return {
         "tool": "gapalign",
         "version": __version__,
         "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "input_digests": {path: file_digest(path) for path in inputs if path},
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {**{name: os.environ.get(name) for name in _THREAD_VARIABLES},
+                    "cpu_affinity": len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count()},
     }
 
 

@@ -23,18 +23,29 @@ block at a time, so an output computed block by block is written as it
 is computed and never held whole.
 
 Statistics artifacts (moment summaries, reference frames, calibrated
-alignment operators) persist as a human-readable JSON key/value tree.
-Floats are rendered with shortest round-trip precision, so float64
-payloads survive a save/load cycle bit-exactly.
+alignment operators) persist as a JSON file plus the ``.npy`` sidecars
+it names, in the same directory; they move together.  In schema v2 the
+JSON holds every scalar and every 1-D array inline, floats in shortest
+round-trip form.  Each non-empty 2-D array (a covariance, a frame basis,
+an operator block) is a little-endian float64 ``.npy`` file named
+``<json name>.<field path>.npy``.  The JSON holds a reference in its
+place: ``{"npy": name, "shape": [...], "dtype": "<f8", "sha256": ...}``.
+Saving writes the sidecars first, each atomically, and the JSON last.
+Loading checks a reference's name, the file type and the file size
+before it allocates, then the ``.npy`` header and the SHA-256 of the
+whole file.  So a torn or mixed set of files is a ``DataFormatError``,
+never another artifact's matrix.  Both forms are bit-exact.  v1
+artifacts, one JSON file with every value inline, still load, and any
+v2 field may also be given inline.
 
 Every persisted type is a dataclass derived from ``Payload``, and one
-codec reads its fields.  Encoding writes each ``init`` field: arrays as
-nested lists, numpy scalars as Python scalars and nested payloads as
-their own trees; derived non-init fields are not written.  Decoding
-checks that the payload is a JSON object holding every field except
-those that default to None, decodes nested payloads and hands the rest
-to the constructor, whose ``__post_init__`` validates shapes,
-finiteness and scalar types.  Every failure is a ``DataFormatError``.
+codec reads its fields.  Encoding gives each ``init`` field: arrays as
+arrays, numpy scalars as Python scalars and nested payloads as their
+own trees; derived non-init fields are not written.  Decoding checks
+that the payload is a JSON object holding every field except those that
+default to None, decodes nested payloads and hands the rest to the
+constructor, whose ``__post_init__`` validates shapes, finiteness and
+scalar types.  Every failure is a ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -61,7 +72,9 @@ _HEADER = struct.Struct("<4sIIQII")  # magic, version, dtype code, rows, dims, r
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_OF_DTYPE = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
+_SIDECAR_DTYPE = np.dtype("<f8")
+_SIDECAR_KEYS = {"npy", "shape", "dtype", "sha256"}
 
 # Rows per block for every row-blocked pass: finiteness checks here, the gap
 # decomposition, and the realign and blockwise operators.  Blocking bounds
@@ -195,7 +208,7 @@ class Payload:
         cls.kind = kind
 
         def from_payload(payload):
-            """Decode a JSON tree written by ``to_payload``; ``DataFormatError`` if malformed."""
+            """Decode a ``to_payload`` or loaded tree; ``DataFormatError`` if malformed."""
             if not isinstance(payload, dict):
                 raise DataFormatError(f"{kind} payload must be a JSON object, "
                                       f"got {type(payload).__name__}")
@@ -208,14 +221,14 @@ class Payload:
         cls.from_payload = staticmethod(from_payload)
 
     def to_payload(self) -> dict:
-        """The JSON-compatible tree of every ``init`` field."""
+        """The tree of every ``init`` field; ``save_artifact`` writes it."""
         out = {}
         for name, _, nested in _codec_fields(type(self)):
             value = getattr(self, name)
             if nested:
                 value = value.to_payload()
-            elif isinstance(value, (np.ndarray, np.generic)):
-                value = value.tolist()
+            elif isinstance(value, np.generic):
+                value = value.item()
             out[name] = value
         return out
 
@@ -540,8 +553,11 @@ class StatsArtifact:
 
     ``kind`` names the payload type (for example ``modality_stats`` or
     ``reference_frame``), as the type's ``Payload.kind`` does; ``payload``
-    is the JSON-compatible tree the shared codec builds from the type's
-    dataclass fields (``to_payload``) and reads back (``from_payload``).
+    is the tree the shared codec builds from the type's dataclass fields
+    (``to_payload``) and reads back (``from_payload``).  On disk it is the
+    artifact's JSON file plus the ``.npy`` sidecars holding its matrices
+    (see the module docstring); ``load_artifact`` returns those matrices
+    as arrays, so ``payload`` never holds a sidecar reference.
     """
 
     kind: str
@@ -550,19 +566,110 @@ class StatsArtifact:
     schema_version: int = ARTIFACT_SCHEMA_VERSION
 
 
+def _npy_header(shape) -> bytes:
+    """The ``.npy`` v1.0 header ``np.save`` writes for a C-order ``<f8`` array of ``shape``."""
+    from io import BytesIO  # the standard library's
+
+    out = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": _SIDECAR_DTYPE.str, "fortran_order": False, "shape": tuple(shape)})
+    return out.getvalue()
+
+
+def _write_sidecar(path: str, matrix: np.ndarray) -> dict:
+    """Write ``matrix`` to ``path`` as a float64 ``.npy`` file; the JSON reference to it."""
+    matrix = np.ascontiguousarray(matrix, dtype=_SIDECAR_DTYPE)
+    header = _npy_header(matrix.shape)
+
+    def write(fh):
+        fh.write(header)
+        fh.write(matrix)
+
+    _atomic_write(path, write)
+    digest = hashlib.sha256(header)
+    digest.update(matrix)
+    return {"npy": os.path.basename(path), "shape": list(matrix.shape),
+            "dtype": _SIDECAR_DTYPE.str, "sha256": digest.hexdigest()}
+
+
 def save_artifact(artifact: StatsArtifact, path: str) -> None:
+    """Write the payload's non-empty 2-D arrays as sidecars, then the JSON naming them."""
+
+    def encode(value, stem):
+        if isinstance(value, dict):
+            return {key: encode(item, f"{stem}.{key}") for key, item in value.items()}
+        if not isinstance(value, np.ndarray):
+            return value
+        if value.ndim == 2 and value.size:
+            return _write_sidecar(f"{stem}.npy", value)
+        return value.tolist()
+
     doc = {
         "schema_version": artifact.schema_version,
         "kind": artifact.kind,
-        "payload": artifact.payload,
+        "payload": encode(artifact.payload, path),
         "provenance": artifact.provenance,
     }
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
+def _read_sidecar(path: str, field: str, ref: dict) -> np.ndarray:
+    """The matrix that the reference ``ref`` in the artifact ``path`` names.
+
+    Everything that bounds the read is checked before anything of the
+    matrix's size is allocated: the reference, the file type, and the file
+    size against the one the reference's shape implies.  Then the file must
+    start with the ``.npy`` header ``np.save`` writes for that shape, and
+    its SHA-256 must be the recorded one.  No byte of the file is parsed.
+    """
+    where = f"{path}: {field} sidecar"
+    name, shape, sha256 = ref.get("npy"), ref.get("shape"), ref.get("sha256")
+    if (set(ref) != _SIDECAR_KEYS or ref["dtype"] != _SIDECAR_DTYPE.str
+            or not isinstance(shape, list) or len(shape) != 2
+            or not all(type(k) is int and k >= 0 for k in shape)
+            or not isinstance(sha256, str) or len(sha256) != 64):
+        raise DataFormatError(f"{where}: malformed reference {json.dumps(ref)[:200]}")
+    if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+            or os.path.basename(name) != name or (os.altsep and os.altsep in name)):
+        raise DataFormatError(f"{where}: {name!r} is not a file name in the artifact's directory")
+    header = _npy_header(shape)
+    nonblocking = getattr(os, "O_NONBLOCK", 0)  # opening a FIFO must not wait for a writer
+    try:
+        fh = open(os.path.join(os.path.dirname(path), name), "rb",
+                  opener=lambda file, flags: os.open(file, flags | nonblocking))
+    except OSError as exc:
+        raise DataFormatError(f"{where} {name!r}: cannot open ({exc.strerror})") from exc
+    with fh:
+        size = os.fstat(fh.fileno())
+        if not stat.S_ISREG(size.st_mode):
+            raise DataFormatError(f"{where} {name!r} is not a regular file")
+        expected = len(header) + shape[0] * shape[1] * _SIDECAR_DTYPE.itemsize
+        if size.st_size != expected:
+            raise DataFormatError(f"{where} {name!r} has {size.st_size} bytes; a {shape[0]} x "
+                                  f"{shape[1]} float64 .npy file has {expected}")
+        raw = np.empty(expected, dtype=np.uint8)
+        if fh.readinto(raw) != expected:
+            raise DataFormatError(f"{where} {name!r} shrank while it was read")
+    if raw[:len(header)].tobytes() != header:
+        raise DataFormatError(f"{where} {name!r}: .npy header does not match the reference's "
+                              f"C-order {shape[0]} x {shape[1]} <f8")
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise DataFormatError(f"{where} {name!r}: SHA-256 differs from the recorded one")
+    return raw[len(header):].view(_SIDECAR_DTYPE).reshape(shape)
+
+
+def _resolve_sidecars(value, path: str, field: str = "payload"):
+    """``value`` with every sidecar reference in it, at any depth, read into an array."""
+    if not isinstance(value, dict):
+        return value
+    if "npy" in value:
+        return _read_sidecar(path, field, value)
+    return {key: _resolve_sidecars(item, path, f"{field}.{key}") for key, item in value.items()}
+
+
 def load_artifact(path: str) -> StatsArtifact:
-    """Load an artifact; unknown schema versions are an explicit error."""
+    """Load an artifact and its sidecars; unknown schema versions are an explicit error."""
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
@@ -571,19 +678,25 @@ def load_artifact(path: str) -> StatsArtifact:
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise DataFormatError(f"{path}: not a statistics artifact")
     version = doc["schema_version"]
-    if version != ARTIFACT_SCHEMA_VERSION:
+    if version not in (1, ARTIFACT_SCHEMA_VERSION):
         raise ArtifactVersionError(
-            f"{path}: schema_version {version} is not supported (expected {ARTIFACT_SCHEMA_VERSION})"
+            f"{path}: schema_version {version} is not supported (expected 1 or "
+            f"{ARTIFACT_SCHEMA_VERSION})"
         )
     try:
-        return StatsArtifact(
-            kind=doc["kind"],
-            payload=doc["payload"],
-            provenance=doc.get("provenance", {}),
-            schema_version=version,
-        )
+        payload = doc["payload"]
+        kind = doc["kind"]
     except KeyError as exc:
         raise DataFormatError(f"{path}: artifact missing field {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: payload must be a JSON object, "
+                              f"got {type(payload).__name__}")
+    try:
+        payload = _resolve_sidecars(payload, path)
+    except RecursionError as exc:
+        raise DataFormatError(f"{path}: corrupt artifact (payload nested too deep)") from exc
+    return StatsArtifact(kind=kind, payload=payload, provenance=doc.get("provenance", {}),
+                         schema_version=version)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -478,6 +478,43 @@ def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, n
     assert not out.exists()
 
 
+def test_frame_rejects_torn_stats_sidecar(workdir, capsys):
+    # the covariance is a .npy file beside the JSON; a shorter one must not load
+    stats_path = str(workdir / "src.stats")
+    assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0
+    assert main(["stats", "--in", str(workdir / "tgt.emb"), "--out", str(workdir / "tgt.stats")]) == 0
+    sidecar = Path(stats_path + ".covariance.npy")
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
+    out = workdir / "frame.stats"
+    code = main(["frame", "--x", stats_path, "--y", str(workdir / "tgt.stats"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and "covariance sidecar" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_provenance_records_numpy_blas_and_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = str(tmp_path / "two.emb")
+    write_embeddings(EmbeddingSet(np.array([[1.0, 0, 0], [0, 1.0, 0]])), path)
+    runs = []
+    for name in ("one", "two"):
+        out = str(tmp_path / f"{name}.stats")
+        assert main(["stats", "--in", path, "--out", out]) == 0
+        runs.append(load_artifact(out).provenance)
+    first, second = runs
+    assert [first[k] for k in ("numpy", "blas", "threads")] == [
+        second[k] for k in ("numpy", "blas", "threads")]
+    assert first["numpy"] == np.__version__
+    assert set(first["blas"]) == {"name", "version"}
+    threads = first["threads"]
+    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                            "cpu_affinity"}
+    assert threads["OMP_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
+    assert threads["cpu_affinity"] >= 1
+
+
 def test_frame_rejects_stats_artifact_missing_a_field(workdir, capsys):
     stats_path = str(workdir / "src.stats")
     assert main(["stats", "--in", str(workdir / "src.emb"), "--out", stats_path]) == 0

@@ -538,7 +538,8 @@ class TestBlockwise:
         npt.assert_allclose(apply_blockwise(fresh, stats), blockwise_oracle(fresh, stats),
                             rtol=0, atol=1e-12)
         # JSON stores the 0 x 0 t_out as [], which must still load as 0 x 0
-        back = BlockwiseStats.from_payload(json.loads(json.dumps(stats.to_payload())))
+        back = BlockwiseStats.from_payload(json.loads(json.dumps(stats.to_payload(),
+                                                                 default=np.ndarray.tolist)))
         assert back.basis_out.shape == (8, 0) and back.t_out.shape == (0, 0)
         npt.assert_array_equal(apply_blockwise(fresh, back), apply_blockwise(fresh, stats))
 
