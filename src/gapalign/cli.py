@@ -293,19 +293,22 @@ def _cmd_diagnose(args):
     set_b = read_embeddings(args.b)
     mu_a = np.mean(set_a.data, axis=0, dtype=np.float64)
     mu_b = np.mean(set_b.data, axis=0, dtype=np.float64)
+    # the pairs are drawn and checked now, and scored off the kNN mixing pass's Gram tiles
     hist_a = cosine_histogram(set_a, num_pairs=args.pairs, bins=args.bins,
-                              smoothing=args.smoothing, seed=args.seed)
+                              smoothing=args.smoothing, seed=args.seed, deferred=True)
     hist_b = cosine_histogram(set_b, num_pairs=args.pairs, bins=args.bins,
-                              smoothing=args.smoothing, seed=args.seed + 1)
+                              smoothing=args.smoothing, seed=args.seed + 1, deferred=True)
     lam_a, spec_a = _spectrum_summary(set_a.data)
     lam_b, spec_b = _spectrum_summary(set_b.data)
+    gap = modality_gap(mu_a, mu_b)
+    mixing = knn_mixing_rate(set_a, set_b, k=args.k_mix, histograms=(hist_a, hist_b))
     report = {
         "rows_a": set_a.rows,
         "rows_b": set_b.rows,
-        "modality_gap": modality_gap(mu_a, mu_b),
+        "modality_gap": gap,
         "js_divergence_nats": js_divergence(hist_a, hist_b),
         "js_log_base": "natural",
-        "knn_mixing_rate": knn_mixing_rate(set_a, set_b, k=args.k_mix),
+        "knn_mixing_rate": mixing,
         "knn_mixing_definition": "pooled neighbors, fraction from the other set",
         "spectrum_a": spec_a,
         "spectrum_b": spec_b,

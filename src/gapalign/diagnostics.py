@@ -9,22 +9,26 @@ and a sample-complexity sweep for alignment calibration.
 Every sampled metric takes an explicit seed and is deterministic under
 it.  The histogram and kNN metrics never widen a whole input set: they
 read float32 or float64 rows in place and widen to float64 one block or
-tile at a time.  The cosine histogram gathers and scores its sampled
-pairs ``_PAIR_BLOCK`` at a time, so its working memory is bounded by
-that block size rather than by ``num_pairs x d``.  Nearest neighbors
-use exact pairwise distances, formed in square tiles of ``_TILE`` rows
-a side and merged into a running k nearest per row, with ties broken
-toward the lower index; memory beyond the inputs is O(tile^2 + n k).
-This is meant for desk-scale inputs (up to around 1e5 rows), not
-approximate search.  The histogram and kNN metrics reject input with a
-non-finite value by raising ``DataFormatError`` that names the first
-such row.
+tile at a time.  A cosine histogram scores its sampled pairs by one of
+two routes with the same counts.  Standalone, it gathers and scores them
+``_PAIR_BLOCK`` at a time, so its working memory is bounded by that
+block size rather than by ``num_pairs x d``.  Deferred and handed to
+``knn_mixing_rate``, it reads each pair's dot product off the Gram tile
+of the pooled kNN pass that holds it, and gathers only pairs whose tile
+cosine lies within a round-off margin of a bin edge (``_PairSample``).
+Nearest neighbors use exact pairwise distances, formed in square tiles
+of ``_TILE`` rows a side and merged into a running k nearest per row,
+with ties broken toward the lower index; memory beyond the inputs is
+O(tile^2 + n k).  This is meant for desk-scale inputs (up to around 1e5
+rows), not approximate search.  The histogram and kNN metrics reject
+input with a non-finite value by raising ``DataFormatError`` that names
+the first such row.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,16 +43,25 @@ _PAIR_BLOCK = 1024  # sampled pairs gathered and scored at a time
 # (k = 20, 2-core host) 512/768/1,024/1,536-row tiles took 1.30/1.20/1.23/1.30 s.
 _TILE = 1024
 _NO_INDEX = np.iinfo(np.int64).max  # pads a merge row past its candidates
+# Rows with norms in this range keep every square, product and partial sum of
+# their dot products finite, and the error of those that underflow below
+# 2^-115 d |x||y|, negligible beside the round-off bound in ``_PairSample``.
+_NORMAL_NORMS = (2.0**-480, 2.0**480)
 
 
 @dataclass
 class CosineHistogram:
-    """Normalized histogram of sampled pairwise cosines on a fixed [-1, 1] grid."""
+    """Normalized histogram of sampled pairwise cosines on a fixed [-1, 1] grid.
+
+    A deferred histogram (``cosine_histogram(..., deferred=True)``) has
+    ``masses`` None until ``knn_mixing_rate`` scores its pairs.
+    """
 
     bin_edges: np.ndarray
-    masses: np.ndarray
+    masses: np.ndarray | None
     pair_count: int
     sampling_seed: int
+    _pending: _PairSample | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -87,12 +100,127 @@ def _finite_rows(rows, name: str) -> np.ndarray:
     return data
 
 
+class _PairSample:
+    """One set's seeded index pairs and the bin counts of their cosines.
+
+    A pair's cosine is its float64 dot product over the product of the
+    two row norms, clipped to [-1, 1].  ``gathered`` forms the dot
+    product from the two rows gathered and widened; the tile route
+    (``sort_into_tiles``, then ``score_tile`` on each Gram tile of a
+    pooled kNN pass) reads it off the tile instead.  The two summation
+    orders differ, but each lies within gamma_d * |x||y| of the exact dot
+    product, gamma_d = d u / (1 - d u) with u = 2^-53 (Higham, "Accuracy
+    and Stability of Numerical Algorithms", 2002, sec. 3.1), and |x||y|
+    exceeds the norm product both routes divide by by at most (d + 3) u,
+    relative.  Each division adds u, so the two cosines differ by at most
+    about 2 (d + 1) u; ``margin`` is twice that, 4 (d + 2) u.  The bin of
+    a clipped cosine is monotone in the cosine, so a tile cosine farther
+    than the margin from every bin edge, +-1 included, bins as the
+    gathered one does.  Other pairs, non-finite ones and pairs with a
+    row norm outside ``_NORMAL_NORMS`` (where underflow or overflow
+    voids the bound) are re-scored by ``gathered``.  So the counts are
+    the gather route's, bit for bit, on any BLAS.
+    """
+
+    def __init__(self, rows, num_pairs: int, bins: int, smoothing: bool, seed: int):
+        data = _finite_rows(rows, "rows")
+        n = data.shape[0]
+        if n < 2:
+            raise DataFormatError("need at least 2 rows to form pairs")
+        if bins < 8:
+            raise ValueError("use at least 8 bins")
+        if num_pairs <= 0:
+            raise ValueError(f"num_pairs must be positive, got {num_pairs}")
+        norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
+                                for block in row_blocks(n)])
+        if np.any(norms == 0):
+            raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=num_pairs)
+        j = (i + rng.integers(1, n, size=num_pairs)) % n
+        index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        self.data, self.norms, self.i, self.j = data, norms, i.astype(index), j.astype(index)
+        self.normal = (norms >= _NORMAL_NORMS[0]) & (norms <= _NORMAL_NORMS[1])
+        self.margin = 4 * (data.shape[1] + 2) * 2.0**-53
+        self.edges = np.linspace(-1.0, 1.0, bins + 1)
+        self.counts = np.zeros(bins, dtype=np.int64)
+        self.pair_count, self.smoothing = num_pairs, smoothing
+
+    def gathered(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Cosines of the pairs ``(i, j)``, from rows gathered ``_PAIR_BLOCK`` pairs at a time."""
+        cos = np.empty(i.size)
+        for start in range(0, i.size, _PAIR_BLOCK):
+            ii, jj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+            left = self.data[ii].astype(np.float64, copy=False)
+            right = self.data[jj].astype(np.float64, copy=False)
+            cos[start:start + _PAIR_BLOCK] = (np.einsum("ij,ij->i", left, right)
+                                              / (self.norms[ii] * self.norms[jj]))
+        return cos
+
+    def count(self, cos: np.ndarray) -> None:
+        self.counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=self.edges)[0]
+
+    def sort_into_tiles(self, spans, base: int) -> None:
+        """Trade the pairs for their offsets in the Gram tiles of a pooled pass over ``spans``.
+
+        The set's rows are the pooled rows from ``base`` on.  A pair is read
+        at (lower row, higher row) of the tile of their spans, tiles being
+        the span pairs (a, b) with a <= b.  ``offsets`` holds each tile's
+        pairs contiguously (int32: a tile has at most ``(chunk + 2)^2``
+        entries), and ``tiles`` maps a tile's first row and column to
+        their slice.
+        """
+        m, size = len(spans), spans[0][1]  # every span but the last is ``size`` rows wide
+        widths = np.array([hi - lo for lo, hi in spans])
+        p = np.minimum(self.i, self.j).astype(np.int64) + base
+        q = np.maximum(self.i, self.j).astype(np.int64) + base
+        sp, sq = np.minimum(p // size, m - 1), np.minimum(q // size, m - 1)
+        tile = sp * m + sq
+        offsets = (p - sp * size) * widths[sq] + (q - sq * size)
+        self.offsets = offsets[np.argsort(tile)].astype(np.int32)
+        ends = np.cumsum(np.bincount(tile, minlength=m * m)).tolist()
+        self.tiles = {(spans[t // m][0], spans[t % m][0]): slice(start, end)
+                      for t, (start, end) in enumerate(zip([0] + ends, ends)) if start < end}
+        self.base = base
+        self.i = self.j = None
+
+    def score_tile(self, lo_a: int, lo_b: int, gram: np.ndarray) -> None:
+        """Count the pairs read off ``gram``, the dot products of pooled rows lo_a.. by lo_b.."""
+        part = self.tiles.get((lo_a, lo_b))
+        if part is None:
+            return
+        offsets = self.offsets[part]
+        i, j = np.divmod(offsets, gram.shape[1])
+        i += lo_a - self.base
+        j += lo_b - self.base
+        cos = gram.reshape(-1)[offsets] / (self.norms[i] * self.norms[j])
+        bins = self.counts.size
+        with np.errstate(invalid="ignore"):  # a non-finite cosine casts to some index
+            at = np.clip(((cos + 1.0) * (0.5 * bins)).astype(np.intp), 0, bins - 1)
+        # the test is against bin at's own edges, so a cosine counted into it lies
+        # inside it, and one the rounded estimate misplaced is re-scored
+        clear = np.minimum(cos - self.edges[at], self.edges[at + 1] - cos) > self.margin
+        clear &= self.normal[i] & self.normal[j]
+        self.counts += np.bincount(at[clear], minlength=bins)
+        self.count(self.gathered(i[~clear], j[~clear]))
+
+    def masses(self) -> np.ndarray:
+        masses = self.counts / float(self.pair_count)
+        if self.smoothing:
+            kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
+            masses = np.convolve(masses, kernel / kernel.sum(), mode="same")
+            masses = masses / masses.sum()
+        return masses
+
+
 def cosine_histogram(
     rows,
     num_pairs: int = 200_000,
     bins: int = 201,
     smoothing: bool = False,
     seed: int = 0,
+    *,
+    deferred: bool = False,
 ) -> CosineHistogram:
     """Histogram the cosines of uniformly sampled distinct index pairs.
 
@@ -100,40 +228,21 @@ def cosine_histogram(
     generator, so the metric is reproducible and costs O(num_pairs)
     instead of O(N^2).  ``smoothing`` convolves the masses with a small
     triangular kernel (half-width 2 bins) and renormalizes.
+
+    The input is checked and the pairs drawn here either way.  By
+    default they are scored here too, from gathered rows.  A
+    ``deferred`` histogram has ``masses`` None until it is passed to
+    ``knn_mixing_rate(..., histograms=...)`` with the same ``rows``,
+    whose O(N^2) pooled pass reads each pair's dot product off its Gram
+    tiles; the masses are bitwise the gathered ones (``_PairSample``).
     """
-    data = _finite_rows(rows, "rows")
-    n = data.shape[0]
-    if n < 2:
-        raise DataFormatError("need at least 2 rows to form pairs")
-    if bins < 8:
-        raise ValueError("use at least 8 bins")
-    if num_pairs <= 0:
-        raise ValueError(f"num_pairs must be positive, got {num_pairs}")
-    norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
-                            for block in row_blocks(n)])
-    if np.any(norms == 0):
-        raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")
-
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=num_pairs)
-    j = (i + rng.integers(1, n, size=num_pairs)) % n
-
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    for start in range(0, num_pairs, _PAIR_BLOCK):
-        ii = i[start:start + _PAIR_BLOCK]
-        jj = j[start:start + _PAIR_BLOCK]
-        left = data[ii].astype(np.float64, copy=False)
-        right = data[jj].astype(np.float64, copy=False)
-        cos = np.einsum("ij,ij->i", left, right) / (norms[ii] * norms[jj])
-        counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=edges)[0]
-    masses = counts / float(num_pairs)
-    if smoothing:
-        kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-        masses = np.convolve(masses, kernel / kernel.sum(), mode="same")
-        masses = masses / masses.sum()
-    return CosineHistogram(bin_edges=edges, masses=masses, pair_count=num_pairs,
-                           sampling_seed=seed)
+    sample = _PairSample(rows, num_pairs, bins, smoothing, seed)
+    hist = CosineHistogram(bin_edges=sample.edges, masses=None, pair_count=num_pairs,
+                           sampling_seed=seed, _pending=sample)
+    if not deferred:
+        sample.count(sample.gathered(sample.i, sample.j))
+        hist.masses, hist._pending = sample.masses(), None
+    return hist
 
 
 def js_divergence(p: CosineHistogram, q: CosineHistogram) -> float:
@@ -219,7 +328,7 @@ def _merge_tile(best_d, best_i, d2, col0: int, k: int, spare: np.ndarray):
     return np.take_along_axis(dist, keep, axis=1), np.take_along_axis(index, keep, axis=1)
 
 
-def _neighbor_indices(points, k: int, chunk: int = _TILE) -> np.ndarray:
+def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.ndarray:
     """Exact k nearest neighbors of every row among all other rows.
 
     ``points`` is one matrix or a tuple of matrices read as their row
@@ -237,6 +346,11 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE) -> np.ndarray:
     ``argsort`` of each full distance row.  Memory beyond the inputs is
     O(chunk^2 + n k).  Inputs must be finite.  Returns an (n, k) index
     array, nearest first.
+
+    ``on_tile(lo_a, lo_b, gram)``, if given, sees each Gram tile of dot
+    products between the ranges starting at rows ``lo_a <= lo_b`` before
+    it is used, and must not change it.  Deferred cosine histograms
+    score their pairs there (``_PairSample``).
     """
     parts = points if isinstance(points, tuple) else (points,)
     spans = _spans(sum(part.shape[0] for part in parts), chunk)
@@ -253,6 +367,8 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE) -> np.ndarray:
             shape = (hi_a - lo_a, hi_b - lo_b)
             gram, d2 = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
             np.matmul(rows_a, rows_b.T, out=gram)
+            if on_tile is not None:
+                on_tile(lo_a, lo_b, gram)
             gram *= 2.0
             np.add.outer(sq[lo_a:hi_a], sq[lo_b:hi_b], out=d2)
             d2 -= gram
@@ -265,12 +381,17 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE) -> np.ndarray:
     return np.vstack([index for _, index in best])
 
 
-def knn_mixing_rate(rows_a, rows_b, k: int = 20) -> float:
+def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
     """Mean fraction of cross-modality points among each point's k neighbors.
 
     Both sets are pooled, in place: neighbors are found over their row
     concatenation without copying it.  Around 0.5 for equal-size samples
     of the same distribution, near 0 for well-separated clouds.
+
+    ``histograms`` holds deferred cosine histograms of ``rows_a`` and
+    ``rows_b``, in that order (None skips one).  The pooled pass scores
+    their pairs off its Gram tiles and fills in their masses, which equal
+    those of the same histograms scored standalone, bit for bit.
     """
     a = _finite_rows(rows_a, "rows_a")
     b = _finite_rows(rows_b, "rows_b")
@@ -279,7 +400,22 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20) -> float:
     n = a.shape[0] + b.shape[0]
     if not 0 < k < n:
         raise ValueError(f"k={k} must be positive and smaller than the pooled size {n}")
-    nn = _neighbor_indices((a, b), k)
+    pending = [(hist, rows, base) for hist, rows, base in zip(histograms, (a, b), (0, a.shape[0]))
+               if hist is not None]
+    for hist, rows, _ in pending:
+        if hist._pending is None or hist._pending.data is not rows:
+            raise ValueError("histograms must be deferred histograms of rows_a and rows_b")
+    spans = _spans(n, _TILE)
+    for hist, _, base in pending:
+        hist._pending.sort_into_tiles(spans, base)
+
+    def score(lo_a, lo_b, gram):
+        for hist, _, _ in pending:
+            hist._pending.score_tile(lo_a, lo_b, gram)
+
+    nn = _neighbor_indices((a, b), k, _TILE, on_tile=score)  # the tiles ``spans`` names
+    for hist, _, _ in pending:
+        hist.masses, hist._pending = hist._pending.masses(), None
     # pooled index i lies in the second set when i >= len(a)
     other = (nn >= a.shape[0]) != (np.arange(n) >= a.shape[0])[:, None]
     return float(other.mean())

@@ -50,6 +50,7 @@ scalar types.  Every failure is a ``DataFormatError``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -83,6 +84,7 @@ _SIDECAR_KEYS = {"npy", "shape", "dtype", "sha256"}
 # at 8,192; blockwise estimate/apply took 3.5/1.6 s at 1,024 rows and
 # 3.6/1.9 s at 8,192, while 256 rows slowed the covariance GEMMs.
 _ROW_BLOCK = 1024
+_STREAM_CHUNK = 1 << 20  # bytes read from an emb1 stream at a time
 
 
 def row_blocks(n: int) -> Iterator[slice]:
@@ -286,6 +288,9 @@ def _read_header(fh, path: str):
         raise DataFormatError(f"{path}: header dims must be >= 1, got {dims}")
     if reserved != 0:
         raise DataFormatError(f"{path}: reserved header field must be 0")
+    if rows * dims * _DTYPE_CODES[code].itemsize > np.iinfo(np.intp).max:
+        raise DataFormatError(f"{path}: header claims {rows} x {dims} values, more bytes "
+                              f"than can be addressed")
     return _DTYPE_CODES[code], rows, dims
 
 
@@ -297,6 +302,26 @@ def _payload_size(fh) -> int | None:
     """
     st = os.fstat(fh.fileno())
     return st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else None
+
+
+def _read_rows(fh, rows: int, dims: int, dtype, stream: bool) -> np.ndarray | None:
+    """The next ``rows`` rows of ``fh`` as a new array; None if the file ends first.
+
+    A regular file, whose size was checked against its header, is read
+    into one allocation.  A stream is read ``_STREAM_CHUNK`` bytes at a
+    time, so memory grows with the bytes that arrive, not with the rows
+    its header claims.
+    """
+    if not stream:
+        data = np.empty((rows, dims), dtype=dtype)
+        return data if fh.readinto(data) == data.nbytes else None
+    want, buf = rows * dims * dtype.itemsize, bytearray()
+    while len(buf) < want:
+        chunk = fh.read(min(_STREAM_CHUNK, want - len(buf)))
+        if not chunk:
+            return None
+        buf += chunk
+    return np.frombuffer(buf, dtype=dtype).reshape(rows, dims)
 
 
 def _native(payload: np.ndarray) -> np.ndarray:
@@ -362,13 +387,16 @@ def _read_emb1_payload(fh, path: str, rows: slice | None, out: np.ndarray | None
     hi = max(lo, hi)
     if step != 1:
         raise ValueError("only contiguous row ranges can be read")
-    if out is None:
-        out = np.empty((hi - lo, dims), dtype=dtype)
-    elif out.shape != (hi - lo, dims) or out.dtype != dtype or not out.flags.c_contiguous:
+    if out is not None and (out.shape != (hi - lo, dims) or out.dtype != dtype
+                            or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous {dtype} array of shape {(hi - lo, dims)}")
     if lo:
         fh.seek(lo * dims * dtype.itemsize, os.SEEK_CUR)
-    if fh.readinto(out) != out.nbytes or (hi == n and fh.read(1)):
+    if out is None:
+        out = _read_rows(fh, hi - lo, dims, dtype, stream=_payload_size(fh) is None)
+    elif fh.readinto(out) != out.nbytes:
+        out = None
+    if out is None or (hi == n and fh.read(1)):
         raise DataFormatError(f"{path}: payload is not the {n * dims * dtype.itemsize} bytes "
                               f"the header implies")
     return lo, _native(out)
@@ -467,8 +495,8 @@ def iter_embedding_batches(
         seen = 0
         while seen < rows:
             take = min(batch_rows, rows - seen)
-            data = np.empty((take, dims), dtype=dtype)
-            if fh.readinto(data) != take * row_bytes:
+            data = _read_rows(fh, take, dims, dtype, stream=size is None)
+            if data is None:
                 raise DataFormatError(f"{path}: truncated payload at row {seen}")
             batch = EmbeddingSet(_native(data), modality_tag)
             batch.validate_finite(row_offset=seen)
@@ -592,8 +620,38 @@ def _write_sidecar(path: str, matrix: np.ndarray) -> dict:
             "dtype": _SIDECAR_DTYPE.str, "sha256": digest.hexdigest()}
 
 
+def _listed_sidecars(path: str) -> set:
+    """Names of this artifact's own sidecars that the JSON now at ``path`` lists.
+
+    Only names of the form ``<json name>.<...>.npy`` count.  A missing or
+    unreadable JSON lists none, and nothing but a regular file is opened.
+    """
+    if not os.path.isfile(path):
+        return set()
+    try:
+        with open(path, "r") as fh:
+            stack = [json.load(fh)]
+    except (OSError, ValueError, RecursionError):
+        return set()
+    names, own = set(), os.path.basename(path) + "."
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            name = value.get("npy")
+            if (isinstance(name, str) and name.startswith(own) and name.endswith(".npy")
+                    and os.path.basename(name) == name):
+                names.add(name)
+            stack.extend(value.values())
+    return names
+
+
 def save_artifact(artifact: StatsArtifact, path: str) -> None:
-    """Write the payload's non-empty 2-D arrays as sidecars, then the JSON naming them."""
+    """Write the payload's non-empty 2-D arrays as sidecars, then the JSON naming them.
+
+    Sidecars that the JSON being replaced listed and the new one does not
+    are deleted once the new JSON is in place.
+    """
+    replaced, written = _listed_sidecars(path), set()
 
     def encode(value, stem):
         if isinstance(value, dict):
@@ -601,7 +659,9 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
         if not isinstance(value, np.ndarray):
             return value
         if value.ndim == 2 and value.size:
-            return _write_sidecar(f"{stem}.npy", value)
+            ref = _write_sidecar(f"{stem}.npy", value)
+            written.add(ref["npy"])
+            return ref
         return value.tolist()
 
     doc = {
@@ -612,6 +672,9 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
     }
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     _atomic_write(path, lambda fh: fh.write(text.encode()))
+    for name in replaced - written:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(os.path.dirname(path), name))
 
 
 def _read_sidecar(path: str, field: str, ref: dict) -> np.ndarray:

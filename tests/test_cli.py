@@ -1,6 +1,9 @@
+import contextlib
 import json
+import os
 import shutil
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,12 +18,15 @@ from gapalign import (
     ReferenceFrame,
     apply_blockwise,
     apply_c3_baseline,
+    cosine_histogram,
+    js_divergence,
+    knn_mixing_rate,
     load_artifact,
     read_embeddings,
     substitution_operator,
     write_embeddings,
 )
-from gapalign.cli import main
+from gapalign.cli import _write_csv, main
 from gapalign.moments import ModalityStats
 
 
@@ -188,6 +194,43 @@ def test_oversized_header_is_a_data_error(workdir, capsys, command, rows, dims):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("gapalign: ") and "huge.emb" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,rows,dims", [
+    ("stats", 5, 2**32 - 1), ("anchor-only", 5, 2**32 - 1),
+    ("stats", 2**62, 2**20), ("realign", 2**62, 2**20),
+])
+def test_emb1_pipe_claiming_more_than_arrives_is_a_data_error(workdir, capsys, command, rows, dims):
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as fh:
+            fh.write(struct.pack("<4sIIQII", b"EMB1", 1, 0, rows, dims, 0) + b"\0" * 4096)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    path = f"/dev/fd/{read_fd}"
+    if command == "stats":
+        argv = ["stats", "--in", path, "--out", str(workdir / "pipe.stats")]
+    else:
+        argv = ["align", "--method", command, "--in", path, "--out", str(workdir / "pipe.emb"),
+                "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
+    try:
+        assert main(argv) == 2
+    finally:
+        writer.join(timeout=10)
+        os.close(read_fd)
+    assert not writer.is_alive()
+    err = capsys.readouterr().err
+    assert err.startswith(f"gapalign: {path}: ") and "Traceback" not in err
+
+
+def test_stats_overwrite_without_covariance_leaves_no_covariance_sidecar(workdir):
+    out = str(workdir / "s.json")
+    assert main(["stats", "--in", str(workdir / "src.emb"), "--out", out]) == 0
+    assert (workdir / "s.json.covariance.npy").is_file()
+    assert main(["stats", "--no-cov", "--in", str(workdir / "src.emb"), "--out", out]) == 0
+    assert sorted(p.name for p in workdir.glob("s.json*")) == ["s.json"]
 
 
 @pytest.mark.parametrize("method", ["realign", "blockwise"])
@@ -650,6 +693,56 @@ def test_diagnose_deterministic_given_seed(workdir):
         doc.pop("provenance")
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
+    rng = np.random.default_rng(12)
+    a = unit_rows(rng.standard_normal((700, 12)) + 0.2).astype(np.float32)
+    b = unit_rows(rng.standard_normal((650, 12))).astype(np.float32)
+    a[10:20], a[30:35] = a[:10], -a[40:45]
+    b[:8], b[50:54] = b[100:108], -b[60:64]
+    paths = [str(tmp_path / name) for name in ("a.emb", "b.emb")]
+    for rows, path in zip((a, b), paths):
+        write_embeddings(EmbeddingSet(rows), path)
+    plots = tmp_path / "plots"
+    assert main(["diagnose", "--a", paths[0], "--b", paths[1], "--report", str(tmp_path / "r.json"),
+                 "--plots-dir", str(plots), "--pairs", "20000", "--seed", "3"]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    hist_a = cosine_histogram(a, num_pairs=20000, seed=3)
+    hist_b = cosine_histogram(b, num_pairs=20000, seed=4)
+    assert doc["js_divergence_nats"] == js_divergence(hist_a, hist_b)
+    assert doc["knn_mixing_rate"] == knn_mixing_rate(a, b, k=20)
+    mids = 0.5 * (hist_a.bin_edges[:-1] + hist_a.bin_edges[1:])
+    expected = str(tmp_path / "expected.csv")
+    _write_csv(expected, ["bin_center", "mass_a", "mass_b"],
+               list(zip(mids.tolist(), hist_a.masses.tolist(), hist_b.masses.tolist())))
+    assert (plots / "cosine_hist.csv").read_bytes() == Path(expected).read_bytes()
+
+
+@pytest.mark.parametrize("extra,code,message", [
+    (["--bins", "4"], 2, "use at least 8 bins"),
+    (["--pairs", "-1"], 2, "num_pairs must be positive, got -1"),
+    (["--k-mix", "0"], 2, "k=0 must be positive and smaller than the pooled size 3000"),
+    (["--k-mix", "3000"], 2, "k=3000 must be positive and smaller than the pooled size 3000"),
+    (["zero-norm"], 3, "numerical degeneracy: zero-norm row 4"),
+    (["non-finite"], 2, "non-finite value in row 9"),
+    (["other-dims"], 2, "centroids have mismatched shapes"),
+])
+def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, extra, code, message):
+    a = str(workdir / "src.emb")
+    if extra[0] in ("zero-norm", "non-finite", "other-dims"):
+        rows = read_embeddings(a).data.copy()
+        if extra[0] == "other-dims":
+            rows = rows[:, :5]
+        else:
+            rows[4 if extra[0] == "zero-norm" else 9] = 0.0 if extra[0] == "zero-norm" else np.inf
+        a, extra = str(workdir / "bad.emb"), []
+        write_embeddings(EmbeddingSet(rows), a)
+    report = workdir / "diag.json"
+    assert main(["diagnose", "--a", a, "--b", str(workdir / "tgt.emb"),
+                 "--report", str(report), *extra]) == code
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_simulate_writes_trace(tmp_path):

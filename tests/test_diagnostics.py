@@ -1,10 +1,11 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,8 +26,9 @@ from gapalign import (
     substitution_operator,
     write_embeddings,
 )
+from gapalign import diagnostics
 from gapalign.cli import main
-from gapalign.diagnostics import _has_duplicate_rows, _neighbor_indices
+from gapalign.diagnostics import _has_duplicate_rows, _neighbor_indices, _PairSample
 
 
 def unit_rows(rows):
@@ -158,6 +160,39 @@ def rows_with_planted_twins(draw):
         if twin == "signed_zero":
             rows[src, 0], rows[dst, 0] = 0.0, -0.0
     return rows.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+@st.composite
+def histogram_sets(draw):
+    """Two sets with duplicated and negated rows, a tile size, k, and histogram settings.
+
+    Rows are small integers, whose cosines often sit exactly on a bin
+    edge or at +-1, or Gaussian.  Float64 rows may be scaled to norms
+    where squares and products underflow or overflow.  Random tile sizes
+    put sampled pairs in diagonal tiles and in off-diagonal tiles with
+    either row first.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    integer = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = 1.0
+    if dtype == np.float64:
+        scale = draw(st.sampled_from([1.0, 2.0**-530, 2.0**-490, 2.0**500]))
+
+    def rows(n):
+        x = rng.integers(-2, 3, size=(n, d)) if integer else rng.normal(size=(n, d))
+        x[~x.any(axis=1), 0] = 1.0
+        copies = rng.random(n) < 0.3
+        x[copies] = x[rng.integers(0, n, copies.sum())] * rng.choice([1.0, -1.0], (copies.sum(), 1))
+        return (x * scale).astype(dtype)
+
+    a, b = rows(draw(st.integers(2, 30))), rows(draw(st.integers(2, 30)))
+    assume(all(np.linalg.norm(x, axis=1).all() for x in (a, b)))  # squares may underflow to 0
+    n = len(a) + len(b)
+    return (a, b, draw(st.integers(1, n + 2)), draw(st.integers(1, n - 1)),
+            draw(st.integers(8, 24)), draw(st.integers(1, 400)), draw(st.integers(0, 2**31)),
+            draw(st.booleans()))
 
 
 class TestModalityGap:
@@ -364,6 +399,93 @@ class TestKnnMixing:
         a, b = rng.normal(size=(50, 8)), rng.normal(size=(50, 8))
         with pytest.raises(DataFormatError, match="row 4 of rows_b"):
             knn_mixing_rate(a, with_nan(b, 4, 2), k=5)
+
+
+class TestTileScoredHistograms:
+    """Deferred histograms scored off the pooled kNN pass's Gram tiles."""
+
+    @staticmethod
+    def fused(a, b, k, chunk, seed, **hist):
+        """Mixing rate and both deferred histograms from one pooled pass over ``chunk`` rows."""
+        with mock.patch.object(diagnostics, "_TILE", chunk):
+            hists = [cosine_histogram(x, seed=seed + s, deferred=True, **hist)
+                     for s, x in enumerate((a, b))]
+            return knn_mixing_rate(a, b, k=k, histograms=hists), hists
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_sets())
+    def test_masses_and_mixing_bitwise_the_standalone_calls(self, case):
+        a, b, chunk, k, bins, num_pairs, seed, smoothing = case
+        mixing, hists = self.fused(a, b, k, chunk, seed, num_pairs=num_pairs, bins=bins,
+                                   smoothing=smoothing)
+        with mock.patch.object(diagnostics, "_TILE", chunk):
+            assert mixing == knn_mixing_rate(a, b, k=k)
+        for s, (x, hist) in enumerate(zip((a, b), hists)):
+            alone = cosine_histogram(x, num_pairs=num_pairs, bins=bins, smoothing=smoothing,
+                                     seed=seed + s)
+            assert np.array_equal(hist.masses, alone.masses)
+            assert hist.pair_count == num_pairs and hist._pending is None
+
+    def test_tile_dot_products_pushed_half_the_margin_bin_as_gathered(self, monkeypatch):
+        # Integer rows put many cosines exactly on the edges at 0 and +-0.5 of an
+        # 8-bin grid.  Every tile dot product moves half the margin toward its
+        # nearest edge, and one on an edge moves below it: pairs within the
+        # margin must be re-scored from gathered rows, and the rest keep their bins.
+        rng = np.random.default_rng(40)
+        d, bins = 3, 8
+        a, b = (rng.integers(-1, 2, size=(n, d)).astype(np.float64) for n in (45, 38))
+        for x in (a, b):
+            x[~x.any(axis=1), 0] = 1.0
+        norms = np.linalg.norm(np.vstack([a, b]), axis=1)
+        edges = np.linspace(-1.0, 1.0, bins + 1)
+        half_margin = 2 * (d + 2) * 2.0**-53
+        score_tile = _PairSample.score_tile
+
+        def pushed(sample, lo_a, lo_b, gram):
+            scale = np.outer(norms[lo_a:lo_a + gram.shape[0]], norms[lo_b:lo_b + gram.shape[1]])
+            cos = gram / scale
+            at = np.clip(np.searchsorted(edges, cos, side="right"), 1, bins)
+            down = cos - edges[at - 1] <= edges[at] - cos
+            score_tile(sample, lo_a, lo_b, gram + np.where(down, -half_margin, half_margin) * scale)
+
+        monkeypatch.setattr(_PairSample, "score_tile", pushed)
+        _, hists = self.fused(a, b, 10, 16, 8, num_pairs=3000, bins=bins)
+        for s, (x, hist) in enumerate(zip((a, b), hists)):
+            alone = _PairSample(x, 3000, bins, False, 8 + s)
+            cos = alone.gathered(alone.i, alone.j)
+            # the push moves some pairs across an edge unless they are re-scored
+            assert np.min(np.abs(cos[:, None] - edges[1:-1]), axis=1).min() < half_margin
+            assert np.array_equal(hist.masses, cosine_histogram(x, 3000, bins, seed=8 + s).masses)
+
+    def test_one_set_deferred(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(60, 5)), rng.normal(size=(70, 5)) + 0.5
+        hist = cosine_histogram(b, num_pairs=500, seed=2, deferred=True)
+        assert hist.masses is None
+        assert knn_mixing_rate(a, b, k=5, histograms=(None, hist)) == knn_mixing_rate(a, b, k=5)
+        assert np.array_equal(hist.masses, cosine_histogram(b, num_pairs=500, seed=2).masses)
+
+    def test_histogram_of_another_set_rejected(self):
+        rng = np.random.default_rng(42)
+        a, b = rng.normal(size=(60, 5)), rng.normal(size=(70, 5))
+        deferred = cosine_histogram(a, num_pairs=50, deferred=True)
+        with pytest.raises(ValueError, match="deferred histograms of rows_a and rows_b"):
+            knn_mixing_rate(a, b, k=5, histograms=(None, deferred))
+        with pytest.raises(ValueError, match="deferred histograms of rows_a and rows_b"):
+            knn_mixing_rate(a, b, k=5, histograms=(cosine_histogram(a, num_pairs=50), None))
+
+    def test_peak_memory_within_4_mib_of_mixing_alone(self):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(4000, 768)).astype(np.float32)
+        b = (rng.normal(size=(4000, 768)) + 0.1).astype(np.float32)
+        alone = traced_peak(knn_mixing_rate, a, b)
+
+        def fused():
+            hists = [cosine_histogram(x, num_pairs=200_000, seed=s, deferred=True)
+                     for s, x in enumerate((a, b))]
+            knn_mixing_rate(a, b, histograms=hists)
+
+        assert traced_peak(fused) <= alone + 4 * 2**20
 
 
 class TestKnnOverlap:

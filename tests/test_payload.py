@@ -224,6 +224,24 @@ def test_interrupted_overwrite_never_mixes_two_artifacts(tmp_path, monkeypatch):
     _assert_same_bits(_load(cls, _save(b, path)).to_payload(), b.to_payload())
 
 
+def test_overwrite_deletes_only_the_listed_sidecars_it_no_longer_names(tmp_path):
+    cls, payload = SAMPLES["modality_stats"]
+    full = cls.from_payload(payload)
+    path = _save(full, tmp_path / "a.json")
+    # files beside the artifact that its JSON does not list, or that are not its own
+    (tmp_path / "a.json.spare.npy").write_bytes(b"x")
+    (tmp_path / "b.json.covariance.npy").write_bytes(b"x")
+    doc = json.loads(Path(path).read_text())
+    doc["payload"]["stray"] = {"npy": "b.json.covariance.npy"}
+    Path(path).write_text(json.dumps(doc))
+    _save(ModalityStats(mean=full.mean, trace=full.trace, n=full.n), path)
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "a.json.spare.npy", "b.json.covariance.npy"]
+    _save(full, path)
+    Path(path).write_text("{not json")
+    _save(ModalityStats(mean=full.mean, trace=full.trace, n=full.n), path)
+    assert "a.json.covariance.npy" in os.listdir(tmp_path)
+
+
 def _write_npy(path, array, **header):
     """``array``'s bytes under a v1.0 header that may claim another shape or dtype."""
     fields = np.lib.format.header_data_from_array_1_0(array)
