@@ -10,11 +10,9 @@ whose analytic gradients double as a verification oracle.
 from .contrastive import (
     ContrastiveBatch,
     CouplingEstimate,
-    anchor_gradients,
     estimate_coupling,
     grad_anchor,
     grad_candidate,
-    infonce_loss,
     leakage_bound_check,
     moment_identity_check,
 )
@@ -62,10 +60,8 @@ from .moments import (
 from .realign import (
     AlignmentStats,
     BlockwiseStats,
-    anchor_shift,
+    C3Baseline,
     apply_blockwise,
-    apply_c3_baseline,
-    apply_realign,
     estimate_blockwise,
     estimate_realign,
     substitution_operator,

@@ -67,15 +67,8 @@ from .moments import (
     shrink,
     stats_of,
 )
-from .realign import (
-    AlignmentStats,
-    BlockwiseStats,
-    apply_blockwise,
-    apply_c3_baseline,
-    estimate_blockwise,
-    estimate_realign,
-    substitution_operator,
-)
+from .realign import (AlignmentStats, BlockwiseStats, C3Baseline, estimate_blockwise,
+                      estimate_realign)
 from .simulator import SimulatorConfig, gap_necessity_ablation, run_toy_training
 from .spectral import condition_number, effective_rank, power_law_alpha, sym_eig
 
@@ -221,22 +214,38 @@ def _cmd_decompose(args):
 # ---------------------------------------------------------------- align
 
 
-def _calibration_stats(args):
+_FITTED = {"realign": (AlignmentStats,), "blockwise": (BlockwiseStats,)}
+
+
+def _operator(args):
+    """The operator of ``--method``: loaded from ``--stats`` or fitted to the calibration files.
+
+    c3 and anchor-only fit nothing; they take the means of either.
+    """
     if args.stats:
-        return _load_payload(args.stats, AlignmentStats, BlockwiseStats)
-    if not (args.calib_src and args.calib_tgt):
+        op = _load_payload(args.stats, *_FITTED.get(args.method, (AlignmentStats, BlockwiseStats)))
+        if args.method in _FITTED:
+            return op
+        mu_src, mu_tgt = op.mu_src, op.mu_tgt
+    elif not (args.calib_src and args.calib_tgt):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
-    calib_src, calib_tgt = row_source(args.calib_src), row_source(args.calib_tgt)
-    if args.method == "blockwise":
-        stats_src = stats_of(calib_src, track_cov=True)
-        stats_tgt = stats_of(calib_tgt, track_cov=True)
-        frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
-        return estimate_blockwise(frame, stats_src, stats_tgt, calib_src, eig_floor=args.eig_floor)
-    return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src, eps=args.eps)
+    else:
+        calib_src, calib_tgt = row_source(args.calib_src), row_source(args.calib_tgt)
+        if args.method == "blockwise":
+            stats_src = stats_of(calib_src, track_cov=True)
+            stats_tgt = stats_of(calib_tgt, track_cov=True)
+            frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
+            return estimate_blockwise(frame, stats_src, stats_tgt, calib_src,
+                                      eig_floor=args.eig_floor)
+        if args.method == "realign":
+            return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src,
+                                    eps=args.eps)
+        mu_src, mu_tgt = stats_of(calib_src).mean, stats_of(calib_tgt).mean
+    return C3Baseline(mu_src, mu_tgt, args.sigma if args.method == "c3" else 0.0, args.seed)
 
 
 def _cmd_align(args):
-    """Map ``--in`` through a calibrated or loaded operator, one row block at a time.
+    """Map ``--in`` through a loaded or fitted operator, one row block at a time.
 
     ``--in`` and the calibration files are row sources: every calibration
     pass and the apply pass read them one row block at a time, and each
@@ -245,27 +254,18 @@ def _cmd_align(args):
     appears by an atomic rename after its last block, so an error midway
     (a non-finite input row, a collapse) leaves no ``--out``.
     """
+    if args.save_stats and args.method not in _FITTED:
+        raise DataFormatError(f"--save-stats saves a realign or blockwise operator; "
+                              f"{args.method} fits none")
     source = row_source(args.in_path)
-    stats = _calibration_stats(args)
+    op = _operator(args)
     if args.save_stats:
-        _save_payload(stats, args.save_stats, _provenance(args, [args.calib_src, args.calib_tgt]))
-    if args.method == "realign":
-        if not isinstance(stats, AlignmentStats):
-            raise DataFormatError("realign needs an alignment_stats artifact")
-        apply = lambda rows, lo: substitution_operator(rows, stats, first_row=lo).data
-    elif args.method == "blockwise":
-        if not isinstance(stats, BlockwiseStats):
-            raise DataFormatError("blockwise needs a blockwise_stats artifact")
-        apply = lambda rows, lo: apply_blockwise(rows, stats, first_row=lo)
-    else:  # c3, or anchor-only: c3 without noise; the blocks draw from one noise stream
-        sigma = args.sigma if args.method == "c3" else 0.0
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        apply = lambda rows, lo: apply_c3_baseline(rows, stats.mu_src, stats.mu_tgt, sigma, rng,
-                                                   first_row=lo)
-    if source.shape[1] != stats.dims:
+        _save_payload(op, args.save_stats,
+                      _provenance(args, [args.stats, args.calib_src, args.calib_tgt]))
+    if source.shape[1] != op.dims:
         raise DataFormatError(f"{args.in_path} has {source.shape[1]} dims, "
-                              f"the operator expects {stats.dims}")
-    write_embeddings(RowMap(source, apply), args.out)
+                              f"the operator expects {op.dims}")
+    write_embeddings(RowMap(source, op.apply), args.out)
     print(f"align[{args.method}]: {source.shape[0]} rows -> {args.out}")
     return 0
 
@@ -600,15 +600,15 @@ def build_parser():
                    required=True)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stats", help="precalibrated artifact")
+    p.add_argument("--stats", help="a realign or blockwise artifact (c3/anchor-only: its means)")
     p.add_argument("--calib-src")
     p.add_argument("--calib-tgt")
-    p.add_argument("--save-stats")
+    p.add_argument("--save-stats", help="realign and blockwise only: save the fitted operator")
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--energy", type=float, default=0.90)
     p.add_argument("--eig-floor", type=float, default=1e-6)
-    p.add_argument("--sigma", type=float, default=0.04)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float, default=0.04, help="c3 only: finite noise std >= 0")
+    p.add_argument("--seed", type=int, default=0, help="c3 only: key of the noise stream")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("diagnose", help="alignment quality metrics for two embedding files")

@@ -8,8 +8,8 @@ anchor gradient is a probability-weighted combination of the candidates
 (so it lies in their span), and the candidate gradient is a scalar
 multiple of the anchor.  These closed forms are the oracle the rest of
 the package is verified against.  ``loss_and_grads`` is the one kernel
-that computes them: the simulator's loss and the per-anchor and batched
-functions here are calls or views of it.  The independent references
+that computes them: the simulator's loss and the per-anchor gradients
+here are calls or views of it.  The independent references
 live in the tests: the textbook formulas there and finite differences.
 
 The coupling estimator quantifies how much of the out-of-subspace
@@ -97,19 +97,9 @@ def _terms(batch: ContrastiveBatch) -> ContrastiveTerms:
     return loss_and_grads(batch.anchors, batch.candidates, batch.temperature)
 
 
-def softmax_weights(batch: ContrastiveBatch, i: int) -> np.ndarray:
-    """Softmax weights of anchor i over all candidates (sums to 1)."""
-    return _terms(batch).weights[i]
-
-
-def infonce_loss(batch: ContrastiveBatch, i: int) -> float:
-    """Loss of anchor i: -log softmax probability of its own candidate."""
-    return float(_terms(batch).losses[i])
-
-
 def grad_anchor(batch: ContrastiveBatch, i: int) -> np.ndarray:
     """Exact gradient of anchor i's loss with respect to its own embedding."""
-    return anchor_gradients(batch)[i]
+    return _terms(batch).grad_anchors[i] * batch.size
 
 
 def grad_candidate(batch: ContrastiveBatch, i: int, j: int) -> np.ndarray:
@@ -118,21 +108,6 @@ def grad_candidate(batch: ContrastiveBatch, i: int, j: int) -> np.ndarray:
     Always a scalar multiple of anchor i.
     """
     return (_terms(batch).weights[i, j] - (j == i)) / batch.temperature * batch.anchors[i]
-
-
-def all_softmax_weights(batch: ContrastiveBatch) -> np.ndarray:
-    """Row i holds anchor i's softmax weights over the candidates."""
-    return _terms(batch).weights
-
-
-def anchor_gradients(batch: ContrastiveBatch) -> np.ndarray:
-    """Per-sample anchor gradients, one row per anchor."""
-    return _terms(batch).grad_anchors * batch.size
-
-
-def candidate_gradients_total(batch: ContrastiveBatch) -> np.ndarray:
-    """Row j is the gradient of the summed batch loss w.r.t. candidate j."""
-    return _terms(batch).grad_candidates * batch.size
 
 
 @dataclass

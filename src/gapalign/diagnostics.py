@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DataFormatError, DegenerateInputError
 from .io import as_matrix, row_blocks
 from .moments import stats_of
-from .realign import estimate_realign, substitution_operator
+from .realign import estimate_realign
 
 _PAIR_BLOCK = 1024  # sampled pairs gathered and scored at a time
 # Rows per side of a kNN distance tile: its Gram, distances and candidate mask
@@ -554,8 +554,7 @@ def sample_complexity_curve(
             pick_src = pool_src[rng.choice(pool_src.shape[0], size=size, replace=False)]
             pick_tgt = pool_tgt[rng.choice(pool_tgt.shape[0], size=size, replace=False)]
             stats = estimate_realign(stats_of(pick_src), stats_of(pick_tgt), pick_src, eps=eps)
-            aligned = substitution_operator(held_src, stats)
-            gaps.append(modality_gap(aligned.data.mean(axis=0), mu_held_tgt))
+            gaps.append(modality_gap(stats.apply(held_src).mean(axis=0), mu_held_tgt))
         gaps_arr = np.array(gaps)
         table.append(
             {

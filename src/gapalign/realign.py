@@ -17,9 +17,10 @@ covariances with whitening-coloring transforms instead; it aligns
 second moments more aggressively at the price of amplifying noise in
 weak directions, so its inverse square roots are floored and flagged.
 
-All apply operators are pure functions of their calibrated statistics;
-the isotropic-noise baseline additionally takes a seed for its
-counter-based generator.
+Every operator maps rows to float64 rows with ``apply(rows, first_row=0)``,
+naming a collapse at its row counted from ``first_row``.  Realign and
+blockwise share the centroid stage after their own shaping step; the
+noise of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
 
 Calibration and application both run in row blocks and widen float32
 input block by block, so each needs O(block * d + d^2) memory beyond
@@ -70,18 +71,16 @@ def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndar
     return rows
 
 
-def _affine_into(rows, mu_src, scale, mu_tgt, out: np.ndarray) -> np.ndarray:
-    """out = mu_tgt + scale * (rows - mu_src), widening ``rows`` to float64 on the fly."""
+def _affine_into(rows, mu_src, scale, mu_tgt, out: np.ndarray, stage: str | None = None,
+                 first_row: int = 0) -> np.ndarray:
+    """out = mu_tgt + scale * (rows - mu_src), widening ``rows`` to float64 on the fly.
+
+    With a ``stage`` name, each row of ``out`` is then projected to the unit sphere.
+    """
     np.subtract(rows, mu_src, out=out, dtype=np.float64)
     out *= scale
     out += mu_tgt
-    return out
-
-
-def _affine_unit_into(rows, mu_src, scale, mu_tgt, out: np.ndarray, stage: str,
-                      first_row: int) -> np.ndarray:
-    """The affine step into ``out``, then each row projected to the unit sphere."""
-    return _normalize_in_place(_affine_into(rows, mu_src, scale, mu_tgt, out), stage, first_row)
+    return out if stage is None else _normalize_in_place(out, stage, first_row)
 
 
 @dataclass
@@ -120,23 +119,37 @@ class AlignmentStats(Payload, kind="alignment_stats"):
     def dims(self) -> int:
         return self.mu_src.shape[0]
 
+    def apply(self, rows, first_row: int = 0) -> np.ndarray:
+        """``substitution_operator`` on ``rows``, as a float64 array."""
+        return substitution_operator(rows, self, first_row).data
+
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     """Steps 1-2 only: mu_tgt + scale * (rows - mu_src), no normalization."""
     return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(np.shape(rows)))
 
 
-def _realign_rows(rows: np.ndarray, stats: AlignmentStats, first_row: int = 0) -> np.ndarray:
-    out = np.empty(rows.shape, dtype=np.float64)
+def _centroid_stage(rows, stats, shape_into, first_row: int) -> np.ndarray:
+    """Row blocks through ``shape_into(chunk, out, at)``, then - mu_drift + mu_tgt, unit."""
+    out = np.empty((rows.shape[0], stats.dims))
     for lo in range(0, rows.shape[0], _ROW_BLOCK):
         at = first_row + lo
-        block = _affine_unit_into(rows[lo:lo + _ROW_BLOCK], stats.mu_src, stats.scale,
-                                  stats.mu_tgt, out[lo:lo + _ROW_BLOCK],
-                                  "affine-stage normalization", at)
+        block = shape_into(rows[lo:lo + _ROW_BLOCK], out[lo:lo + _ROW_BLOCK], at)
         block -= stats.mu_drift
         block += stats.mu_tgt
         _normalize_in_place(block, "centroid-stage normalization", at)
     return out
+
+
+def _drift_mean(calib, shape_into) -> np.ndarray:
+    """The mean of the calibration rows after ``shape_into``: the frozen drift."""
+    n = calib.shape[0]
+    shaped = RowSum(calib.shape[1], min(n, _ROW_BLOCK))
+    for lo in range(0, n, _ROW_BLOCK):
+        chunk = calib[lo:lo + _ROW_BLOCK]
+        shape_into(chunk, shaped.block(chunk.shape[0]), lo)
+        shaped.add(chunk.shape[0])
+    return shaped.total / n
 
 
 def estimate_realign(
@@ -159,13 +172,8 @@ def estimate_realign(
     if calib.shape[1] != stats_src.dims or stats_src.dims != stats_tgt.dims:
         raise DataFormatError("dimension mismatch between stats and calibration set")
     scale = float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps)))
-    n = calib.shape[0]
-    unit1 = RowSum(calib.shape[1], min(n, _ROW_BLOCK))
-    for lo in range(0, n, _ROW_BLOCK):
-        chunk = calib[lo:lo + _ROW_BLOCK]
-        _affine_unit_into(chunk, stats_src.mean, scale, stats_tgt.mean,
-                          unit1.block(chunk.shape[0]), "calibration normalization", lo)
-        unit1.add(chunk.shape[0])
+    mu_drift = _drift_mean(calib, lambda chunk, out, at: _affine_into(
+        chunk, stats_src.mean, scale, stats_tgt.mean, out, "calibration normalization", at))
     return AlignmentStats(
         mu_src=stats_src.mean,
         mu_tgt=stats_tgt.mean,
@@ -173,80 +181,65 @@ def estimate_realign(
         trace_tgt=stats_tgt.trace,
         scale=scale,
         eps=eps,
-        mu_drift=unit1.total / n,
-        calib_n=n,
+        mu_drift=mu_drift,
+        calib_n=calib.shape[0],
     )
 
 
-def apply_realign(e_src: np.ndarray, stats: AlignmentStats) -> np.ndarray:
-    """Map a single source embedding through the calibrated pipeline.
-
-    The output is unit-norm.  A norm collapse below 1e-12 at either
-    normalization raises ``DegenerateInputError`` naming the stage.
-    """
-    e = np.asarray(e_src, dtype=np.float64)
-    if e.ndim != 1 or e.shape[0] != stats.dims:
-        raise DataFormatError(f"expected a vector of length {stats.dims}")
-    return _realign_rows(e[None, :], stats)[0]
-
-
 def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0) -> EmbeddingSet:
-    """Batch form of ``apply_realign``; row order is preserved.
+    """The three steps on every row of ``source_set``; row order is preserved.
 
     Accepts an EmbeddingSet or matrix and returns an EmbeddingSet in
-    float64.  Per-row degeneracies propagate with the row index, counted
-    from ``first_row``: the index of the first row in a larger input the
-    rows are a block of.
+    float64.  The output rows are unit-norm.  A norm collapse below 1e-12
+    raises ``DegenerateInputError`` naming the stage and the row, counted
+    from ``first_row``.
     """
     rows = as_matrix(source_set)
     tag = source_set.modality_tag if isinstance(source_set, EmbeddingSet) else ""
-    if rows.shape[0] == 0:
-        return EmbeddingSet(np.empty((0, stats.dims)), tag)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
-    return EmbeddingSet(_realign_rows(rows, stats, first_row), tag)
+    return EmbeddingSet(_centroid_stage(rows, stats, lambda chunk, out, at: _affine_into(
+        chunk, stats.mu_src, stats.scale, stats.mu_tgt, out, "affine-stage normalization", at),
+        first_row), tag)
 
 
-def anchor_shift(rows, mu_src: np.ndarray, mu_tgt: np.ndarray) -> np.ndarray:
-    """Mean shift plus re-normalization; the minimal alignment baseline."""
-    rows = np.asarray(rows)
-    out = apply_c3_baseline(rows, mu_src, mu_tgt, noise_sigma=0.0)
-    return out[0] if rows.ndim == 1 else out
+@dataclass
+class C3Baseline:
+    """Centroid alignment plus isotropic Gaussian noise, then normalization; not persisted.
 
-
-def apply_c3_baseline(
-    rows,
-    mu_src: np.ndarray,
-    mu_tgt: np.ndarray,
-    noise_sigma: float = 0.04,
-    rng_seed: int | np.random.Generator = 0,
-    first_row: int = 0,
-) -> np.ndarray:
-    """Centroid alignment plus isotropic Gaussian noise, then normalization.
-
-    Noise comes from a Philox counter-based generator keyed by
-    ``rng_seed``, so outputs are reproducible across runs and platforms
-    for a given numpy version.  ``rng_seed`` may instead be a generator,
-    used as it is (as ``np.random.default_rng`` does): calls on
-    consecutive row blocks with one generator keyed by a seed give the
-    rows one call with that seed gives.  ``noise_sigma=0`` makes the
-    operator deterministic and equal to ``anchor_shift``.  Rows are
-    shifted, noised and normalized in row blocks; blocked draws equal one
-    whole draw.  A collapse names its row counted from ``first_row``.
+    The C^3 baseline of Zhang et al. (ICLR 2024); ``sigma=0`` is anchor-only.
+    The noise is one Philox stream keyed by ``seed``: consecutive ``apply``
+    calls continue it, so blocked calls give the rows of one whole call.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
-    rows = np.atleast_2d(rows)
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.Generator(np.random.Philox(key=rng_seed)))
-    stage = "noise-stage normalization" if noise_sigma > 0 else "anchor normalization"
-    out = np.empty(rows.shape)
-    for lo in range(0, rows.shape[0], _ROW_BLOCK):
-        block = _affine_into(rows[lo:lo + _ROW_BLOCK], mu_src, 1.0, mu_tgt, out[lo:lo + _ROW_BLOCK])
-        if noise_sigma > 0:
-            block += noise_sigma * rng.standard_normal(size=block.shape)
-        _normalize_in_place(block, stage, first_row + lo)
-    return out
+
+    mu_src: np.ndarray
+    mu_tgt: np.ndarray
+    sigma: float = 0.04
+    seed: int = 0
+    rng: np.random.Generator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        self.mu_src = _checked("mu_src", self.mu_src, (None,))
+        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (self.dims,))
+        self.rng = np.random.Generator(np.random.Philox(key=self.seed))
+
+    @property
+    def dims(self) -> int:
+        return self.mu_src.shape[0]
+
+    def apply(self, rows, first_row: int = 0) -> np.ndarray:
+        rows = as_matrix(rows)
+        stage = "noise-stage normalization" if self.sigma > 0 else "anchor normalization"
+        out = np.empty(rows.shape)
+        for lo in range(0, rows.shape[0], _ROW_BLOCK):
+            block = _affine_into(rows[lo:lo + _ROW_BLOCK], self.mu_src, 1.0, self.mu_tgt,
+                                 out[lo:lo + _ROW_BLOCK])
+            if self.sigma > 0:
+                block += self.sigma * self.rng.standard_normal(size=block.shape)
+            _normalize_in_place(block, stage, first_row + lo)
+        return out
 
 
 @dataclass
@@ -295,6 +288,10 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
     @property
     def dims(self) -> int:
         return self.frame.dims
+
+    def apply(self, rows, first_row: int = 0) -> np.ndarray:
+        """``apply_blockwise`` on ``rows``."""
+        return apply_blockwise(rows, self, first_row)
 
 
 def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
@@ -352,8 +349,8 @@ def estimate_blockwise(
 
     def anchor_into(lo, out):
         # the anchor step is the affine step with unit scale
-        _affine_unit_into(src[lo:lo + out.shape[0]], mu_src, 1.0, mu_tgt, out,
-                          "anchor normalization", lo)
+        _affine_into(src[lo:lo + out.shape[0]], mu_src, 1.0, mu_tgt, out,
+                     "anchor normalization", lo)
 
     cov_src = MomentAccumulator(d).accumulate_from(n, anchor_into).finalize().covariance
     basis_out = frame.complement_basis()
@@ -385,13 +382,7 @@ def estimate_blockwise(
         calib_n=n,
         floored=floored,
     )
-    unit = np.empty((min(n, _ROW_BLOCK), d))
-    shaped = RowSum(d, min(n, _ROW_BLOCK))
-    for lo in range(0, n, _ROW_BLOCK):
-        chunk = src[lo:lo + _ROW_BLOCK]
-        _shaped_into(chunk, stats, unit, shaped.block(chunk.shape[0]), lo)
-        shaped.add(chunk.shape[0])
-    stats.mu_drift = shaped.total / n
+    stats.mu_drift = _drift_mean(src, _blockwise_shaping(stats, n))
     return stats
 
 
@@ -400,38 +391,27 @@ def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     return sym_apply(cov, lambda lam: np.sqrt(np.maximum(lam, 0.0)))
 
 
-def _shaped_into(chunk, stats: BlockwiseStats, scratch: np.ndarray, out: np.ndarray,
-                 first_row: int) -> np.ndarray:
-    """Anchor step into ``scratch``, then the composed operator into ``out``, normalized."""
-    unit = _affine_unit_into(chunk, stats.mu_src, 1.0, stats.mu_tgt, scratch[:chunk.shape[0]],
-                             "anchor normalization", first_row)
-    return _normalize_in_place(np.matmul(unit, stats.operator, out=out),
-                               "block-transform normalization", first_row)
+def _blockwise_shaping(stats: BlockwiseStats, n: int):
+    """The anchor step into a scratch block, then the composed operator, normalized."""
+    scratch = np.empty((min(n, _ROW_BLOCK), stats.dims))
+
+    def shape_into(chunk, out, first_row):
+        unit = _affine_into(chunk, stats.mu_src, 1.0, stats.mu_tgt, scratch[:chunk.shape[0]],
+                            "anchor normalization", first_row)
+        return _normalize_in_place(np.matmul(unit, stats.operator, out=out),
+                                   "block-transform normalization", first_row)
+
+    return shape_into
 
 
-def _blockwise_rows(rows: np.ndarray, stats: BlockwiseStats, first_row: int) -> np.ndarray:
-    n = rows.shape[0]
-    out = np.empty((n, stats.dims))
-    anchored = np.empty((min(n, _ROW_BLOCK), stats.dims))
-    for lo in range(0, n, _ROW_BLOCK):
-        at = first_row + lo
-        block = _shaped_into(rows[lo:lo + _ROW_BLOCK], stats, anchored, out[lo:lo + _ROW_BLOCK], at)
-        block -= stats.mu_drift
-        block += stats.mu_tgt
-        _normalize_in_place(block, "centroid-stage normalization", at)
-    return out
-
-
-def apply_blockwise(e_src: np.ndarray, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
+def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
     """Map one embedding (or a batch of rows) through the blockwise pipeline.
 
     A collapse names its row counted from ``first_row``, as in
     ``substitution_operator``.
     """
-    e = np.asarray(e_src)
-    single = e.ndim == 1
-    rows = e[None, :] if single else e
+    rows = as_matrix(e_src)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"expected dimension {stats.dims}, got {rows.shape[1]}")
-    out = _blockwise_rows(rows, stats, first_row)
-    return out[0] if single else out
+    out = _centroid_stage(rows, stats, _blockwise_shaping(stats, rows.shape[0]), first_row)
+    return out[0] if np.ndim(e_src) == 1 else out

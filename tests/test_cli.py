@@ -14,10 +14,10 @@ import pytest
 from gapalign import (
     AlignmentStats,
     BlockwiseStats,
+    C3Baseline,
     EmbeddingSet,
     ReferenceFrame,
     apply_blockwise,
-    apply_c3_baseline,
     cosine_histogram,
     js_divergence,
     knn_mixing_rate,
@@ -27,6 +27,7 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign.cli import _write_csv, main
+from gapalign.io import file_digest
 from gapalign.moments import ModalityStats
 
 
@@ -196,31 +197,43 @@ def test_oversized_header_is_a_data_error(workdir, capsys, command, rows, dims):
     assert err.startswith("gapalign: ") and "huge.emb" in err and "Traceback" not in err
 
 
+@contextlib.contextmanager
+def fed_pipe(content: bytes):
+    """A ``/dev/fd`` path to a pipe that one writer thread feeds ``content``.
+
+    The writer is joined, then the read end closed, on exit.  ``content``
+    must fit the pipe's buffer (64 KiB on Linux), so the writer never waits
+    on a reader that stopped early.
+    """
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as fh:
+            fh.write(content)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        writer.join(timeout=10)
+        os.close(read_fd)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("command,rows,dims", [
     ("stats", 5, 2**32 - 1), ("anchor-only", 5, 2**32 - 1),
     ("stats", 2**62, 2**20), ("realign", 2**62, 2**20),
 ])
 def test_emb1_pipe_claiming_more_than_arrives_is_a_data_error(workdir, capsys, command, rows, dims):
-    read_fd, write_fd = os.pipe()
-
-    def feed():
-        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as fh:
-            fh.write(struct.pack("<4sIIQII", b"EMB1", 1, 0, rows, dims, 0) + b"\0" * 4096)
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    path = f"/dev/fd/{read_fd}"
-    if command == "stats":
-        argv = ["stats", "--in", path, "--out", str(workdir / "pipe.stats")]
-    else:
-        argv = ["align", "--method", command, "--in", path, "--out", str(workdir / "pipe.emb"),
-                "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
-    try:
+    with fed_pipe(struct.pack("<4sIIQII", b"EMB1", 1, 0, rows, dims, 0) + b"\0" * 4096) as path:
+        if command == "stats":
+            argv = ["stats", "--in", path, "--out", str(workdir / "pipe.stats")]
+        else:
+            argv = ["align", "--method", command, "--in", path,
+                    "--out", str(workdir / "pipe.emb"), "--calib-src", str(workdir / "src.emb"),
+                    "--calib-tgt", str(workdir / "tgt.emb")]
         assert main(argv) == 2
-    finally:
-        writer.join(timeout=10)
-        os.close(read_fd)
-    assert not writer.is_alive()
     err = capsys.readouterr().err
     assert err.startswith(f"gapalign: {path}: ") and "Traceback" not in err
 
@@ -280,7 +293,7 @@ def library_output(method, rows, paths):
     if method == "realign":
         return substitution_operator(rows, stats).data
     sigma = 0.05 if method == "c3" else 0.0
-    return apply_c3_baseline(rows, stats.mu_src, stats.mu_tgt, sigma, 7)
+    return C3Baseline(stats.mu_src, stats.mu_tgt, sigma, 7).apply(rows)
 
 
 def align_with_stats(method, in_path, out_path, paths):
@@ -637,6 +650,55 @@ def test_simulate_rejects_unknown_boolean_spelling(tmp_path, capsys, line):
     assert main(["simulate", "--config", str(config), "--trace", str(out)]) == 2
     assert capsys.readouterr().err.startswith("gapalign: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+def test_align_c3_rejects_a_sigma_that_is_not_finite_and_non_negative(workdir, capsys, sigma):
+    # nan once wrote the anchor-only output and inf an all-NaN one, both with exit 0
+    out = workdir / "c3.emb"
+    assert main(["align", "--method", "c3", "--in", str(workdir / "src.emb"), "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+                 f"--sigma={sigma}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: sigma must be finite") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["c3", "anchor-only"])
+def test_align_save_stats_is_an_error_for_methods_that_fit_nothing(workdir, capsys, monkeypatch,
+                                                                  method):
+    monkeypatch.setattr("gapalign.cli.row_source", lambda *a: pytest.fail("read an input"))
+    out, saved = workdir / "out.emb", workdir / "saved.stats"
+    assert main(["align", "--method", method, "--in", str(workdir / "src.emb"), "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+                 "--save-stats", str(saved)]) == 2
+    assert "--save-stats" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
+
+
+@pytest.mark.parametrize("method", ["c3", "anchor-only"])
+def test_align_c3_from_calibration_files_uses_their_means_and_no_realign_fit(
+        workdir, monkeypatch, method):
+    calib = ["--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
+    fitted = workdir / "realign.stats"
+    assert main(["align", "--method", "realign", "--in", str(workdir / "src.emb"),
+                 "--out", str(workdir / "realign.emb"), *calib, "--save-stats", str(fitted)]) == 0
+    via_stats, via_calib = workdir / "via_stats.emb", workdir / "via_calib.emb"
+    common = ["align", "--method", method, "--in", str(workdir / "src.emb"), "--seed", "3"]
+    assert main([*common, "--out", str(via_stats), "--stats", str(fitted)]) == 0
+    monkeypatch.setattr("gapalign.cli.estimate_realign", lambda *a, **k: pytest.fail("fitted"))
+    assert main([*common, "--out", str(via_calib), *calib]) == 0
+    assert via_calib.read_bytes() == via_stats.read_bytes()
+
+
+def test_align_resaved_artifact_records_the_artifact_it_came_from(workdir, saved_operators):
+    # the digests once covered only the calibration files, which this path has none of
+    resaved = str(workdir / "resaved.stats")
+    assert main(["align", "--method", "realign", "--in", str(workdir / "src.emb"),
+                 "--out", str(workdir / "out.emb"), "--stats", saved_operators["realign"],
+                 "--save-stats", resaved]) == 0
+    digests = load_artifact(resaved).provenance["input_digests"]
+    assert digests == {saved_operators["realign"]: file_digest(saved_operators["realign"])}
 
 
 def test_align_dimension_mismatch_exit_code(workdir, tmp_path):

@@ -5,15 +5,13 @@ import pytest
 from gapalign import (
     ContrastiveBatch,
     DataFormatError,
-    anchor_gradients,
     estimate_coupling,
     grad_anchor,
     grad_candidate,
-    infonce_loss,
     leakage_bound_check,
     moment_identity_check,
 )
-from gapalign.contrastive import all_softmax_weights, candidate_gradients_total, softmax_weights
+from gapalign.contrastive import loss_and_grads
 from gapalign.frame import ReferenceFrame
 
 
@@ -29,6 +27,10 @@ def random_batch(rng, b=8, d=16, tau=0.5):
     )
 
 
+def terms(batch):
+    return loss_and_grads(batch.anchors, batch.candidates, batch.temperature)
+
+
 def loss_oracle(anchor_vec, candidates, tau, i):
     """Direct textbook formula, used as the finite-difference reference."""
     sims = candidates @ anchor_vec / tau
@@ -40,7 +42,7 @@ class TestLoss:
         batch = ContrastiveBatch(
             anchors=np.array([[1.0, 0.0]]), candidates=np.array([[0.0, 1.0]]), temperature=0.3
         )
-        assert infonce_loss(batch, 0) == 0.0
+        assert float(terms(batch).losses[0]) == 0.0
 
     def test_indistinguishable_candidates(self):
         y = unit_rows(np.array([[1.0, 1.0]]))
@@ -49,7 +51,7 @@ class TestLoss:
             candidates=np.vstack([y, y]),
             temperature=1.0,
         )
-        npt.assert_allclose(infonce_loss(batch, 0), np.log(2.0), rtol=1e-15)
+        npt.assert_allclose(float(terms(batch).losses[0]), np.log(2.0), rtol=1e-15)
 
     def test_analytic_two_candidate_value(self):
         batch = ContrastiveBatch(
@@ -58,14 +60,14 @@ class TestLoss:
             temperature=1.0,
         )
         # matched sim 1, mismatched 0: loss = -log(e / (e + 1))
-        npt.assert_allclose(infonce_loss(batch, 0), -np.log(np.e / (np.e + 1.0)), rtol=1e-14)
+        npt.assert_allclose(float(terms(batch).losses[0]), -np.log(np.e / (np.e + 1.0)), rtol=1e-14)
 
     def test_loss_matches_oracle(self):
         rng = np.random.default_rng(0)
         batch = random_batch(rng)
         for i in range(batch.size):
             npt.assert_allclose(
-                infonce_loss(batch, i),
+                float(terms(batch).losses[i]),
                 loss_oracle(batch.anchors[i], batch.candidates, batch.temperature, i),
                 rtol=1e-14,
             )
@@ -164,16 +166,16 @@ class TestGradients:
         rng = np.random.default_rng(5)
         batch = random_batch(rng, b=32)
         for i in range(batch.size):
-            assert abs(softmax_weights(batch, i).sum() - 1.0) < 1e-12
-        npt.assert_allclose(all_softmax_weights(batch).sum(axis=1), np.ones(32), atol=1e-12)
+            assert abs(terms(batch).weights[i].sum() - 1.0) < 1e-12
+        npt.assert_allclose(terms(batch).weights.sum(axis=1), np.ones(32), atol=1e-12)
 
     def test_batched_gradients_match_scalar(self):
         rng = np.random.default_rng(6)
         batch = random_batch(rng)
-        grads = anchor_gradients(batch)
+        grads = terms(batch).grad_anchors * batch.size
         for i in range(batch.size):
             npt.assert_allclose(grads[i], grad_anchor(batch, i), atol=1e-14)
-        totals = candidate_gradients_total(batch)
+        totals = terms(batch).grad_candidates * batch.size
         for j in range(batch.size):
             expected = np.sum([grad_candidate(batch, i, j) for i in range(batch.size)], axis=0)
             npt.assert_allclose(totals[j], expected, atol=1e-13)

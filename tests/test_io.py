@@ -1,12 +1,19 @@
+import contextlib
 import os
 import struct
+import tempfile
 import threading
 import tracemalloc
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_cli import fed_pipe
 
 from gapalign import (
     ArtifactVersionError,
@@ -20,6 +27,7 @@ from gapalign import (
     save_artifact,
     write_embeddings,
 )
+from gapalign.cli import main
 from gapalign.io import EmbeddingFile, RowMap, as_matrix, row_blocks, row_source
 
 
@@ -372,3 +380,192 @@ def test_undecodable_artifact_rejected(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataFormatError, match="corrupt artifact"):
         load_artifact(str(path))
+
+
+# ----------------------------------------------------------- reader fuzzing
+#
+# Every embedding reader, fed arbitrary bytes as a regular file (and emb1 also
+# through a pipe), gives the rows the file encodes or a DataFormatError; the
+# CLI gives exit 0 or 2.  Nothing else: no other exception, no MemoryError
+# from a header that claims more than arrives.
+
+_EMB1 = struct.Struct("<4sIIQII")
+_EMB1_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_HOSTILE_FIELDS = [
+    st.binary(min_size=4, max_size=4),  # magic
+    st.sampled_from([0, 2, 2**32 - 1]),  # version
+    st.sampled_from([2, 7, 2**32 - 1]),  # dtype code
+    st.sampled_from([1, 7, 2**31, 2**40, 2**62, 2**63 - 1, 2**64 - 1]),  # rows
+    st.sampled_from([0, 2, 9, 2**20, 2**31, 2**32 - 1]),  # dims
+    st.sampled_from([1, 2**32 - 1]),  # reserved
+]
+
+
+@st.composite
+def emb1_files(draw):
+    """A valid emb1 file, maybe with one hostile header field, cut short, extended or noise."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=256))
+    code = draw(st.sampled_from([0, 1]))
+    rows, dims = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    values = draw(arrays(_EMB1_DTYPES[code], (rows, dims),
+                         elements=st.floats(-1e3, 1e3, width=32 if code == 0 else 64)))
+    if rows and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, rows - 1)), 0] = draw(st.sampled_from([np.nan, np.inf]))
+    fields = [b"EMB1", 1, code, rows, dims, 0]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(fields) - 1))
+        fields[at] = draw(_HOSTILE_FIELDS[at])
+    content = _EMB1.pack(*fields) + values.tobytes()
+    edit = draw(st.sampled_from(["none", "none", "truncate", "extend", "claim"]))
+    if edit == "truncate":
+        content = content[:draw(st.integers(0, max(len(content) - 1, 0)))]
+    elif edit == "extend":
+        content += draw(st.binary(min_size=1, max_size=16))
+    elif edit == "claim":  # a few KiB of data under whatever the header claims
+        content += bytes(4096)
+    return content
+
+
+def _encoded_rows(content: bytes):
+    """The rows a well-formed emb1 ``content`` encodes, non-finite ones too; None if malformed."""
+    if len(content) < _EMB1.size:
+        return None
+    magic, version, code, rows, dims, reserved = _EMB1.unpack_from(content)
+    if magic != b"EMB1" or version != 1 or code not in _EMB1_DTYPES or dims < 1 or reserved:
+        return None
+    payload = content[_EMB1.size:]
+    if len(payload) != rows * dims * _EMB1_DTYPES[code].itemsize:
+        return None
+    return np.frombuffer(payload, dtype=_EMB1_DTYPES[code]).reshape(rows, dims)
+
+
+def _or_none(read):
+    """``read()``, or None if it raised ``DataFormatError``."""
+    try:
+        return read()
+    except DataFormatError:
+        return None
+
+
+def _assert_rows(got, want):
+    """``got`` is ``want``'s values in native byte order, or both are None."""
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == want.dtype.newbyteorder("=")
+        assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
+
+
+def _batches(path, batch_rows, format=None):
+    batches = [batch.data for batch in iter_embedding_batches(path, batch_rows, format)]
+    assert all(0 < batch.shape[0] <= batch_rows for batch in batches)
+    return batches
+
+
+def _joined(batches, like):
+    return np.concatenate(batches) if batches else np.empty((0, like.shape[1]), like.dtype)
+
+
+def _stats_exit_code(path, out):
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()) as err:
+        code = main(["stats", "--in", path, "--out", out])
+    assert err.getvalue() == "" if code == 0 else err.getvalue().startswith("gapalign: ")
+    return code
+
+
+def _stats_exit_code_for(rows):
+    """0 for two rows or more, 3 for one (a covariance needs two), 2 for none or a data error."""
+    return 2 if rows is None or not rows.shape[0] else 3 if rows.shape[0] == 1 else 0
+
+
+_READERS = st.sampled_from(["read", "iter", "stats"])
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(content=emb1_files(), batch_rows=st.integers(1, 4), lo=st.integers(-8, 8),
+       hi=st.integers(-8, 8), reader=_READERS)
+@example(content=_EMB1.pack(b"EMB1", 1, 0, 5, 2**32 - 1, 0) + bytes(4096), batch_rows=1,
+         lo=0, hi=1, reader="read")
+@example(content=_EMB1.pack(b"EMB1", 1, 0, 2**62, 2**20, 0) + bytes(4096), batch_rows=4,
+         lo=0, hi=1, reader="iter")
+@example(content=_EMB1.pack(b"EMB1", 1, 1, 0, 2**32 - 1, 0), batch_rows=1, lo=0, hi=1,
+         reader="stats")
+def test_emb1_readers_give_the_encoded_rows_or_a_data_format_error(content, batch_rows, lo, hi,
+                                                                   reader):
+    encoded = _encoded_rows(content)
+    want = encoded if encoded is not None and np.isfinite(encoded).all() else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "in.emb1"), os.path.join(tmp, "stats.json")
+        Path(path).write_bytes(content)
+        _assert_rows(_or_none(lambda: read_embeddings(path).data), want)
+        batches = _or_none(lambda: _batches(path, batch_rows))
+        _assert_rows(None if batches is None else _joined(batches, encoded), want)
+        source = _or_none(lambda: row_source(path))
+        assert (source is None) == (encoded is None)
+        if source is not None:
+            assert isinstance(source, EmbeddingFile) and source.shape == encoded.shape
+            rows = slice(lo, hi)
+            part = encoded[rows]
+            _assert_rows(_or_none(lambda: source[rows].copy()),
+                         part if np.isfinite(part).all() else None)
+        assert _stats_exit_code(path, out) == _stats_exit_code_for(want)
+
+        with fed_pipe(content) as pipe:
+            if reader == "read":
+                _assert_rows(_or_none(lambda: read_embeddings(pipe).data), want)
+            elif reader == "iter":
+                batches = _or_none(lambda: _batches(pipe, batch_rows))
+                _assert_rows(None if batches is None else _joined(batches, encoded), want)
+            else:
+                assert _stats_exit_code(pipe, out) == _stats_exit_code_for(want)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV rows with comments and blank lines, maybe corrupted or cut short; or noise.
+
+    A line of spaces is a corruption: ``np.loadtxt`` reads it as one empty field.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=256)), None
+    dims = draw(st.integers(1, 4))
+    rows = draw(arrays(np.float64, (draw(st.integers(0, 6)), dims),
+                       elements=st.floats(-1e3, 1e3)))
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note"])))
+    edit = draw(st.sampled_from(["none", "none", "token", "ragged", "truncate"]))
+    if edit == "none":
+        return ("\n".join(lines) + "\n").encode(), rows
+    if edit == "token":
+        token = draw(st.sampled_from(["abc", "1.2.3", "", " ", "nan", "inf", "-inf", "0x10",
+                                      "\xff"]))
+        lines.insert(draw(st.integers(0, len(lines))), ",".join([token] * dims))
+    elif edit == "ragged":
+        lines.insert(draw(st.integers(0, len(lines))), ",".join(["1.0"] * (dims + 1)))
+    content = ("\n".join(lines) + "\n").encode()
+    if edit == "truncate":
+        content = content[:draw(st.integers(0, len(content)))]
+    return content, None
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(file=csv_files(), batch_rows=st.integers(1, 4))
+@example(file=(b"1.0\n\n# note\n2.0 # end\n", np.array([[1.0], [2.0]])), batch_rows=1)
+def test_csv_readers_give_the_rows_or_a_data_format_error(file, batch_rows):
+    content, rows = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "stats.json")
+        Path(path).write_bytes(content)
+        whole = _or_none(lambda: read_embeddings(path).data)
+        if rows is not None:  # uncorrupted: exactly the rows, unless there are none
+            _assert_rows(whole, rows if rows.shape[0] else None)
+        if whole is not None:
+            assert whole.dtype == np.float64 and np.isfinite(whole).all()
+        batches = _or_none(lambda: _batches(path, batch_rows))
+        if whole is None:
+            assert not batches
+        else:
+            _assert_rows(_joined(batches, whole), whole)
+        assert _stats_exit_code(path, out) == _stats_exit_code_for(whole)

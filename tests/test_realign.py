@@ -11,11 +11,9 @@ from gapalign import (
     DegenerateInputError,
     EmbeddingSet,
     ModalityStats,
+    C3Baseline,
     ReferenceFrame,
-    anchor_shift,
     apply_blockwise,
-    apply_c3_baseline,
-    apply_realign,
     build_frame,
     estimate_blockwise,
     estimate_realign,
@@ -171,8 +169,8 @@ class TestApply:
     def test_identity_configuration(self):
         stats = make_stats(np.zeros(3), np.zeros(3), 1.0, 1.0, np.zeros(3))
         e = np.array([3.0, 0.0, 4.0])
-        npt.assert_allclose(apply_realign(e, stats), e / 5.0, rtol=1e-15)
-        norm = np.linalg.norm(apply_realign(e, stats))
+        npt.assert_allclose(stats.apply(e[None])[0], e / 5.0, rtol=1e-15)
+        norm = np.linalg.norm(stats.apply(e[None])[0])
         assert abs(norm - 1.0) < 1e-12
 
     def test_centered_point_maps_to_anchor_ray(self):
@@ -181,7 +179,7 @@ class TestApply:
         mu_tgt = rng.normal(size=5)
         drift = rng.normal(size=5) * 0.05
         stats = make_stats(mu_src, mu_tgt, 2.0, 1.0, drift)
-        out = apply_realign(mu_src, stats)
+        out = stats.apply(mu_src[None])[0]
         expected_unit1 = mu_tgt / np.linalg.norm(mu_tgt)
         expected = expected_unit1 - drift + mu_tgt
         expected /= np.linalg.norm(expected)
@@ -284,7 +282,7 @@ class TestApply:
     def test_degenerate_collapse_names_stage(self):
         stats = make_stats(np.zeros(2), np.zeros(2), 1.0, 1.0, np.zeros(2))
         with pytest.raises(DegenerateInputError, match="affine-stage"):
-            apply_realign(np.zeros(2), stats)
+            stats.apply(np.zeros(2)[None])
 
 
 class TestSubstitutionOperator:
@@ -298,7 +296,7 @@ class TestSubstitutionOperator:
         src = anisotropic_sphere_sample(rng, 100, 4)
         stats = estimate_realign(stats_of(src), stats_of(src), src)
         one = substitution_operator(src[:1], stats)
-        npt.assert_array_equal(one.data[0], apply_realign(src[0], stats))
+        npt.assert_array_equal(one.data[0], stats.apply(src[0][None])[0])
 
     def test_batch_equals_rowwise_loop_bitwise(self):
         rng = np.random.default_rng(12)
@@ -306,7 +304,7 @@ class TestSubstitutionOperator:
         tgt = anisotropic_sphere_sample(rng, 10_000, 8, kappa=4.0)
         stats = estimate_realign(stats_of(src), stats_of(tgt), src)
         batch = substitution_operator(src, stats)
-        loop = np.vstack([apply_realign(row, stats) for row in src])
+        loop = np.vstack([stats.apply(row[None])[0] for row in src])
         npt.assert_array_equal(batch.data, loop)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -340,7 +338,7 @@ class TestSubstitutionOperator:
         stats = estimate_realign(stats_of(src), stats_of(src), src)
         out = substitution_operator(src, stats)
         assert out.modality_tag == "story"
-        first = apply_realign(src.data[0], stats)
+        first = stats.apply(src.data[0][None])[0]
         npt.assert_array_equal(out.data[0], first)
 
 
@@ -348,31 +346,32 @@ class TestBaselines:
     def test_anchor_shift_identity_means(self):
         rng = np.random.default_rng(14)
         rows = unit_rows(rng.normal(size=(50, 6)))
-        out = anchor_shift(rows, np.zeros(6), np.zeros(6))
+        out = C3Baseline(np.zeros(6), np.zeros(6), sigma=0.0).apply(rows)
         npt.assert_allclose(out, rows, atol=1e-12)
 
     def test_c3_sigma_zero_deterministic(self):
         rng = np.random.default_rng(15)
         rows = unit_rows(rng.normal(size=(20, 4)))
         mu = rows.mean(axis=0)
-        a = apply_c3_baseline(rows, mu, np.zeros(4), noise_sigma=0.0)
-        b = apply_c3_baseline(rows, mu, np.zeros(4), noise_sigma=0.0)
+        a = C3Baseline(mu, np.zeros(4), sigma=0.0).apply(rows)
+        b = C3Baseline(mu, np.zeros(4), sigma=0.0).apply(rows)
         npt.assert_array_equal(a, b)
-        npt.assert_array_equal(a, anchor_shift(rows, mu, np.zeros(4)))
+        # without noise the seed draws nothing
+        npt.assert_array_equal(a, C3Baseline(mu, np.zeros(4), sigma=0.0, seed=5).apply(rows))
 
     def test_c3_seeded_reproducible(self):
         rng = np.random.default_rng(16)
         rows = unit_rows(rng.normal(size=(30, 5)))
         mu_src, mu_tgt = rows.mean(axis=0), np.zeros(5)
-        a = apply_c3_baseline(rows, mu_src, mu_tgt, noise_sigma=0.1, rng_seed=77)
-        b = apply_c3_baseline(rows, mu_src, mu_tgt, noise_sigma=0.1, rng_seed=77)
-        c = apply_c3_baseline(rows, mu_src, mu_tgt, noise_sigma=0.1, rng_seed=78)
+        a = C3Baseline(mu_src, mu_tgt, sigma=0.1, seed=77).apply(rows)
+        b = C3Baseline(mu_src, mu_tgt, sigma=0.1, seed=77).apply(rows)
+        c = C3Baseline(mu_src, mu_tgt, sigma=0.1, seed=78).apply(rows)
         npt.assert_array_equal(a, b)
         assert np.linalg.norm(a - c) > 1e-6
 
     def test_c3_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            apply_c3_baseline(np.ones((1, 2)), np.zeros(2), np.zeros(2), noise_sigma=-0.1)
+            C3Baseline(np.zeros(2), np.zeros(2), sigma=-0.1)
 
 
 class TestBlockwise:
@@ -428,7 +427,7 @@ class TestBlockwise:
         rng = np.random.default_rng(18)
         src, tgt, frame = self.make_pair(rng)
         stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
-        anchored = anchor_shift(src, stats.mu_src, stats.mu_tgt)
+        anchored = C3Baseline(stats.mu_src, stats.mu_tgt, sigma=0.0).apply(src)
         coords = anchored @ frame.basis
         cov_src = np.cov(coords.T, bias=True)
         cov_tgt = np.cov((tgt @ frame.basis).T, bias=True)

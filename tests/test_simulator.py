@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gapalign import ContrastiveBatch, DegenerateInputError, anchor_gradients
-from gapalign.contrastive import candidate_gradients_total
+from gapalign import ContrastiveBatch, DegenerateInputError
+from gapalign.contrastive import loss_and_grads
 from gapalign import simulator
 from gapalign.simulator import (
     PairedDataGenerator,
@@ -97,8 +97,9 @@ class TestBatchGradients:
         cfg = tiny_config(temperature=0.4)
         loss, grad_x, grad_y = _batch_loss_and_grads(e_x, e_y, cfg)
         batch = ContrastiveBatch(anchors=e_x, candidates=e_y, temperature=0.4)
-        npt.assert_allclose(grad_x * b, anchor_gradients(batch), atol=1e-13)
-        npt.assert_allclose(grad_y * b, candidate_gradients_total(batch), atol=1e-13)
+        terms = loss_and_grads(batch.anchors, batch.candidates, batch.temperature)
+        npt.assert_allclose(grad_x * b, terms.grad_anchors * batch.size, atol=1e-13)
+        npt.assert_allclose(grad_y * b, terms.grad_candidates * batch.size, atol=1e-13)
 
     @pytest.mark.parametrize("similarity", ["dot", "sqdist"])
     def test_loss_gradient_finite_difference(self, similarity):
