@@ -127,8 +127,8 @@ def _load_payload(path, *classes):
     raise DataFormatError(f"{path}: expected a {kinds} artifact, got {artifact.kind}")
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
+def _write_csv(path, header, rows, preamble=()):
+    lines = [*preamble, ",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -370,12 +370,8 @@ def _cmd_simulate(args):
               f"-> {args.ablation_report}")
         return 0
     trace = run_toy_training(config)
-    header = trace.header()
-    lines = [f"# gapalign {__version__} freeze_step={trace.freeze_step} rank={trace.rank}"]
-    lines.append(",".join(header))
-    for row in trace.rows():
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(args.trace, "\n".join(lines) + "\n")
+    _write_csv(args.trace, trace.header(), trace.rows(),
+               [f"# gapalign {__version__} freeze_step={trace.freeze_step} rank={trace.rank}"])
     print(f"simulate: {len(trace.steps)} logged steps (freeze at {trace.freeze_step}, "
           f"rank {trace.rank}) -> {args.trace}")
     return 0
@@ -511,9 +507,12 @@ def _cmd_bench(args):
     sizes = [int(float(s)) for s in args.sizes.split(",")]
     if sorted(sizes) != sizes:
         raise DataFormatError("bench sizes must be ascending")
+    chunk_rows = 10_000  # rows per timed accumulate call
+    if sizes[0] < chunk_rows:
+        raise DataFormatError(f"bench sizes must be at least {chunk_rows} rows, got {sizes[0]}")
     rng = np.random.default_rng(args.seed)
     dims = args.dims
-    chunk = rng.normal(size=(10_000, dims)) + 0.75
+    chunk = rng.normal(size=(chunk_rows, dims)) + 0.75
     rows = []
     for n in sizes:
         acc = MomentAccumulator(dims, track_cov=not args.no_cov)

@@ -9,7 +9,8 @@ and a sample-complexity sweep for alignment calibration.
 Every sampled metric takes an explicit seed and is deterministic under
 it.  The histogram and kNN metrics never widen a whole input set: they
 read float32 or float64 rows in place and widen to float64 one block or
-tile at a time.  A cosine histogram scores its sampled pairs by one of
+tile at a time; blocks, pair blocks and tile ranges all come from
+``io.row_blocks``.  A cosine histogram scores its sampled pairs by one of
 two routes with the same counts.  Standalone, it gathers and scores them
 ``_PAIR_BLOCK`` at a time, so its working memory is bounded by that
 block size rather than by ``num_pairs x d``.  Deferred and handed to
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import as_matrix, row_blocks
+from .io import _finite, as_matrix, row_blocks
 from .moments import stats_of
 from .realign import estimate_realign
 
@@ -89,17 +90,6 @@ def modality_gap(mu_a: np.ndarray, mu_b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _finite_rows(rows, name: str) -> np.ndarray:
-    """Return ``rows`` as a matrix in its own dtype, rejecting any non-finite row."""
-    data = as_matrix(rows)
-    for block in row_blocks(data.shape[0]):
-        good = np.isfinite(data[block]).all(axis=1)
-        if not good.all():
-            raise DataFormatError(
-                f"non-finite value in row {block.start + int(np.argmin(good))} of {name}")
-    return data
-
-
 class _PairSample:
     """One set's seeded index pairs and the bin counts of their cosines.
 
@@ -123,7 +113,7 @@ class _PairSample:
     """
 
     def __init__(self, rows, num_pairs: int, bins: int, smoothing: bool, seed: int):
-        data = _finite_rows(rows, "rows")
+        data = _finite(rows, "non-finite value in row {} of rows")
         n = data.shape[0]
         if n < 2:
             raise DataFormatError("need at least 2 rows to form pairs")
@@ -149,12 +139,11 @@ class _PairSample:
     def gathered(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Cosines of the pairs ``(i, j)``, from rows gathered ``_PAIR_BLOCK`` pairs at a time."""
         cos = np.empty(i.size)
-        for start in range(0, i.size, _PAIR_BLOCK):
-            ii, jj = i[start:start + _PAIR_BLOCK], j[start:start + _PAIR_BLOCK]
+        for block in row_blocks(i.size, _PAIR_BLOCK):
+            ii, jj = i[block], j[block]
             left = self.data[ii].astype(np.float64, copy=False)
             right = self.data[jj].astype(np.float64, copy=False)
-            cos[start:start + _PAIR_BLOCK] = (np.einsum("ij,ij->i", left, right)
-                                              / (self.norms[ii] * self.norms[jj]))
+            cos[block] = np.einsum("ij,ij->i", left, right) / (self.norms[ii] * self.norms[jj])
         return cos
 
     def count(self, cos: np.ndarray) -> None:
@@ -163,15 +152,15 @@ class _PairSample:
     def sort_into_tiles(self, spans, base: int) -> None:
         """Trade the pairs for their offsets in the Gram tiles of a pooled pass over ``spans``.
 
-        The set's rows are the pooled rows from ``base`` on.  A pair is read
-        at (lower row, higher row) of the tile of their spans, tiles being
-        the span pairs (a, b) with a <= b.  ``offsets`` holds each tile's
-        pairs contiguously (int32: a tile has at most ``(chunk + 2)^2``
-        entries), and ``tiles`` maps a tile's first row and column to
-        their slice.
+        ``spans`` are the pass's ``row_blocks``, and the set's rows are the
+        pooled rows from ``base`` on.  A pair is read at (lower row, higher
+        row) of the tile of their spans, tiles being the span pairs (a, b)
+        with a <= b.  ``offsets`` holds each tile's pairs contiguously
+        (int32: a tile has at most ``(chunk + 2)^2`` entries), and
+        ``tiles`` maps a tile's first row and column to their slice.
         """
-        m, size = len(spans), spans[0][1]  # every span but the last is ``size`` rows wide
-        widths = np.array([hi - lo for lo, hi in spans])
+        m, size = len(spans), spans[0].stop  # every span but the last is ``size`` rows wide
+        widths = np.array([span.stop - span.start for span in spans])
         p = np.minimum(self.i, self.j).astype(np.int64) + base
         q = np.maximum(self.i, self.j).astype(np.int64) + base
         sp, sq = np.minimum(p // size, m - 1), np.minimum(q // size, m - 1)
@@ -179,7 +168,7 @@ class _PairSample:
         offsets = (p - sp * size) * widths[sq] + (q - sq * size)
         self.offsets = offsets[np.argsort(tile)].astype(np.int32)
         ends = np.cumsum(np.bincount(tile, minlength=m * m)).tolist()
-        self.tiles = {(spans[t // m][0], spans[t % m][0]): slice(start, end)
+        self.tiles = {(spans[t // m].start, spans[t % m].start): slice(start, end)
                       for t, (start, end) in enumerate(zip([0] + ends, ends)) if start < end}
         self.base = base
         self.i = self.j = None
@@ -263,23 +252,9 @@ def js_divergence(p: CosineHistogram, q: CosineHistogram) -> float:
     return max(0.0, 0.5 * kl(pm, mid) + 0.5 * kl(qm, mid))
 
 
-def _spans(n: int, size: int) -> list[tuple[int, int]]:
-    """``(lo, hi)`` ranges of ``size`` rows covering ``range(n)`` in order.
-
-    A trailing range narrower than 3 rows joins the one before it: BLAS
-    multiplies operands 1 or 2 wide by other kernels, whose rounding
-    differs from the wide product's.
-    """
-    spans, lo = [], 0
-    while lo < n:
-        hi = n if n - lo < size + 3 else lo + size
-        spans.append((lo, hi))
-        lo = hi
-    return spans
-
-
-def _widened(parts, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo:hi`` of the row concatenation of ``parts``, as float64."""
+def _widened(parts, rows: slice) -> np.ndarray:
+    """The ``rows`` of the row concatenation of ``parts``, as float64."""
+    lo, hi = rows.start, rows.stop
     pieces, start = [], 0
     for part in parts:
         stop = start + part.shape[0]
@@ -334,7 +309,7 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     ``points`` is one matrix or a tuple of matrices read as their row
     concatenation; rows are widened to float64 one tile at a time, so no
     pooled copy is made.  Squared distances ``(|a|^2 + |b|^2) - 2 a.b``
-    are formed in tiles between ranges of ``chunk`` rows (``_spans``).
+    are formed in tiles between ranges of ``chunk`` rows (``row_blocks``).
     Each unordered pair of ranges is multiplied once: the tile serves the
     first range's rows and its transpose the second's, since float
     addition commutes and the BLAS product's transpose equals the
@@ -353,31 +328,33 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     score their pairs there (``_PairSample``).
     """
     parts = points if isinstance(points, tuple) else (points,)
-    spans = _spans(sum(part.shape[0] for part in parts), chunk)
+    spans = list(row_blocks(sum(part.shape[0] for part in parts), chunk))
+    widths = [span.stop - span.start for span in spans]
     sq = np.concatenate([np.einsum("ij,ij->i", block, block)
-                         for block in (_widened(parts, lo, hi) for lo, hi in spans)])
+                         for block in (_widened(parts, span) for span in spans)])
     # the Gram and distance tiles reuse two buffers, so no tile is allocated twice
-    buffers = np.empty((2, max(hi - lo for lo, hi in spans) ** 2))
-    best = [(np.empty((hi - lo, 0)), np.empty((hi - lo, 0), dtype=np.int64)) for lo, hi in spans]
-    for a, (lo_a, hi_a) in enumerate(spans):
-        rows_a = _widened(parts, lo_a, hi_a)
+    buffers = np.empty((2, max(widths) ** 2))
+    best = [(np.empty((width, 0)), np.empty((width, 0), dtype=np.int64)) for width in widths]
+    for a, span_a in enumerate(spans):
+        rows_a = _widened(parts, span_a)
         for b in range(a, len(spans)):
-            lo_b, hi_b = spans[b]
-            rows_b = rows_a if b == a else _widened(parts, lo_b, hi_b)
-            shape = (hi_a - lo_a, hi_b - lo_b)
+            span_b = spans[b]
+            rows_b = rows_a if b == a else _widened(parts, span_b)
+            shape = (widths[a], widths[b])
             gram, d2 = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
             np.matmul(rows_a, rows_b.T, out=gram)
             if on_tile is not None:
-                on_tile(lo_a, lo_b, gram)
+                on_tile(span_a.start, span_b.start, gram)
             gram *= 2.0
-            np.add.outer(sq[lo_a:hi_a], sq[lo_b:hi_b], out=d2)
+            np.add.outer(sq[span_a], sq[span_b], out=d2)
             d2 -= gram
             if b == a:
                 np.fill_diagonal(d2, np.inf)
             # the Gram tile is spent, so its buffer is the merges' spare
-            best[a] = _merge_tile(*best[a], d2, lo_b, k, spare=gram)
+            best[a] = _merge_tile(*best[a], d2, span_b.start, k, spare=gram)
             if b != a:
-                best[b] = _merge_tile(*best[b], d2.T, lo_a, k, spare=gram.reshape(shape[::-1]))
+                best[b] = _merge_tile(*best[b], d2.T, span_a.start, k,
+                                      spare=gram.reshape(shape[::-1]))
     return np.vstack([index for _, index in best])
 
 
@@ -393,8 +370,8 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
     their pairs off its Gram tiles and fills in their masses, which equal
     those of the same histograms scored standalone, bit for bit.
     """
-    a = _finite_rows(rows_a, "rows_a")
-    b = _finite_rows(rows_b, "rows_b")
+    a = _finite(rows_a, "non-finite value in row {} of rows_a")
+    b = _finite(rows_b, "non-finite value in row {} of rows_b")
     if a.shape[1] != b.shape[1]:
         raise DataFormatError("sets have different dimensionalities")
     n = a.shape[0] + b.shape[0]
@@ -405,7 +382,7 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
     for hist, rows, _ in pending:
         if hist._pending is None or hist._pending.data is not rows:
             raise ValueError("histograms must be deferred histograms of rows_a and rows_b")
-    spans = _spans(n, _TILE)
+    spans = list(row_blocks(n, _TILE))
     for hist, _, base in pending:
         hist._pending.sort_into_tiles(spans, base)
 
@@ -449,8 +426,8 @@ def knn_overlap(rows_before, rows_after, k: int = 10) -> float:
     Rows must be index-aligned between the two sets.  Exact duplicates
     make neighbor sets ambiguous and are flagged with a warning.
     """
-    before = _finite_rows(rows_before, "rows_before")
-    after = _finite_rows(rows_after, "rows_after")
+    before = _finite(rows_before, "non-finite value in row {} of rows_before")
+    after = _finite(rows_after, "non-finite value in row {} of rows_after")
     if before.shape[0] != after.shape[0]:
         raise DataFormatError("sets must have equal row counts")
     n = before.shape[0]

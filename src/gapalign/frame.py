@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import _ROW_BLOCK, Payload, _check_int, _checked, as_matrix, row_blocks
-from .moments import RowSum
+from .io import Payload, _check_int, _checked, as_matrix, row_blocks
+from .moments import _mean_of
 from .spectral import _fix_signs, max_principal_sine, sym_eig
 
 
@@ -137,16 +137,12 @@ def paired_mean_gap(paired_a, paired_b, frame: ReferenceFrame) -> np.ndarray:
     """Mean of the index-paired differences, formed one row block at a time.
 
     With two or more dims it is bitwise the ``mean_gap`` that
-    ``decompose_gap`` computes from the whole arrays (see ``RowSum``), in
-    one float64 row block of memory.
+    ``decompose_gap`` computes from the whole arrays (see
+    ``moments._mean_of``), in one float64 row block of memory.
     """
     x, y = _paired_rows(paired_a, paired_b, frame)
-    diffs = RowSum(frame.dims, min(x.shape[0], _ROW_BLOCK + 1))
-    for block in row_blocks(x.shape[0]):
-        k = block.stop - block.start
-        np.subtract(x[block], y[block], out=diffs.block(k), dtype=np.float64)
-        diffs.add(k)
-    return diffs.total / x.shape[0]
+    return _mean_of(x.shape[0], frame.dims, lambda block, out: np.subtract(
+        x[block], y[block], out=out, dtype=np.float64))
 
 
 def decompose_gap(paired_a, paired_b, frame: ReferenceFrame,

@@ -8,7 +8,8 @@ Two on-disk embedding formats are supported:
   seekable, so it can be streamed in fixed-size row batches, and
   ``read_embeddings(path, rows=slice(lo, hi))`` reads one row range.
 * ``csv`` -- one row per line, comma-separated decimal floats; ``#``
-  comments and blank lines are skipped.  Loading always promotes to
+  comments and empty lines are skipped, but a line holding only spaces
+  or tabs is malformed.  Loading always promotes to
   float64.  Whole-file reads and streamed batches parse the same way:
   ``np.loadtxt`` over a fixed number of lines at a time.
 
@@ -77,31 +78,51 @@ ARTIFACT_SCHEMA_VERSION = 2
 _SIDECAR_DTYPE = np.dtype("<f8")
 _SIDECAR_KEYS = {"npy", "shape", "dtype", "sha256"}
 
-# Rows per block for every row-blocked pass: finiteness checks here, the gap
+# Rows per block by default (``row_blocks``): finiteness checks here, the gap
 # decomposition, and the realign and blockwise operators.  Blocking bounds
 # each pass's temporaries to one block.  On 50k x 768 float32 rows (2-core
 # host), realign apply took 1.0 s whole-array, 0.6 s at 1,024 rows and 0.8 s
 # at 8,192; blockwise estimate/apply took 3.5/1.6 s at 1,024 rows and
 # 3.6/1.9 s at 8,192, while 256 rows slowed the covariance GEMMs.
 _ROW_BLOCK = 1024
+_MIN_TAIL = 3  # a trailing block narrower than this joins the one before it
 _STREAM_CHUNK = 1 << 20  # bytes read from an emb1 stream at a time
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Slices of ``_ROW_BLOCK`` rows covering ``range(n)`` in order.
+def row_blocks(n: int, size: int = _ROW_BLOCK) -> Iterator[slice]:
+    """Slices of ``size`` rows covering ``range(n)`` in order; every blocked pass walks these.
 
-    A lone trailing row joins the block before it: numpy multiplies a
-    one-row matrix as a matrix-vector product, whose rounding differs from
-    the matrix product's.  Whether a blocked GEMM then rounds every row as
+    A trailing block narrower than ``_MIN_TAIL`` rows joins the one before
+    it: BLAS multiplies operands 1 or 2 rows wide by other kernels (numpy
+    takes one row as a matrix-vector product), whose rounding differs from
+    the wide product's.  Whether a blocked GEMM then rounds every row as
     the whole-array GEMM does depends on the shapes: it does for the
     shapes the tests pin and for the benchmark's 768 x 71 frame, but not
     for, for example, 3,000 x 64 rows times a 64 x 10 basis.
     """
     lo = 0
     while lo < n:
-        hi = n if n - lo <= _ROW_BLOCK + 1 else lo + _ROW_BLOCK
+        hi = n if n - lo < size + _MIN_TAIL else lo + size
         yield slice(lo, hi)
         lo = hi
+
+
+def _widest_block(n: int, size: int = _ROW_BLOCK) -> int:
+    """The most rows a block of ``row_blocks(n, size)`` holds."""
+    return min(n, size + _MIN_TAIL - 1)
+
+
+def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
+    """``rows`` as a matrix; ``DataFormatError(message.format(i))`` if row i is non-finite.
+
+    ``i`` is the first such row, counted from ``first_row``.
+    """
+    rows = as_matrix(rows)
+    for block in row_blocks(rows.shape[0]):
+        good = np.isfinite(rows[block]).all(axis=1)
+        if not good.all():
+            raise DataFormatError(message.format(first_row + block.start + int(np.argmin(good))))
+    return rows
 
 
 @dataclass
@@ -135,11 +156,7 @@ class EmbeddingSet:
 
     def validate_finite(self, row_offset: int = 0) -> None:
         """Raise ``DataFormatError`` naming the first non-finite row, if any."""
-        for block in row_blocks(self.rows):
-            good = np.isfinite(self.data[block]).all(axis=1)
-            if not good.all():
-                bad = block.start + int(np.argmin(good))
-                raise DataFormatError(f"non-finite value in row {row_offset + bad}")
+        _finite(self.data, "non-finite value in row {}", row_offset)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -670,8 +687,7 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
         "payload": encode(artifact.payload, path),
         "provenance": artifact.provenance,
     }
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text.encode()))
+    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name in replaced - written:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(os.path.dirname(path), name))

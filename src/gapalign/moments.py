@@ -7,10 +7,11 @@ needed for statistical alignment.
 
 The state is the row count, the column sum, and the centred second
 moments: the sum of squared distances to the mean and, optionally, the
-scatter matrix about the mean.  A batch is folded one row block at a
-time.  Each block is widened into one reusable float64 buffer, checked
-for non-finite values, centred about its own mean and merged into the
-state with the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+scatter matrix about the mean.  A batch is folded one row block
+(``io.row_blocks``) at a time.  A ``fill(block, out)`` producer writes
+each block into one reusable float64 buffer; the block is checked for
+non-finite values, centred about its own mean and merged into the state
+with the pairwise update of Chan, Golub & LeVeque ("Algorithms for
 computing the sample variance", Am. Stat. 1983).  Centred moments keep
 their precision when the mean lies far from the origin, where raw
 moments lose it to the cancellation in sum(x x^T) / n - mean mean^T.
@@ -18,10 +19,11 @@ Accumulators merge with the same update, and memory is one block plus
 O(d^2) whatever the number of rows.
 
 Within one ``accumulate`` call the column sum adds rows one after
-another in input order (``RowSum``), and each call's sum is then added
+another in input order (``_row_sums``), and each call's sum is then added
 to the running sum.  So the mean of one in-memory array is bitwise the
 whole-array ``rows.sum(axis=0) / n``, and streamed batches give the sum
-of per-batch sums, as raw-moment accumulation did.
+of per-batch sums, as raw-moment accumulation did.  ``_mean_of`` sums the
+same way for passes that need only a mean (the mean gap, the drift).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import Payload, _check_int, _checked, as_matrix
+from .io import (_ROW_BLOCK, Payload, _check_int, _checked, _finite, _widest_block, as_matrix,
+                 row_blocks)
 
 # Rows per block of the moment kernel.  The block's scatter GEMM dominates
 # its cost.  stats_of on 50k x 768 float32 rows (2-core host, best of 5)
@@ -42,31 +45,34 @@ from .io import Payload, _check_int, _checked, as_matrix
 _BLOCK = 4096
 
 
-class RowSum:
-    """Column sum of float64 row blocks, added row by row in input order.
+def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK):
+    """``(rows, block, total)`` for each slice ``rows`` of ``row_blocks(n, size)``.
 
-    Write each block into ``block(k)`` and then call ``add(k)``.  The
-    running total is carried as row 0 of one reusable buffer and summed
-    together with the block's rows, so every row is added to the total in
-    input order.  That is the order numpy's axis-0 sum of a C-contiguous
-    array with two or more columns uses, so ``total`` is bitwise that
-    whole-array sum.
+    ``fill(rows, block)`` writes the rows into ``block``, a float64 view of
+    one reusable buffer, and ``total`` is the column sum of every row up to
+    the block's end.  The running total is carried as row 0 of the buffer
+    and summed together with the block's rows, so every row is added to
+    the total in input order.  That is the order numpy's axis-0 sum of a
+    C-contiguous array with two or more columns uses, so ``total`` is
+    bitwise that whole-array sum.
     """
-
-    def __init__(self, dims: int, block_rows: int):
-        self._buf = np.empty((block_rows + 1, dims))
-        self.total = None  # until the first block is added
-
-    def block(self, k: int) -> np.ndarray:
-        return self._buf[1:k + 1]
-
-    def add(self, k: int) -> np.ndarray:
-        if self.total is None:
-            self.total = self._buf[1:k + 1].sum(axis=0)
+    buf, total = np.empty((_widest_block(n, size) + 1, dims)), None
+    for rows in row_blocks(n, size):
+        block = buf[1:rows.stop - rows.start + 1]
+        fill(rows, block)
+        if total is None:
+            total = block.sum(axis=0)
         else:
-            self._buf[0] = self.total
-            self.total = self._buf[:k + 1].sum(axis=0)
-        return self.total
+            buf[0] = total
+            total = buf[:block.shape[0] + 1].sum(axis=0)
+        yield rows, block, total
+
+
+def _mean_of(n: int, dims: int, fill) -> np.ndarray:
+    """The mean of n rows of ``dims`` values that ``fill(block, out)`` writes (``_row_sums``)."""
+    for _, _, total in _row_sums(n, dims, fill):
+        pass
+    return total / n
 
 
 @dataclass
@@ -142,32 +148,25 @@ class MomentAccumulator:
         if rows.shape[1] != self.dims:
             raise DataFormatError(f"batch has {rows.shape[1]} dims, accumulator expects {self.dims}")
         return self.accumulate_from(rows.shape[0],
-                                    lambda lo, out: np.copyto(out, rows[lo:lo + out.shape[0]]))
+                                    lambda block, out: np.copyto(out, rows[block]))
 
     def accumulate_from(self, n: int, fill) -> "MomentAccumulator":
-        """Fold n rows that ``fill(first_row, out)`` writes block by block.
+        """Fold n rows that ``fill(block, out)`` writes block by block.
 
         ``out`` is a float64 (k x d) view of the kernel's block buffer;
-        ``fill`` must write rows ``first_row`` to ``first_row + k`` of the
-        input into it.  Producers of float64 rows write straight into the
-        buffer, without a copy of their own.  The rows are folded into a
-        fresh accumulator whose column sum is one ``RowSum``, merged into
+        ``fill`` must write the k input rows the slice ``block`` names into
+        it.  Producers of float64 rows write straight into the buffer,
+        without a copy of their own.  The rows are folded into a fresh
+        accumulator whose column sum is that of ``_row_sums``, merged into
         this one at the end, so a non-finite row leaves this one unchanged.
         """
-        part = MomentAccumulator(self.dims, self.track_cov)
-        sums = RowSum(self.dims, min(n, _BLOCK))
-        for lo in range(0, n, _BLOCK):
-            k = min(_BLOCK, n - lo)
-            block = sums.block(k)
-            fill(lo, block)
-            seen = sums.total
-            total = sums.add(k)
+        part, seen = MomentAccumulator(self.dims, self.track_cov), None
+        for rows, block, total in _row_sums(n, self.dims, fill, _BLOCK):
+            k = block.shape[0]
             # a sum of finite values is finite unless it overflows, so only
             # a non-finite sum needs the per-row search
             if not np.isfinite(total).all():
-                good = np.isfinite(block).all(axis=1)
-                if not good.all():
-                    raise DataFormatError(f"non-finite value in batch row {lo + int(np.argmin(good))}")
+                _finite(block, "non-finite value in batch row {}", rows.start)
             # the first block's sum is the running total itself
             mean = (total if seen is None else block.sum(axis=0)) / k
             block -= mean
@@ -175,8 +174,7 @@ class MomentAccumulator:
             delta = None if seen is None else mean - seen / part.n
             part._merge_centred(k, delta, float(np.vdot(block, block)), scatter)
             part.n += k
-        if n:
-            part.sum = sums.total
+            part.sum = seen = total
         return self._add(part)
 
     def _merge_centred(self, n_b: int, delta, sumsq_b: float, scatter_b) -> None:

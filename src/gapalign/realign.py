@@ -22,9 +22,9 @@ naming a collapse at its row counted from ``first_row``.  Realign and
 blockwise share the centroid stage after their own shaping step; the
 noise of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
 
-Calibration and application both run in row blocks and widen float32
-input block by block, so each needs O(block * d + d^2) memory beyond
-its rows and its output, whether the rows are in memory or in a file.
+Calibration and application both run in row blocks (``io.row_blocks``)
+and widen float32 input block by block, so each needs O(block * d + d^2)
+memory beyond its rows and its output, whether in memory or in a file.
 Calibration slices a row source such as ``io.EmbeddingFile`` one block
 at a time, as it slices an array, and the file's rows are read block by
 block.  Apply maps every row block on its own, so applying to
@@ -33,10 +33,11 @@ consecutive blocks and writing each output block as it comes, as
 calibration pass recomputes the intermediate rows it needs (the first
 normalization, the anchored rows) one block at a time instead of
 holding them for the whole set.  Covariances come from the centred
-moment kernel in ``moments``, and drift means are ``RowSum`` sums, equal
-bitwise to a whole-array mean of the same rows.  Blockwise is applied as
-one composed d x d map, derived once from the stored per-block
-transforms and bases; its square roots come from ``spectral.sym_apply``.
+moment kernel in ``moments``, and drift means from ``moments._mean_of``,
+equal bitwise to a whole-array mean of the same rows; each shaping step
+is a ``fill(block, out)`` producer for both.  Blockwise is applied as one
+composed d x d map, derived once from the stored per-block transforms
+and bases; its square roots come from ``spectral.sym_apply``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import _ROW_BLOCK, EmbeddingSet, Payload, _check_int, _checked, as_matrix
-from .moments import ModalityStats, MomentAccumulator, RowSum
+from .io import EmbeddingSet, Payload, _check_int, _checked, _widest_block, as_matrix, row_blocks
+from .moments import ModalityStats, MomentAccumulator, _mean_of
 from .spectral import sym_apply
 
 _COLLAPSE = 1e-12
@@ -129,27 +130,16 @@ def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(np.shape(rows)))
 
 
-def _centroid_stage(rows, stats, shape_into, first_row: int) -> np.ndarray:
-    """Row blocks through ``shape_into(chunk, out, at)``, then - mu_drift + mu_tgt, unit."""
-    out = np.empty((rows.shape[0], stats.dims))
-    for lo in range(0, rows.shape[0], _ROW_BLOCK):
-        at = first_row + lo
-        block = shape_into(rows[lo:lo + _ROW_BLOCK], out[lo:lo + _ROW_BLOCK], at)
-        block -= stats.mu_drift
-        block += stats.mu_tgt
-        _normalize_in_place(block, "centroid-stage normalization", at)
+def _centroid_stage(n: int, stats, fill, first_row: int) -> np.ndarray:
+    """n rows through ``fill(block, out)``, then - mu_drift + mu_tgt, unit."""
+    out = np.empty((n, stats.dims))
+    for block in row_blocks(n):
+        shaped = out[block]
+        fill(block, shaped)
+        shaped -= stats.mu_drift
+        shaped += stats.mu_tgt
+        _normalize_in_place(shaped, "centroid-stage normalization", first_row + block.start)
     return out
-
-
-def _drift_mean(calib, shape_into) -> np.ndarray:
-    """The mean of the calibration rows after ``shape_into``: the frozen drift."""
-    n = calib.shape[0]
-    shaped = RowSum(calib.shape[1], min(n, _ROW_BLOCK))
-    for lo in range(0, n, _ROW_BLOCK):
-        chunk = calib[lo:lo + _ROW_BLOCK]
-        shape_into(chunk, shaped.block(chunk.shape[0]), lo)
-        shaped.add(chunk.shape[0])
-    return shaped.total / n
 
 
 def estimate_realign(
@@ -172,8 +162,9 @@ def estimate_realign(
     if calib.shape[1] != stats_src.dims or stats_src.dims != stats_tgt.dims:
         raise DataFormatError("dimension mismatch between stats and calibration set")
     scale = float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps)))
-    mu_drift = _drift_mean(calib, lambda chunk, out, at: _affine_into(
-        chunk, stats_src.mean, scale, stats_tgt.mean, out, "calibration normalization", at))
+    mu_drift = _mean_of(calib.shape[0], calib.shape[1], lambda block, out: _affine_into(
+        calib[block], stats_src.mean, scale, stats_tgt.mean, out, "calibration normalization",
+        block.start))
     return AlignmentStats(
         mu_src=stats_src.mean,
         mu_tgt=stats_tgt.mean,
@@ -198,9 +189,9 @@ def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0)
     tag = source_set.modality_tag if isinstance(source_set, EmbeddingSet) else ""
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
-    return EmbeddingSet(_centroid_stage(rows, stats, lambda chunk, out, at: _affine_into(
-        chunk, stats.mu_src, stats.scale, stats.mu_tgt, out, "affine-stage normalization", at),
-        first_row), tag)
+    return EmbeddingSet(_centroid_stage(rows.shape[0], stats, lambda block, out: _affine_into(
+        rows[block], stats.mu_src, stats.scale, stats.mu_tgt, out, "affine-stage normalization",
+        first_row + block.start), first_row), tag)
 
 
 @dataclass
@@ -233,12 +224,11 @@ class C3Baseline:
         rows = as_matrix(rows)
         stage = "noise-stage normalization" if self.sigma > 0 else "anchor normalization"
         out = np.empty(rows.shape)
-        for lo in range(0, rows.shape[0], _ROW_BLOCK):
-            block = _affine_into(rows[lo:lo + _ROW_BLOCK], self.mu_src, 1.0, self.mu_tgt,
-                                 out[lo:lo + _ROW_BLOCK])
+        for block in row_blocks(rows.shape[0]):
+            shaped = _affine_into(rows[block], self.mu_src, 1.0, self.mu_tgt, out[block])
             if self.sigma > 0:
-                block += self.sigma * self.rng.standard_normal(size=block.shape)
-            _normalize_in_place(block, stage, first_row + lo)
+                shaped += self.sigma * self.rng.standard_normal(size=shaped.shape)
+            _normalize_in_place(shaped, stage, first_row + block.start)
         return out
 
 
@@ -347,10 +337,9 @@ def estimate_blockwise(
 
     mu_src, mu_tgt, cov_tgt = stats_src.mean, stats_tgt.mean, stats_tgt.covariance
 
-    def anchor_into(lo, out):
+    def anchor_into(block, out):
         # the anchor step is the affine step with unit scale
-        _affine_into(src[lo:lo + out.shape[0]], mu_src, 1.0, mu_tgt, out,
-                     "anchor normalization", lo)
+        _affine_into(src[block], mu_src, 1.0, mu_tgt, out, "anchor normalization", block.start)
 
     cov_src = MomentAccumulator(d).accumulate_from(n, anchor_into).finalize().covariance
     basis_out = frame.complement_basis()
@@ -382,7 +371,7 @@ def estimate_blockwise(
         calib_n=n,
         floored=floored,
     )
-    stats.mu_drift = _drift_mean(src, _blockwise_shaping(stats, n))
+    stats.mu_drift = _mean_of(n, d, _blockwise_shaping(stats, src))
     return stats
 
 
@@ -391,17 +380,18 @@ def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     return sym_apply(cov, lambda lam: np.sqrt(np.maximum(lam, 0.0)))
 
 
-def _blockwise_shaping(stats: BlockwiseStats, n: int):
-    """The anchor step into a scratch block, then the composed operator, normalized."""
-    scratch = np.empty((min(n, _ROW_BLOCK), stats.dims))
+def _blockwise_shaping(stats: BlockwiseStats, rows, first_row: int = 0):
+    """``fill(block, out)``: anchor into a scratch block, then the composed operator, unit."""
+    scratch = np.empty((_widest_block(rows.shape[0]), stats.dims))
 
-    def shape_into(chunk, out, first_row):
-        unit = _affine_into(chunk, stats.mu_src, 1.0, stats.mu_tgt, scratch[:chunk.shape[0]],
-                            "anchor normalization", first_row)
-        return _normalize_in_place(np.matmul(unit, stats.operator, out=out),
-                                   "block-transform normalization", first_row)
+    def fill(block, out):
+        at = first_row + block.start
+        unit = _affine_into(rows[block], stats.mu_src, 1.0, stats.mu_tgt, scratch[:out.shape[0]],
+                            "anchor normalization", at)
+        _normalize_in_place(np.matmul(unit, stats.operator, out=out),
+                            "block-transform normalization", at)
 
-    return shape_into
+    return fill
 
 
 def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
@@ -413,5 +403,6 @@ def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndar
     rows = as_matrix(e_src)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"expected dimension {stats.dims}, got {rows.shape[1]}")
-    out = _centroid_stage(rows, stats, _blockwise_shaping(stats, rows.shape[0]), first_row)
+    out = _centroid_stage(rows.shape[0], stats, _blockwise_shaping(stats, rows, first_row),
+                          first_row)
     return out[0] if np.ndim(e_src) == 1 else out

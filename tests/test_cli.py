@@ -303,7 +303,7 @@ def align_with_stats(method, in_path, out_path, paths):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2049, 3001])
+@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 1026, 2049, 2050, 3001])
 def test_streamed_cli_output_is_bitwise_the_whole_array_library_call(
         tmp_path, saved_operators, n, dtype):
     rng = np.random.default_rng(n)
@@ -857,6 +857,14 @@ def test_bench_state_bytes_constant(tmp_path):
     sizes = {entry["state_bytes"] for entry in doc["timing"]}
     assert len(sizes) == 1
     assert doc["f32_replay_error"] >= 1e3 * doc["f64_error"]
+
+
+def test_bench_rejects_sizes_below_one_timed_chunk(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "5000", "--dims", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: bench sizes must be at least") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_reports_covariance_precision_at_large_offset(tmp_path, capsys):

@@ -175,7 +175,7 @@ class TestDecomposeGap:
             decompose_gap(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), frame)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 1026, 2050, 3000])
     def test_blocked_equals_whole_array_bitwise(self, n, dtype):
         rng = np.random.default_rng(n)
         frame = random_frame(rng, 40, 7)

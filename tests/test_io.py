@@ -28,7 +28,7 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign.cli import main
-from gapalign.io import EmbeddingFile, RowMap, as_matrix, row_blocks, row_source
+from gapalign.io import EmbeddingFile, RowMap, _widest_block, as_matrix, row_blocks, row_source
 
 
 def test_read_identity_fixture(tmp_path):
@@ -248,7 +248,7 @@ def test_row_source_reads_csv_and_pipes_whole(tmp_path):
     npt.assert_array_equal(from_pipe, rows)
 
 
-@pytest.mark.parametrize("n", [0, 1, 1025, 2049])
+@pytest.mark.parametrize("n", [0, 1, 1025, 1026, 2049, 2050])
 def test_write_row_sources_block_by_block(tmp_path, n):
     rows = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
     whole = tmp_path / "whole.emb"
@@ -268,6 +268,20 @@ def test_write_row_sources_block_by_block(tmp_path, n):
     write_embeddings(EmbeddingSet(2.0 * rows.astype(np.float64)), str(expected))
     assert mapped.read_bytes() == expected.read_bytes()
     assert firsts == [block.start for block in row_blocks(n)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 1100))
+def test_row_blocks_cover_rows_in_order_with_no_narrow_tail(n, size):
+    blocks = list(row_blocks(n, size))
+    assert [row for block in blocks for row in range(n)[block]] == list(range(n))
+    assert all(block.step is None and block.stop > block.start for block in blocks)
+    widths = [block.stop - block.start for block in blocks]
+    assert all(width <= _widest_block(n, size) for width in widths)
+    # every block but the last is ``size`` rows, and the last is never 1 or 2 rows after another
+    assert all(width == size for width in widths[:-1])
+    assert len(widths) < 2 or widths[-1] >= 3
+    assert n < 3 or size < 3 or min(widths) >= 3
 
 
 def test_row_source_passes_read_one_block_at_a_time(tmp_path):

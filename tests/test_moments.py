@@ -246,7 +246,7 @@ def test_covariance_and_trace_accurate_far_from_the_origin(offset, batches):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1])
 def test_mean_is_bitwise_the_whole_array_sum(n, dtype):
     rows = (np.random.default_rng(n).normal(size=(n, 8)) * 3.0 + 0.7).astype(dtype)
     mean = stats_of(rows, track_cov=n > 1).mean

@@ -308,7 +308,7 @@ class TestSubstitutionOperator:
         npt.assert_array_equal(batch.data, loop)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1026, 2050, 3000])
     def test_blocked_equals_unblocked_bitwise(self, n, dtype):
         rng = np.random.default_rng(24)
         src = anisotropic_sphere_sample(rng, n, 12)
@@ -368,6 +368,20 @@ class TestBaselines:
         c = C3Baseline(mu_src, mu_tgt, sigma=0.1, seed=78).apply(rows)
         npt.assert_array_equal(a, b)
         assert np.linalg.norm(a - c) > 1e-6
+
+    def test_apply_is_bitwise_independent_of_how_rows_are_split_into_calls(self):
+        rng = np.random.default_rng(17)
+        src = anisotropic_sphere_sample(rng, 3000, 12)
+        tgt = anisotropic_sphere_sample(rng, 3000, 12, kappa=4.0)
+        stats = estimate_realign(stats_of(src), stats_of(tgt), src)
+        rows = src.astype(np.float32)
+        cuts = [0, 1000, 1025, rows.shape[0]]
+        realign = [stats.apply(rows[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])]
+        npt.assert_array_equal(np.vstack(realign), stats.apply(rows))
+        c3 = C3Baseline(stats.mu_src, stats.mu_tgt, sigma=0.05, seed=7)
+        split = np.vstack([c3.apply(rows[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])])
+        whole = C3Baseline(stats.mu_src, stats.mu_tgt, sigma=0.05, seed=7).apply(rows)
+        npt.assert_array_equal(split, whole)
 
     def test_c3_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -508,7 +522,7 @@ class TestBlockwise:
         assert np.isfinite(out).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 1025, 8191, 8192, 8193, 16_385])
+    @pytest.mark.parametrize("n", [1, 1025, 8191, 8192, 8193, 8194, 16_385])
     def test_composed_operator_matches_per_block_products(self, n, dtype):
         src, tgt, fresh, frame = self.concentrated_pair(26, n=16_385)
         stats = estimate_blockwise(frame, stats_of(src), stats_of(tgt, track_cov=True), src)
