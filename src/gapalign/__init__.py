@@ -41,7 +41,6 @@ from .frame import (
     spectrum_correlation,
 )
 from .io import (
-    EmbeddingSet,
     StatsArtifact,
     iter_embedding_batches,
     load_artifact,

@@ -110,7 +110,7 @@ def _provenance(args, inputs):
 
 
 def _write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _save_payload(obj, path, provenance):
@@ -138,10 +138,12 @@ def _write_csv(path, header, rows, preamble=()):
 
 
 def _cmd_stats(args):
+    if not 0.0 <= args.shrink <= 1.0:  # with or without --no-cov, before the input is opened
+        raise ValueError(f"--shrink must be in [0, 1], got {args.shrink}")
     acc = None
-    for batch in iter_embedding_batches(args.in_path, args.batch_rows):
+    for batch in iter_embedding_batches(args.in_path, batch_rows=8192):
         if acc is None:
-            acc = MomentAccumulator(batch.dims, track_cov=not args.no_cov)
+            acc = MomentAccumulator(batch.shape[1], track_cov=not args.no_cov)
         acc.accumulate(batch)
     if acc is None:
         raise DataFormatError(f"{args.in_path}: no rows found")
@@ -291,20 +293,20 @@ def _spectrum_summary(rows):
 def _cmd_diagnose(args):
     set_a = read_embeddings(args.a)
     set_b = read_embeddings(args.b)
-    mu_a = np.mean(set_a.data, axis=0, dtype=np.float64)
-    mu_b = np.mean(set_b.data, axis=0, dtype=np.float64)
+    mu_a = np.mean(set_a, axis=0, dtype=np.float64)
+    mu_b = np.mean(set_b, axis=0, dtype=np.float64)
     # the pairs are drawn and checked now, and scored off the kNN mixing pass's Gram tiles
     hist_a = cosine_histogram(set_a, num_pairs=args.pairs, bins=args.bins,
                               smoothing=args.smoothing, seed=args.seed, deferred=True)
     hist_b = cosine_histogram(set_b, num_pairs=args.pairs, bins=args.bins,
                               smoothing=args.smoothing, seed=args.seed + 1, deferred=True)
-    lam_a, spec_a = _spectrum_summary(set_a.data)
-    lam_b, spec_b = _spectrum_summary(set_b.data)
+    lam_a, spec_a = _spectrum_summary(set_a)
+    lam_b, spec_b = _spectrum_summary(set_b)
     gap = modality_gap(mu_a, mu_b)
     mixing = knn_mixing_rate(set_a, set_b, k=args.k_mix, histograms=(hist_a, hist_b))
     report = {
-        "rows_a": set_a.rows,
-        "rows_b": set_b.rows,
+        "rows_a": set_a.shape[0],
+        "rows_b": set_b.shape[0],
         "modality_gap": gap,
         "js_divergence_nats": js_divergence(hist_a, hist_b),
         "js_log_base": "natural",
@@ -327,13 +329,13 @@ def _cmd_diagnose(args):
                    list(enumerate(lam_a.tolist(), start=1)))
         _write_csv(f"{args.plots_dir}/spectrum_b.csv", ["k", "eigenvalue"],
                    list(enumerate(lam_b.tolist(), start=1)))
-        pooled = MomentAccumulator(set_a.dims).accumulate(set_a).accumulate(set_b).finalize()
+        pooled = MomentAccumulator(set_a.shape[1]).accumulate(set_a).accumulate(set_b).finalize()
         basis = sym_eig(pooled.covariance).eigenvectors[:, :2]
         # blocked to bound the centred temporary; 1,024-row blocks matched the whole-set
         # product bit for bit on 768-wide sets at 1 and 2 BLAS threads, 512-row ones did not
-        coords = np.vstack([(s.data[block] - pooled.mean) @ basis
-                            for s in (set_a, set_b) for block in row_blocks(s.rows)])
-        labels = [0] * set_a.rows + [1] * set_b.rows
+        coords = np.vstack([(s[block] - pooled.mean) @ basis
+                            for s in (set_a, set_b) for block in row_blocks(s.shape[0])])
+        labels = [0] * set_a.shape[0] + [1] * set_b.shape[0]
         _write_csv(f"{args.plots_dir}/pca_coords.csv", ["pc1", "pc2", "set"],
                    [(float(c[0]), float(c[1]), l) for c, l in zip(coords, labels)])
     _write_json(args.report, report)
@@ -366,7 +368,8 @@ def _cmd_simulate(args):
         report = gap_necessity_ablation(config, seeds=seeds)
         report["provenance"] = _provenance(args, [args.config])
         _write_json(args.ablation_report, report)
-        print(f"ablation: baseline/shared = {report['baseline_over_shared']:.2f} "
+        ratio = report["baseline_over_shared"]
+        print(f"ablation: baseline/shared = {'undefined' if ratio is None else f'{ratio:.2f}'} "
               f"-> {args.ablation_report}")
         return 0
     trace = run_toy_training(config)
@@ -577,7 +580,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--no-cov", action="store_true")
     p.add_argument("--shrink", type=float, default=0.0, help="shrinkage intensity in [0,1]")
-    p.add_argument("--batch-rows", type=int, default=8192)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("frame", help="build the frozen reference frame from two stats artifacts")

@@ -498,13 +498,15 @@ def sample_complexity_curve(
     them, the operator is applied to the held-out source rows, and the
     centroid distance to the held-out target is recorded.  Returns one
     row per size with the per-trial gaps and their mean and standard
-    deviation.
+    deviation.  ``trials`` and every size must be at least 1.
     """
     src = as_matrix(src_rows).astype(np.float64, copy=False)
     tgt = as_matrix(tgt_rows).astype(np.float64, copy=False)
     sizes = [int(s) for s in sizes]
     if sorted(sizes) != sizes:
         raise ValueError("sizes must be ascending")
+    if trials < 1 or min(sizes, default=0) < 1:
+        raise ValueError(f"trials and every size must be >= 1, got trials={trials}, sizes={sizes}")
     rng = np.random.default_rng(seed)
 
     if holdout is None:

@@ -127,15 +127,13 @@ def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
 
 @dataclass
 class EmbeddingSet:
-    """A set of N row embeddings in d dimensions.
+    """An (N, d) float32 or float64 array, checked on construction.
 
-    ``data`` is an (N, d) float32 or float64 array; every entry of a
-    successfully loaded set is finite.  ``modality_tag`` is free-form
-    caller metadata and is not persisted by the binary format.
+    Readers and operators take and return plain arrays; ``write_embeddings``
+    and ``as_matrix`` also accept an array wrapped in this type.
     """
 
     data: np.ndarray
-    modality_tag: str = ""
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data)
@@ -143,24 +141,12 @@ class EmbeddingSet:
             raise DataFormatError(f"embedding data must be 2-D, got shape {self.data.shape}")
         if self.data.dtype not in (np.float32, np.float64):
             raise DataFormatError(f"unsupported dtype {self.data.dtype}; use float32 or float64")
-        if self.dims < 1:
+        if self.data.shape[1] < 1:
             raise DataFormatError("embedding sets need at least one dimension")
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.data.shape[1]
-
-    def validate_finite(self, row_offset: int = 0) -> None:
-        """Raise ``DataFormatError`` naming the first non-finite row, if any."""
-        _finite(self.data, "non-finite value in row {}", row_offset)
 
 
 def as_matrix(obj) -> np.ndarray:
-    """The (N, d) array behind an ``EmbeddingSet`` or array-like; row sources as they are."""
+    """An array-like as an (N, d) matrix, one row as a (1, d) matrix; row sources as they are."""
     if isinstance(obj, EmbeddingSet):
         return obj.data
     if isinstance(obj, (EmbeddingFile, RowMap)):
@@ -290,7 +276,8 @@ def _atomic_write(path: str, write_fn) -> None:
         raise
 
 
-def _read_header(fh, path: str):
+def _read_emb1_header(fh, path: str):
+    """The header's dtype, rows and dims, once the payload size is known to match them."""
     raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: file too short for header")
@@ -305,10 +292,15 @@ def _read_header(fh, path: str):
         raise DataFormatError(f"{path}: header dims must be >= 1, got {dims}")
     if reserved != 0:
         raise DataFormatError(f"{path}: reserved header field must be 0")
-    if rows * dims * _DTYPE_CODES[code].itemsize > np.iinfo(np.intp).max:
+    dtype = _DTYPE_CODES[code]
+    expected = rows * dims * dtype.itemsize
+    if expected > np.iinfo(np.intp).max:
         raise DataFormatError(f"{path}: header claims {rows} x {dims} values, more bytes "
                               f"than can be addressed")
-    return _DTYPE_CODES[code], rows, dims
+    size = _payload_size(fh)
+    if size is not None and size != expected:
+        raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
+    return dtype, rows, dims
 
 
 def _payload_size(fh) -> int | None:
@@ -345,9 +337,11 @@ def _native(payload: np.ndarray) -> np.ndarray:
     return payload if payload.dtype.isnative else payload.astype(payload.dtype.newbyteorder("="))
 
 
-def read_embeddings(path: str, format: str | None = None, modality_tag: str = "",
-                    rows: slice | None = None, out: np.ndarray | None = None) -> EmbeddingSet:
-    """Load a full embedding set, or one row range of an emb1 file, checking header and finiteness.
+def read_embeddings(path: str, format: str | None = None, rows: slice | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Load a whole embedding file, or one row range of an emb1 file, as an (N, d) array.
+
+    The header, the payload size and finiteness are checked.
 
     Parameters
     ----------
@@ -355,15 +349,13 @@ def read_embeddings(path: str, format: str | None = None, modality_tag: str = ""
         Input file.
     format : {"emb1", "csv", None}
         Explicit format; inferred from the extension when None.
-    modality_tag : str
-        Tag attached to the returned set.
     rows : slice, optional
         Read only this contiguous row range of an emb1 file.  The header
         and the payload size are checked as for a whole read.
     out : ndarray, optional
         A C-contiguous array of the header's dtype and exactly the shape of
         the rows read.  The payload is read into it, and on a
-        little-endian host it is the returned set's ``data``.
+        little-endian host it is the returned array.
 
     Raises
     ------
@@ -375,26 +367,20 @@ def read_embeddings(path: str, format: str | None = None, modality_tag: str = ""
     if fmt == "csv":
         if rows is not None or out is not None:
             raise ValueError("row ranges are read from emb1 files only")
-        batches = [batch.data for batch in _iter_csv_batches(path, _ROW_BLOCK, modality_tag)]
+        batches = list(_iter_csv_batches(path, _ROW_BLOCK))
         if not batches:
             raise DataFormatError(f"{path}: empty CSV has no dimension information")
-        return EmbeddingSet(np.concatenate(batches), modality_tag)
+        return np.concatenate(batches)
 
     with open(path, "rb") as fh:
         first, payload = _read_emb1_payload(fh, path, rows, out)
-    result = EmbeddingSet(payload, modality_tag)
-    result.validate_finite(row_offset=first)
-    return result
+    return _finite(payload, "non-finite value in row {}", first)
 
 
-def _read_emb1_header(fh, path: str):
-    """The header's dtype, rows and dims, once the payload size is known to match them."""
-    dtype, rows, dims = _read_header(fh, path)
-    expected = rows * dims * dtype.itemsize
-    size = _payload_size(fh)
-    if size is not None and size != expected:
-        raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
-    return dtype, rows, dims
+def _size_error(path: str, dtype, rows: int, dims: int) -> DataFormatError:
+    """The error for a payload found shorter or longer than its header implies while read."""
+    return DataFormatError(f"{path}: payload is not the {rows * dims * dtype.itemsize} bytes "
+                           f"the header implies")
 
 
 def _read_emb1_payload(fh, path: str, rows: slice | None, out: np.ndarray | None):
@@ -414,8 +400,7 @@ def _read_emb1_payload(fh, path: str, rows: slice | None, out: np.ndarray | None
     elif fh.readinto(out) != out.nbytes:
         out = None
     if out is None or (hi == n and fh.read(1)):
-        raise DataFormatError(f"{path}: payload is not the {n * dims * dtype.itemsize} bytes "
-                              f"the header implies")
+        raise _size_error(path, dtype, n, dims)
     return lo, _native(out)
 
 
@@ -447,7 +432,7 @@ class EmbeddingFile:
         k = max(hi - lo, 0)
         if self._buffer.shape[0] < k:
             self._buffer = np.empty((k, self.shape[1]), dtype=self._buffer.dtype)
-        return read_embeddings(self.path, rows=rows, out=self._buffer[:k]).data
+        return read_embeddings(self.path, rows=rows, out=self._buffer[:k])
 
 
 class RowMap:
@@ -481,49 +466,37 @@ def row_source(path: str, format: str | None = None):
     """
     if _infer_format(path, format) == "emb1" and stat.S_ISREG(os.stat(path).st_mode):
         return EmbeddingFile(path)
-    return read_embeddings(path, format).data
+    return read_embeddings(path, format)
 
 
-def iter_embedding_batches(
-    path: str, batch_rows: int, format: str | None = None, modality_tag: str = ""
-) -> Iterator[EmbeddingSet]:
-    """Stream an embedding file as batches of at most ``batch_rows`` rows.
+def iter_embedding_batches(path: str, batch_rows: int,
+                           format: str | None = None) -> Iterator[np.ndarray]:
+    """Stream an embedding file as arrays of at most ``batch_rows`` rows.
 
     Visits every row exactly once, in file order, without materializing
-    the full matrix.  Each batch is validated for finiteness; errors
-    report the global row index.
+    the full matrix.  The header and a regular file's size are checked
+    before the first batch, as ``read_embeddings`` checks them.  Each
+    batch is validated for finiteness; errors report the global row index.
     """
     if batch_rows < 1:
         raise ValueError("batch_rows must be >= 1")
-    fmt = _infer_format(path, format)
-    if fmt == "csv":
-        yield from _iter_csv_batches(path, batch_rows, modality_tag)
+    if _infer_format(path, format) == "csv":
+        yield from _iter_csv_batches(path, batch_rows)
         return
 
     with open(path, "rb") as fh:
-        dtype, rows, dims = _read_header(fh, path)
-        row_bytes = dims * dtype.itemsize
-        size = _payload_size(fh)
-        if size is not None and size < rows * row_bytes:
-            whole_batches = size // row_bytes // batch_rows
-            raise DataFormatError(f"{path}: truncated payload at row {whole_batches * batch_rows}")
-        if size is not None and size > rows * row_bytes:
-            raise DataFormatError(f"{path}: trailing bytes beyond declared payload")
-        seen = 0
-        while seen < rows:
-            take = min(batch_rows, rows - seen)
-            data = _read_rows(fh, take, dims, dtype, stream=size is None)
+        dtype, rows, dims = _read_emb1_header(fh, path)
+        stream = _payload_size(fh) is None
+        for seen in range(0, rows, batch_rows):
+            data = _read_rows(fh, min(batch_rows, rows - seen), dims, dtype, stream)
             if data is None:
-                raise DataFormatError(f"{path}: truncated payload at row {seen}")
-            batch = EmbeddingSet(_native(data), modality_tag)
-            batch.validate_finite(row_offset=seen)
-            yield batch
-            seen += take
+                raise _size_error(path, dtype, rows, dims)
+            yield _finite(_native(data), "non-finite value in row {}", seen)
         if fh.read(1):
-            raise DataFormatError(f"{path}: trailing bytes beyond declared payload")
+            raise _size_error(path, dtype, rows, dims)
 
 
-def _iter_csv_batches(path: str, batch_rows: int, modality_tag: str):
+def _iter_csv_batches(path: str, batch_rows: int):
     """``np.loadtxt`` on ``batch_rows`` lines at a time; every row as wide as the first."""
     dims, row = None, 0
     with open(path, "rb") as fh:
@@ -543,10 +516,8 @@ def _iter_csv_batches(path: str, batch_rows: int, modality_tag: str):
                                               f"columns, expected {dims}")
             if data.size:
                 dims = data.shape[1]
-                batch = EmbeddingSet(data, modality_tag)
-                batch.validate_finite(row_offset=row)
-                yield batch
-                row += batch.rows
+                yield _finite(data, "non-finite value in row {}", row)
+                row += data.shape[0]
 
 
 def _parse_csv(lines: list) -> np.ndarray | None:
@@ -560,14 +531,13 @@ def _parse_csv(lines: list) -> np.ndarray | None:
 
 
 def write_embeddings(embeddings, path: str, format: str | None = None) -> None:
-    """Write an embedding set or row source; a re-read returns identical values.
+    """Write a float32 or float64 matrix or row source; a re-read returns identical values.
 
-    ``embeddings`` is an ``EmbeddingSet``, a float32 or float64 matrix or
-    any row source.  It is sliced and written one row block
-    (``row_blocks``) at a time, so a ``RowMap`` is computed as it is
-    written.  Binary writes are bit-exact.  CSV uses shortest round-trip
-    decimal rendering, so float64 values also survive exactly and float32
-    values round-trip at float32 precision.
+    ``embeddings`` is sliced and written one row block (``row_blocks``) at
+    a time, so a ``RowMap`` is computed as it is written.  Binary writes
+    are bit-exact.  CSV uses shortest round-trip decimal rendering, so
+    float64 values also survive exactly and float32 values round-trip at
+    float32 precision.
     """
     rows = as_matrix(embeddings)
     (n, dims), dtype = rows.shape, np.dtype(rows.dtype).newbyteorder("=")
@@ -621,17 +591,9 @@ def _npy_header(shape) -> bytes:
     return out.getvalue()
 
 
-def _write_sidecar(path: str, matrix: np.ndarray) -> dict:
-    """Write ``matrix`` to ``path`` as a float64 ``.npy`` file; the JSON reference to it."""
-    matrix = np.ascontiguousarray(matrix, dtype=_SIDECAR_DTYPE)
-    header = _npy_header(matrix.shape)
-
-    def write(fh):
-        fh.write(header)
-        fh.write(matrix)
-
-    _atomic_write(path, write)
-    digest = hashlib.sha256(header)
+def _sidecar_ref(path: str, matrix: np.ndarray) -> dict:
+    """The JSON reference to the C-order float64 ``matrix`` saved as the ``.npy`` file ``path``."""
+    digest = hashlib.sha256(_npy_header(matrix.shape))
     digest.update(matrix)
     return {"npy": os.path.basename(path), "shape": list(matrix.shape),
             "dtype": _SIDECAR_DTYPE.str, "sha256": digest.hexdigest()}
@@ -665,10 +627,12 @@ def _listed_sidecars(path: str) -> set:
 def save_artifact(artifact: StatsArtifact, path: str) -> None:
     """Write the payload's non-empty 2-D arrays as sidecars, then the JSON naming them.
 
+    The JSON text is built first: a value it cannot hold, such as a NaN
+    or an infinity, is a ``ValueError`` before any file is written.
     Sidecars that the JSON being replaced listed and the new one does not
     are deleted once the new JSON is in place.
     """
-    replaced, written = _listed_sidecars(path), set()
+    replaced, sidecars = _listed_sidecars(path), {}
 
     def encode(value, stem):
         if isinstance(value, dict):
@@ -676,9 +640,8 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
         if not isinstance(value, np.ndarray):
             return value
         if value.ndim == 2 and value.size:
-            ref = _write_sidecar(f"{stem}.npy", value)
-            written.add(ref["npy"])
-            return ref
+            matrix = sidecars[f"{stem}.npy"] = np.ascontiguousarray(value, dtype=_SIDECAR_DTYPE)
+            return _sidecar_ref(f"{stem}.npy", matrix)
         return value.tolist()
 
     doc = {
@@ -687,8 +650,11 @@ def save_artifact(artifact: StatsArtifact, path: str) -> None:
         "payload": encode(artifact.payload, path),
         "provenance": artifact.provenance,
     }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for name in replaced - written:
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    for sidecar, matrix in sidecars.items():  # the matrix straight from its buffer
+        _atomic_write(sidecar, lambda fh, m=matrix: fh.writelines((_npy_header(m.shape), m)))
+    atomic_write_text(path, text)
+    for name in replaced - {os.path.basename(sidecar) for sidecar in sidecars}:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(os.path.join(os.path.dirname(path), name))
 

@@ -18,7 +18,9 @@ second moments more aggressively at the price of amplifying noise in
 weak directions, so its inverse square roots are floored and flagged.
 
 Every operator maps rows to float64 rows with ``apply(rows, first_row=0)``,
-naming a collapse at its row counted from ``first_row``.  Realign and
+naming a collapse at its row counted from ``first_row``.  Rows are an
+(N, d) array or a row source; a single (d,) row is one row of one, so
+every operator maps it to a (1, d) array.  Realign and
 blockwise share the centroid stage after their own shaping step; the
 noise of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
 
@@ -49,7 +51,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import EmbeddingSet, Payload, _check_int, _checked, _widest_block, as_matrix, row_blocks
+from .io import Payload, _check_int, _checked, _widest_block, as_matrix, row_blocks
 from .moments import ModalityStats, MomentAccumulator, _mean_of
 from .spectral import sym_apply
 
@@ -122,7 +124,7 @@ class AlignmentStats(Payload, kind="alignment_stats"):
 
     def apply(self, rows, first_row: int = 0) -> np.ndarray:
         """``substitution_operator`` on ``rows``, as a float64 array."""
-        return substitution_operator(rows, self, first_row).data
+        return substitution_operator(rows, self, first_row)
 
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
@@ -154,8 +156,10 @@ def estimate_realign(
     calibration sample is pushed through the anchor/trace steps and the
     first spherical projection; its mean becomes the frozen drift
     correction.  Roughly 1e4 calibration samples are enough for the
-    drift estimate to stabilize.
+    drift estimate to stabilize.  ``eps`` must be finite and >= 0.
     """
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     calib = as_matrix(calib_src)
     if calib.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
@@ -177,21 +181,19 @@ def estimate_realign(
     )
 
 
-def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0) -> EmbeddingSet:
-    """The three steps on every row of ``source_set``; row order is preserved.
+def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0) -> np.ndarray:
+    """The three steps on every row of ``source_set``, as a float64 array in the same row order.
 
-    Accepts an EmbeddingSet or matrix and returns an EmbeddingSet in
-    float64.  The output rows are unit-norm.  A norm collapse below 1e-12
-    raises ``DegenerateInputError`` naming the stage and the row, counted
-    from ``first_row``.
+    The output rows are unit-norm.  A norm collapse below 1e-12 raises
+    ``DegenerateInputError`` naming the stage and the row, counted from
+    ``first_row``.
     """
     rows = as_matrix(source_set)
-    tag = source_set.modality_tag if isinstance(source_set, EmbeddingSet) else ""
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
-    return EmbeddingSet(_centroid_stage(rows.shape[0], stats, lambda block, out: _affine_into(
+    return _centroid_stage(rows.shape[0], stats, lambda block, out: _affine_into(
         rows[block], stats.mu_src, stats.scale, stats.mu_tgt, out, "affine-stage normalization",
-        first_row + block.start), first_row), tag)
+        first_row + block.start), first_row)
 
 
 @dataclass
@@ -321,8 +323,11 @@ def estimate_blockwise(
     the scalar operator.  Hitting the floor is reported via ``floored``
     and a warning rather than an exception: the output stays finite.  The
     anchored rows are recomputed block by block in the covariance pass
-    and in the drift pass, never held for the whole set.
+    and in the drift pass, never held for the whole set.  ``eig_floor``
+    must be in [0, 1].
     """
+    if not 0 <= eig_floor <= 1:
+        raise ValueError(f"eig_floor must be finite and in [0, 1], got {eig_floor}")
     src = as_matrix(calib_src)
     if src.shape[0] == 0:
         raise DegenerateInputError("empty calibration set")
@@ -395,7 +400,7 @@ def _blockwise_shaping(stats: BlockwiseStats, rows, first_row: int = 0):
 
 
 def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
-    """Map one embedding (or a batch of rows) through the blockwise pipeline.
+    """Map rows through the blockwise pipeline, as a float64 array in the same row order.
 
     A collapse names its row counted from ``first_row``, as in
     ``substitution_operator``.
@@ -403,6 +408,5 @@ def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndar
     rows = as_matrix(e_src)
     if rows.shape[1] != stats.dims:
         raise DataFormatError(f"expected dimension {stats.dims}, got {rows.shape[1]}")
-    out = _centroid_stage(rows.shape[0], stats, _blockwise_shaping(stats, rows, first_row),
-                          first_row)
-    return out[0] if np.ndim(e_src) == 1 else out
+    return _centroid_stage(rows.shape[0], stats, _blockwise_shaping(stats, rows, first_row),
+                           first_row)

@@ -366,8 +366,8 @@ def gap_necessity_ablation(
     Runs the baseline plus three single-condition ablations (shared
     encoder, no output normalization, squared-distance head) for every
     seed and reports per-variant mean terminal gamma norms together
-    with the baseline-to-shared ratio.  ``variants`` may name a subset
-    (the baseline is always included).
+    with the baseline-to-shared ratio, None when the shared mean is 0.
+    ``variants`` may name a subset (the baseline is always included).
     """
     names = list(_ABLATION_VARIANTS) if variants is None else list(variants)
     if "baseline" not in names:
@@ -390,6 +390,6 @@ def gap_necessity_ablation(
     if "shared_encoder" in report:
         shared = report["shared_encoder"]["mean"]
         report["baseline_over_shared"] = (
-            float("inf") if shared == 0 else report["baseline"]["mean"] / shared
+            None if shared == 0 else report["baseline"]["mean"] / shared
         )
     return report

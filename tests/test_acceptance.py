@@ -12,7 +12,6 @@ import pytest
 from gapalign import (
     CompensatedMean,
     ContrastiveBatch,
-    EmbeddingSet,
     Float32ReplayMean,
     MomentAccumulator,
     ReferenceFrame,

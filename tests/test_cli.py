@@ -6,6 +6,7 @@ import struct
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,6 @@ from gapalign import (
     AlignmentStats,
     BlockwiseStats,
     C3Baseline,
-    EmbeddingSet,
     ReferenceFrame,
     apply_blockwise,
     cosine_histogram,
@@ -30,6 +30,9 @@ from gapalign.cli import _write_csv, main
 from gapalign.io import file_digest
 from gapalign.moments import ModalityStats
 
+# a command that computes a NaN or overflows on valid input fails here, not only on stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def unit_rows(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -41,14 +44,14 @@ def workdir(tmp_path):
     d = 8
     src = unit_rows(np.array([0.7] + [0.0] * (d - 1)) + 0.3 * rng.standard_normal((1500, d)))
     tgt = unit_rows(np.array([0.0, 0.8] + [0.0] * (d - 2)) + 0.25 * rng.standard_normal((1500, d)))
-    write_embeddings(EmbeddingSet(src, "src"), str(tmp_path / "src.emb"))
-    write_embeddings(EmbeddingSet(tgt, "tgt"), str(tmp_path / "tgt.emb"))
+    write_embeddings(src, str(tmp_path / "src.emb"))
+    write_embeddings(tgt, str(tmp_path / "tgt.emb"))
     return tmp_path
 
 
 def test_stats_on_small_fixture(tmp_path):
     path = str(tmp_path / "two.emb")
-    write_embeddings(EmbeddingSet(np.array([[1.0, 0, 0], [0, 1.0, 0]])), path)
+    write_embeddings(np.array([[1.0, 0, 0], [0, 1.0, 0]]), path)
     out = str(tmp_path / "two.stats")
     assert main(["stats", "--in", path, "--out", out]) == 0
     artifact = load_artifact(out)
@@ -82,7 +85,7 @@ def test_decompose_report_matches_whole_array_check(workdir):
     for side in ("src", "tgt"):
         rows = rng.normal(size=(2500, 8))
         rows[1024:] *= 100.0
-        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+        write_embeddings(rows, str(workdir / f"{side}.emb"))
         assert main(["stats", "--in", str(workdir / f"{side}.emb"),
                      "--out", str(workdir / f"{side}.stats")]) == 0
     frame_path = str(workdir / "frame.stats")
@@ -94,8 +97,8 @@ def test_decompose_report_matches_whole_array_check(workdir):
     doc = json.loads(Path(report).read_text())
     # the whole-array reconstruction check, with full-size temporaries
     frame = ReferenceFrame.from_payload(load_artifact(frame_path).payload)
-    x = read_embeddings(str(workdir / "src.emb")).data
-    y = read_embeddings(str(workdir / "tgt.emb")).data
+    x = read_embeddings(str(workdir / "src.emb"))
+    y = read_embeddings(str(workdir / "tgt.emb"))
     diffs = x - y
     mean_gap = diffs.mean(axis=0)
     bias_in = frame.coords(mean_gap)
@@ -140,7 +143,7 @@ def write_paired_fixture(workdir, n, d, seed, middle_scale=1.0, dtype=np.float32
     for side, offset in (("src", 0.4), ("tgt", -0.2)):
         rows = unit_rows(offset + rng.normal(size=(n, d)) @ mix).astype(dtype)
         rows[1024:2048] *= middle_scale
-        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+        write_embeddings(rows, str(workdir / f"{side}.emb"))
         assert main(["stats", "--in", str(workdir / f"{side}.emb"),
                      "--out", str(workdir / f"{side}.stats")]) == 0
     assert main(["frame", "--x", str(workdir / "src.stats"), "--y", str(workdir / "tgt.stats"),
@@ -158,8 +161,8 @@ def test_decompose_report_is_bitwise_the_whole_array_report(workdir):
     doc = json.loads((workdir / "dec.json").read_text())
     doc.pop("provenance")
     frame = ReferenceFrame.from_payload(load_artifact(str(workdir / "frame.stats")).payload)
-    x = read_embeddings(str(workdir / "src.emb")).data
-    y = read_embeddings(str(workdir / "tgt.emb")).data
+    x = read_embeddings(str(workdir / "src.emb"))
+    y = read_embeddings(str(workdir / "tgt.emb"))
     row_err, expected = decompose_report_oracle(x, y, frame)
     assert 1024 <= np.argmax(row_err) < 2048
     assert doc == expected
@@ -238,6 +241,20 @@ def test_emb1_pipe_claiming_more_than_arrives_is_a_data_error(workdir, capsys, c
     assert err.startswith(f"gapalign: {path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("no_cov", [[], ["--no-cov"]])
+@pytest.mark.parametrize("shrink", ["nan", "-0.1", "5"])
+def test_stats_rejects_a_shrink_outside_the_unit_interval_before_reading(
+        workdir, capsys, monkeypatch, shrink, no_cov):
+    # nan was once ignored and saved as the non-JSON token NaN; --no-cov --shrink 5 exited 0
+    monkeypatch.setattr("gapalign.cli.iter_embedding_batches",
+                        lambda *a, **k: pytest.fail("read the input"))
+    out = workdir / "stats.json"
+    assert main(["stats", "--in", str(workdir / "src.emb"), "--out", str(out),
+                 f"--shrink={shrink}", *no_cov]) == 2
+    assert capsys.readouterr().err.startswith("gapalign: --shrink must be in [0, 1]")
+    assert not out.exists()
+
+
 def test_stats_overwrite_without_covariance_leaves_no_covariance_sidecar(workdir):
     out = str(workdir / "s.json")
     assert main(["stats", "--in", str(workdir / "src.emb"), "--out", out]) == 0
@@ -274,7 +291,7 @@ def saved_operators(tmp_path_factory):
     d = STREAM_DIMS
     for side, offset in (("src", 0.5), ("tgt", -0.3)):
         rows = unit_rows(offset + rng.normal(size=(600, d)))
-        write_embeddings(EmbeddingSet(rows), str(workdir / f"{side}.emb"))
+        write_embeddings(rows, str(workdir / f"{side}.emb"))
     calib = ["--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb")]
     paths = {}
     for method in ("realign", "blockwise"):
@@ -291,7 +308,7 @@ def library_output(method, rows, paths):
         return apply_blockwise(rows, BlockwiseStats.from_payload(load_artifact(paths[method]).payload))
     stats = AlignmentStats.from_payload(load_artifact(paths["realign"]).payload)
     if method == "realign":
-        return substitution_operator(rows, stats).data
+        return substitution_operator(rows, stats)
     sigma = 0.05 if method == "c3" else 0.0
     return C3Baseline(stats.mu_src, stats.mu_tgt, sigma, 7).apply(rows)
 
@@ -309,19 +326,19 @@ def test_streamed_cli_output_is_bitwise_the_whole_array_library_call(
     rng = np.random.default_rng(n)
     rows = unit_rows(0.5 + rng.normal(size=(n, STREAM_DIMS))).astype(dtype)
     in_path = tmp_path / "in.emb"
-    write_embeddings(EmbeddingSet(rows), str(in_path))
+    write_embeddings(rows, str(in_path))
     for method in ("realign", "blockwise", "anchor-only", "c3"):
         out, expected = tmp_path / f"{method}.emb", tmp_path / f"{method}_whole.emb"
         assert align_with_stats(method, in_path, out, saved_operators) == 0
         whole = library_output(method, rows, saved_operators)
-        write_embeddings(EmbeddingSet(whole), str(expected))
+        write_embeddings(whole, str(expected))
         assert out.read_bytes() == expected.read_bytes(), method
     assert main(write_paired_fixture(tmp_path, n, 16, 4, dtype=dtype)) == 0
     doc = json.loads((tmp_path / "dec.json").read_text())
     doc.pop("provenance")
     frame = ReferenceFrame.from_payload(load_artifact(str(tmp_path / "frame.stats")).payload)
-    x = read_embeddings(str(tmp_path / "src.emb")).data
-    y = read_embeddings(str(tmp_path / "tgt.emb")).data
+    x = read_embeddings(str(tmp_path / "src.emb"))
+    y = read_embeddings(str(tmp_path / "tgt.emb"))
     assert doc == decompose_report_oracle(x, y, frame)[1]
 
 
@@ -350,12 +367,12 @@ def test_align_and_decompose_memory_does_not_grow_with_rows(tmp_path, command):
 
 
 def write_rows(path, rows):
-    write_embeddings(EmbeddingSet(rows), str(path))
+    write_embeddings(rows, str(path))
     return str(path)
 
 
 def test_align_non_finite_input_row_leaves_no_output(workdir, capsys):
-    rows = read_embeddings(str(workdir / "src.emb")).data
+    rows = read_embeddings(str(workdir / "src.emb"))
     rows = np.vstack([rows, rows[:500]])
     rows[1500, 3] = np.nan  # in the second row block, after the first was written
     bad = write_rows(workdir / "bad.emb", rows)
@@ -407,7 +424,7 @@ def test_align_zero_row_input_writes_zero_row_output(tmp_path, saved_operators):
     empty = write_rows(tmp_path / "empty.emb", np.empty((0, STREAM_DIMS), dtype=np.float32))
     out = tmp_path / "out.emb"
     assert align_with_stats("realign", empty, out, saved_operators) == 0
-    moved = read_embeddings(str(out)).data
+    moved = read_embeddings(str(out))
     assert moved.shape == (0, STREAM_DIMS) and moved.dtype == np.float64
 
 
@@ -432,7 +449,7 @@ def test_align_methods_produce_unit_rows(workdir, method):
     ])
     assert code == 0
     moved = read_embeddings(out)
-    npt.assert_allclose(np.linalg.norm(moved.data, axis=1), np.ones(moved.rows), atol=1e-9)
+    npt.assert_allclose(np.linalg.norm(moved, axis=1), np.ones(moved.shape[0]), atol=1e-9)
 
 
 def test_align_reduces_gap_via_saved_stats(workdir):
@@ -449,10 +466,10 @@ def test_align_reduces_gap_via_saved_stats(workdir):
         "align", "--method", "realign",
         "--in", str(workdir / "src.emb"), "--out", again, "--stats", stats_path,
     ]) == 0
-    npt.assert_array_equal(read_embeddings(out).data, read_embeddings(again).data)
-    src = read_embeddings(str(workdir / "src.emb")).data
-    tgt = read_embeddings(str(workdir / "tgt.emb")).data
-    moved = read_embeddings(out).data
+    npt.assert_array_equal(read_embeddings(out), read_embeddings(again))
+    src = read_embeddings(str(workdir / "src.emb"))
+    tgt = read_embeddings(str(workdir / "tgt.emb"))
+    moved = read_embeddings(out)
     before = np.linalg.norm(src.mean(axis=0) - tgt.mean(axis=0))
     after = np.linalg.norm(moved.mean(axis=0) - tgt.mean(axis=0))
     assert after < 0.05 * before
@@ -474,7 +491,7 @@ def test_full_rank_blockwise_stats_apply_from_artifact(workdir):
         "align", "--method", "blockwise",
         "--in", str(workdir / "src.emb"), "--out", again, "--stats", stats_path,
     ]) == 0
-    npt.assert_array_equal(read_embeddings(out).data, read_embeddings(again).data)
+    npt.assert_array_equal(read_embeddings(out), read_embeddings(again))
 
 
 @pytest.mark.parametrize("method, field", [("realign", "mu_tgt"), ("blockwise", "mu_drift")])
@@ -553,7 +570,7 @@ def test_provenance_records_numpy_blas_and_thread_settings(tmp_path, monkeypatch
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     path = str(tmp_path / "two.emb")
-    write_embeddings(EmbeddingSet(np.array([[1.0, 0, 0], [0, 1.0, 0]])), path)
+    write_embeddings(np.array([[1.0, 0, 0], [0, 1.0, 0]]), path)
     runs = []
     for name in ("one", "two"):
         out = str(tmp_path / f"{name}.stats")
@@ -664,6 +681,20 @@ def test_align_c3_rejects_a_sigma_that_is_not_finite_and_non_negative(workdir, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "-1"), ("--eig-floor", "-1"),
+                                         ("--eig-floor", "inf")])
+def test_align_rejects_an_eps_or_eig_floor_out_of_range(workdir, capsys, flag, value):
+    # --eig-floor -1 once ran with exit 0, and --eps nan failed on the saved mu_drift
+    out = workdir / "out.emb"
+    method = "realign" if flag == "--eps" else "blockwise"
+    assert main(["align", "--method", method, "--in", str(workdir / "src.emb"), "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+                 f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gapalign: {flag[2:].replace('-', '_')} must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["c3", "anchor-only"])
 def test_align_save_stats_is_an_error_for_methods_that_fit_nothing(workdir, capsys, monkeypatch,
                                                                   method):
@@ -703,7 +734,7 @@ def test_align_resaved_artifact_records_the_artifact_it_came_from(workdir, saved
 
 def test_align_dimension_mismatch_exit_code(workdir, tmp_path):
     bad = str(tmp_path / "bad.emb")
-    write_embeddings(EmbeddingSet(np.ones((5, 3))), bad)
+    write_embeddings(np.ones((5, 3)), bad)
     code = main([
         "align", "--method", "realign",
         "--in", bad, "--out", str(tmp_path / "out.emb"),
@@ -765,7 +796,7 @@ def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
     b[:8], b[50:54] = b[100:108], -b[60:64]
     paths = [str(tmp_path / name) for name in ("a.emb", "b.emb")]
     for rows, path in zip((a, b), paths):
-        write_embeddings(EmbeddingSet(rows), path)
+        write_embeddings(rows, path)
     plots = tmp_path / "plots"
     assert main(["diagnose", "--a", paths[0], "--b", paths[1], "--report", str(tmp_path / "r.json"),
                  "--plots-dir", str(plots), "--pairs", "20000", "--seed", "3"]) == 0
@@ -793,13 +824,13 @@ def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
 def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, extra, code, message):
     a = str(workdir / "src.emb")
     if extra[0] in ("zero-norm", "non-finite", "other-dims"):
-        rows = read_embeddings(a).data.copy()
+        rows = read_embeddings(a).copy()
         if extra[0] == "other-dims":
             rows = rows[:, :5]
         else:
             rows[4 if extra[0] == "zero-norm" else 9] = 0.0 if extra[0] == "zero-norm" else np.inf
         a, extra = str(workdir / "bad.emb"), []
-        write_embeddings(EmbeddingSet(rows), a)
+        write_embeddings(rows, a)
     report = workdir / "diag.json"
     assert main(["diagnose", "--a", a, "--b", str(workdir / "tgt.emb"),
                  "--report", str(report), *extra]) == code
@@ -819,6 +850,15 @@ def test_simulate_writes_trace(tmp_path):
     assert lines[0].startswith("# gapalign")
     assert lines[1].split(",")[0] == "steps"
     assert len(lines) > 2
+
+
+def test_ablation_ratio_is_null_when_the_shared_encoder_mean_is_zero(tmp_path, monkeypatch):
+    # the ratio was once inf, which the report held as the non-JSON token Infinity
+    monkeypatch.setattr("gapalign.simulator.run_toy_training", lambda cfg: SimpleNamespace(
+        gamma_norm=[0.0 if cfg.shared_encoder else 1.0]))
+    report = tmp_path / "ablation.json"
+    assert main(["simulate", "--ablation", "--seeds", "0", "--ablation-report", str(report)]) == 0
+    assert json.loads(report.read_text())["baseline_over_shared"] is None
 
 
 def test_simulate_unknown_config_key(tmp_path):
@@ -844,6 +884,16 @@ def test_sample_curve_csv(workdir):
     lines = Path(out).read_text().splitlines()
     assert lines[0] == "size,gap_mean,gap_std,trial_0,trial_1,trial_2"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("flag", ["--trials=0", "--trials=-1", "--sizes=0"])
+def test_sample_curve_rejects_no_trials_and_empty_sizes(workdir, capsys, flag):
+    # trials 0 once wrote gap_mean nan with exit 0, and a size of 0 exited 3
+    out = workdir / "curve.csv"
+    assert main(["sample-curve", "--src", str(workdir / "src.emb"),
+                 "--tgt", str(workdir / "tgt.emb"), "--sizes", "50", flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("gapalign: trials and every size must be >= 1")
+    assert not out.exists()
 
 
 def test_bench_state_bytes_constant(tmp_path):

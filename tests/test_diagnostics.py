@@ -13,7 +13,6 @@ from gapalign import (
     CosineHistogram,
     DataFormatError,
     DegenerateInputError,
-    EmbeddingSet,
     cosine_histogram,
     estimate_realign,
     js_divergence,
@@ -588,9 +587,9 @@ class TestDiagnoseMemory:
         a = unit_rows(rng.normal(size=(n, 16))).astype(np.float32)
         b = unit_rows(rng.normal(size=(n, 16)) + 0.3).astype(np.float32)
         paths = {name: str(tmp_path / f"{name}{n}.emb1") for name in ("a", "b", "after")}
-        write_embeddings(EmbeddingSet(a), paths["a"])
-        write_embeddings(EmbeddingSet(b), paths["b"])
-        write_embeddings(EmbeddingSet(a.astype(np.float64) + 0.01), paths["after"])
+        write_embeddings(a, paths["a"])
+        write_embeddings(b, paths["b"])
+        write_embeddings(a.astype(np.float64) + 0.01, paths["after"])
         argv = ["diagnose", "--a", paths["a"], "--b", paths["b"], "--overlap-with", paths["after"],
                 "--plots-dir", str(tmp_path / f"plots{n}"), "--report", str(tmp_path / f"r{n}.json")]
         peak = traced_peak(main, argv)
@@ -673,7 +672,7 @@ class TestSampleComplexityCurve:
         held_tgt, pool_tgt = tgt[perm_tgt[:240]], tgt[perm_tgt[240:]]
         stats = estimate_realign(stats_of(pool_src), stats_of(pool_tgt), pool_src)
         aligned = substitution_operator(held_src, stats)
-        direct = modality_gap(aligned.data.mean(axis=0), held_tgt.mean(axis=0))
+        direct = modality_gap(aligned.mean(axis=0), held_tgt.mean(axis=0))
         npt.assert_allclose(table[0]["gap_mean"], direct, rtol=1e-10)
 
     def test_gap_shrinks_with_size(self):

@@ -18,7 +18,6 @@ from test_cli import fed_pipe
 from gapalign import (
     ArtifactVersionError,
     DataFormatError,
-    EmbeddingSet,
     ModalityStats,
     StatsArtifact,
     iter_embedding_batches,
@@ -28,28 +27,36 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign.cli import main
-from gapalign.io import EmbeddingFile, RowMap, _widest_block, as_matrix, row_blocks, row_source
+from gapalign.io import (EmbeddingFile, EmbeddingSet, RowMap, _finite, _widest_block, as_matrix,
+                         row_blocks, row_source)
 
 
 def test_read_identity_fixture(tmp_path):
     path = str(tmp_path / "two.emb")
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     out = read_embeddings(path)
-    assert out.rows == 2 and out.dims == 3
-    npt.assert_array_equal(out.data, rows)
+    assert out.shape[0] == 2 and out.shape[1] == 3
+    npt.assert_array_equal(out, rows)
+
+
+def test_write_embeddings_takes_an_embedding_set_as_its_array(tmp_path):
+    rows = np.arange(6.0).reshape(3, 2)
+    write_embeddings(rows, str(tmp_path / "plain.emb"))
+    write_embeddings(EmbeddingSet(rows), str(tmp_path / "wrapped.emb"))
+    assert (tmp_path / "wrapped.emb").read_bytes() == (tmp_path / "plain.emb").read_bytes()
 
 
 def test_empty_set_round_trip(tmp_path):
     path = str(tmp_path / "empty.emb")
-    write_embeddings(EmbeddingSet(np.zeros((0, 4))), path)
+    write_embeddings(np.zeros((0, 4)), path)
     out = read_embeddings(path)
-    assert out.rows == 0 and out.dims == 4
+    assert out.shape[0] == 0 and out.shape[1] == 4
 
 
 def test_truncated_payload_rejected(tmp_path):
     path = str(tmp_path / "trunc.emb")
-    write_embeddings(EmbeddingSet(np.random.default_rng(0).normal(size=(5, 3))), path)
+    write_embeddings(np.random.default_rng(0).normal(size=(5, 3)), path)
     raw = Path(path).read_bytes()
     Path(path).write_bytes(raw[:-8])
     with pytest.raises(DataFormatError):
@@ -58,7 +65,7 @@ def test_truncated_payload_rejected(tmp_path):
 
 def test_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "extra.emb")
-    write_embeddings(EmbeddingSet(np.ones((2, 2))), path)
+    write_embeddings(np.ones((2, 2)), path)
     with open(path, "ab") as fh:
         fh.write(b"\x00" * 4)
     with pytest.raises(DataFormatError):
@@ -88,7 +95,7 @@ def test_non_finite_reports_row(tmp_path):
 
 def test_round_trip_single_value_bitwise(tmp_path):
     path = str(tmp_path / "one.emb")
-    write_embeddings(EmbeddingSet(np.array([[0.5]])), path)
+    write_embeddings(np.array([[0.5]]), path)
     first = Path(path).read_bytes()
     out = read_embeddings(path)
     write_embeddings(out, path)
@@ -99,37 +106,36 @@ def test_round_trip_random_f64(tmp_path):
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(1000, 64))
     path = str(tmp_path / "big.emb")
-    write_embeddings(EmbeddingSet(rows, "text"), path)
-    out = read_embeddings(path, modality_tag="text")
-    npt.assert_array_equal(out.data, rows)
-    assert out.modality_tag == "text"
+    write_embeddings(rows, path)
+    out = read_embeddings(path)
+    npt.assert_array_equal(out, rows)
 
 
 def test_round_trip_f32(tmp_path):
     rows = np.random.default_rng(1).normal(size=(10, 5)).astype(np.float32)
     path = str(tmp_path / "f32.emb")
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     out = read_embeddings(path)
-    assert out.data.dtype == np.float32
-    npt.assert_array_equal(out.data, rows)
+    assert out.dtype == np.float32
+    npt.assert_array_equal(out, rows)
 
 
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(20, 4))
     path = str(tmp_path / "rows.csv")
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     out = read_embeddings(path)
-    assert out.data.dtype == np.float64
-    npt.assert_array_equal(out.data, rows)
+    assert out.dtype == np.float64
+    npt.assert_array_equal(out, rows)
 
 
 def test_streaming_visits_rows_once_in_order(tmp_path):
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(103, 6))
     path = str(tmp_path / "stream.emb")
-    write_embeddings(EmbeddingSet(rows), path)
-    got = [b.data for b in iter_embedding_batches(path, batch_rows=10)]
+    write_embeddings(rows, path)
+    got = [b for b in iter_embedding_batches(path, batch_rows=10)]
     assert [g.shape[0] for g in got] == [10] * 10 + [3]
     npt.assert_array_equal(np.vstack(got), rows)
 
@@ -143,20 +149,20 @@ def test_oversized_header_rejected_before_allocation(tmp_path, rows, dims):
     implied = rows * dims * 4
     with pytest.raises(DataFormatError, match=f"payload has 64 bytes, header implies {implied}"):
         read_embeddings(path)
-    with pytest.raises(DataFormatError, match="truncated payload at row 0"):
+    with pytest.raises(DataFormatError, match=f"payload has 64 bytes, header implies {implied}"):
         next(iter_embedding_batches(path, batch_rows=8))
 
 
 def test_streaming_size_checked_before_first_batch(tmp_path):
     path = str(tmp_path / "stream.emb")
-    write_embeddings(EmbeddingSet(np.ones((103, 6))), path)
+    write_embeddings(np.ones((103, 6)), path)
     raw = Path(path).read_bytes()
     Path(path).write_bytes(raw[:-8])
     batches = iter_embedding_batches(path, batch_rows=10)
-    with pytest.raises(DataFormatError, match="truncated payload at row 100"):
+    with pytest.raises(DataFormatError, match="payload has 4936 bytes, header implies 4944"):
         next(batches)
     Path(path).write_bytes(raw + b"\x00")
-    with pytest.raises(DataFormatError, match="trailing bytes beyond declared payload"):
+    with pytest.raises(DataFormatError, match="payload has 4945 bytes, header implies 4944"):
         next(iter_embedding_batches(path, batch_rows=10))
 
 
@@ -164,9 +170,9 @@ def test_non_finite_row_found_in_a_later_block(tmp_path):
     rows = np.ones((3000, 4))
     rows[2500, 3] = np.inf
     with pytest.raises(DataFormatError, match="row 2500"):
-        EmbeddingSet(rows).validate_finite()
+        _finite(rows, "non-finite value in row {}")
     with pytest.raises(DataFormatError, match="row 2507"):
-        EmbeddingSet(rows).validate_finite(row_offset=7)
+        _finite(rows, "non-finite value in row {}", 7)
 
 
 def _traced_peak(fn):
@@ -181,15 +187,15 @@ def _traced_peak(fn):
 def test_write_peak_memory_under_one_block(tmp_path):
     rows = np.random.default_rng(2).normal(size=(20_000, 256))
     path = str(tmp_path / "big.emb")
-    peak = _traced_peak(lambda: write_embeddings(EmbeddingSet(rows), path))
+    peak = _traced_peak(lambda: write_embeddings(rows, path))
     assert peak < 1024 * 256 * 8
-    npt.assert_array_equal(read_embeddings(path).data, rows)
+    npt.assert_array_equal(read_embeddings(path), rows)
 
 
 def test_read_peak_memory_is_payload_plus_one_block(tmp_path):
     rows = np.random.default_rng(3).normal(size=(20_000, 256)).astype(np.float32)
     path = str(tmp_path / "big.emb")
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     peak = _traced_peak(lambda: read_embeddings(path))
     assert peak < rows.nbytes + 1025 * 256 * 8
 
@@ -201,7 +207,7 @@ def test_read_peak_memory_is_payload_plus_one_block(tmp_path):
 def test_embedding_file_slices_like_the_whole_array(tmp_path, dtype):
     rows = np.random.default_rng(4).normal(size=(3001, 5)).astype(dtype)
     path = str(tmp_path / "rows.emb")
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     src = EmbeddingFile(path)
     assert (src.shape, src.ndim, src.dtype) == (rows.shape, 2, rows.dtype)
     assert not hasattr(src, "data") and as_matrix(src) is src
@@ -230,12 +236,12 @@ def test_embedding_file_checks_size_on_open_and_names_rows_in_the_whole_file(tmp
 def test_row_source_reads_csv_and_pipes_whole(tmp_path):
     rows = np.random.default_rng(5).normal(size=(40, 3))
     csv_path = str(tmp_path / "rows.csv")
-    write_embeddings(EmbeddingSet(rows), csv_path)
+    write_embeddings(rows, csv_path)
     from_csv = row_source(csv_path)
     assert isinstance(from_csv, np.ndarray)
     npt.assert_array_equal(from_csv, rows)
     emb_path = str(tmp_path / "rows.emb")
-    write_embeddings(EmbeddingSet(rows), emb_path)
+    write_embeddings(rows, emb_path)
     assert isinstance(row_source(emb_path), EmbeddingFile)
     fifo = str(tmp_path / "pipe.emb")
     os.mkfifo(fifo)
@@ -252,7 +258,7 @@ def test_row_source_reads_csv_and_pipes_whole(tmp_path):
 def test_write_row_sources_block_by_block(tmp_path, n):
     rows = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
     whole = tmp_path / "whole.emb"
-    write_embeddings(EmbeddingSet(rows), str(whole))
+    write_embeddings(rows, str(whole))
     copy = tmp_path / "copy.emb"
     write_embeddings(EmbeddingFile(str(whole)), str(copy))
     assert copy.read_bytes() == whole.read_bytes()
@@ -265,7 +271,7 @@ def test_write_row_sources_block_by_block(tmp_path, n):
     mapped = tmp_path / "mapped.emb"
     write_embeddings(RowMap(EmbeddingFile(str(whole)), double), str(mapped))
     expected = tmp_path / "expected.emb"
-    write_embeddings(EmbeddingSet(2.0 * rows.astype(np.float64)), str(expected))
+    write_embeddings(2.0 * rows.astype(np.float64), str(expected))
     assert mapped.read_bytes() == expected.read_bytes()
     assert firsts == [block.start for block in row_blocks(n)]
 
@@ -287,7 +293,7 @@ def test_row_blocks_cover_rows_in_order_with_no_narrow_tail(n, size):
 def test_row_source_passes_read_one_block_at_a_time(tmp_path):
     rows = np.random.default_rng(6).normal(size=(20_000, 256)).astype(np.float32)
     path = str(tmp_path / "big.emb")
-    write_embeddings(EmbeddingSet(rows), path)
+    write_embeddings(rows, path)
     out = str(tmp_path / "copy.emb")
     peak = _traced_peak(lambda: write_embeddings(EmbeddingFile(path), out))
     assert peak < 2 * 1025 * 256 * 8
@@ -296,8 +302,8 @@ def test_row_source_passes_read_one_block_at_a_time(tmp_path):
 def test_streaming_csv(tmp_path):
     rows = np.arange(12, dtype=np.float64).reshape(6, 2)
     path = str(tmp_path / "stream.csv")
-    write_embeddings(EmbeddingSet(rows), path)
-    got = np.vstack([b.data for b in iter_embedding_batches(path, batch_rows=4)])
+    write_embeddings(rows, path)
+    got = np.vstack([b for b in iter_embedding_batches(path, batch_rows=4)])
     npt.assert_array_equal(got, rows)
 
 
@@ -330,8 +336,8 @@ def test_csv_readers_agree(tmp_path, name, batch_rows):
         except DataFormatError as exc:
             return str(exc)
 
-    whole = outcome(lambda: read_embeddings(str(path)).data)
-    batches = outcome(lambda: [b.data for b in iter_embedding_batches(str(path), batch_rows)])
+    whole = outcome(lambda: read_embeddings(str(path)))
+    batches = outcome(lambda: [b for b in iter_embedding_batches(str(path), batch_rows)])
     if isinstance(expected, str):
         assert expected in whole
         assert batches == whole or (name == "empty" and batches == [])
@@ -366,6 +372,16 @@ def test_artifact_preserves_f64_bit_exactly(tmp_path):
     npt.assert_array_equal(back.mean, stats.mean)
     npt.assert_array_equal(back.covariance, stats.covariance)
     assert back.trace == stats.trace
+
+
+def test_artifact_with_a_nan_is_refused_before_any_file_is_written(tmp_path):
+    # NaN was once written as the non-JSON token NaN, after the covariance sidecar
+    stats = ModalityStats(mean=np.zeros(2), trace=2.0, n=10, covariance=np.eye(2))
+    art = StatsArtifact(kind="modality_stats", payload=stats.to_payload(),
+                        provenance={"flags": {"shrink": float("nan")}})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_artifact(art, str(tmp_path / "m.stats"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_future_schema_version_rejected(tmp_path):
@@ -472,7 +488,7 @@ def _assert_rows(got, want):
 
 
 def _batches(path, batch_rows, format=None):
-    batches = [batch.data for batch in iter_embedding_batches(path, batch_rows, format)]
+    batches = [batch for batch in iter_embedding_batches(path, batch_rows, format)]
     assert all(0 < batch.shape[0] <= batch_rows for batch in batches)
     return batches
 
@@ -512,7 +528,7 @@ def test_emb1_readers_give_the_encoded_rows_or_a_data_format_error(content, batc
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "in.emb1"), os.path.join(tmp, "stats.json")
         Path(path).write_bytes(content)
-        _assert_rows(_or_none(lambda: read_embeddings(path).data), want)
+        _assert_rows(_or_none(lambda: read_embeddings(path)), want)
         batches = _or_none(lambda: _batches(path, batch_rows))
         _assert_rows(None if batches is None else _joined(batches, encoded), want)
         source = _or_none(lambda: row_source(path))
@@ -527,7 +543,7 @@ def test_emb1_readers_give_the_encoded_rows_or_a_data_format_error(content, batc
 
         with fed_pipe(content) as pipe:
             if reader == "read":
-                _assert_rows(_or_none(lambda: read_embeddings(pipe).data), want)
+                _assert_rows(_or_none(lambda: read_embeddings(pipe)), want)
             elif reader == "iter":
                 batches = _or_none(lambda: _batches(pipe, batch_rows))
                 _assert_rows(None if batches is None else _joined(batches, encoded), want)
@@ -572,7 +588,7 @@ def test_csv_readers_give_the_rows_or_a_data_format_error(file, batch_rows):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "stats.json")
         Path(path).write_bytes(content)
-        whole = _or_none(lambda: read_embeddings(path).data)
+        whole = _or_none(lambda: read_embeddings(path))
         if rows is not None:  # uncorrupted: exactly the rows, unless there are none
             _assert_rows(whole, rows if rows.shape[0] else None)
         if whole is not None:

@@ -9,7 +9,6 @@ from gapalign import (
     AlignmentStats,
     DataFormatError,
     DegenerateInputError,
-    EmbeddingSet,
     ModalityStats,
     C3Baseline,
     ReferenceFrame,
@@ -256,7 +255,7 @@ class TestApply:
         tgt = anisotropic_sphere_sample(rng, 200, 5)
         stats = estimate_realign(stats_of(src), stats_of(tgt), src)
         out = substitution_operator(src, stats)
-        npt.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(200), atol=1e-12)
+        npt.assert_allclose(np.linalg.norm(out, axis=1), np.ones(200), atol=1e-12)
 
     @pytest.mark.parametrize("operator, row", [("realign", 1500), ("calibrate", 1500),
                                                ("blockwise", 9692)])
@@ -288,15 +287,15 @@ class TestApply:
 class TestSubstitutionOperator:
     def test_empty_set(self):
         stats = make_stats(np.zeros(3), np.zeros(3), 1.0, 1.0, np.zeros(3))
-        out = substitution_operator(EmbeddingSet(np.zeros((0, 3))), stats)
-        assert out.rows == 0 and out.dims == 3
+        out = substitution_operator(np.zeros((0, 3)), stats)
+        assert out.shape[0] == 0 and out.shape[1] == 3
 
     def test_single_row_matches_scalar_apply(self):
         rng = np.random.default_rng(11)
         src = anisotropic_sphere_sample(rng, 100, 4)
         stats = estimate_realign(stats_of(src), stats_of(src), src)
         one = substitution_operator(src[:1], stats)
-        npt.assert_array_equal(one.data[0], stats.apply(src[0][None])[0])
+        npt.assert_array_equal(one[0], stats.apply(src[0][None])[0])
 
     def test_batch_equals_rowwise_loop_bitwise(self):
         rng = np.random.default_rng(12)
@@ -305,7 +304,7 @@ class TestSubstitutionOperator:
         stats = estimate_realign(stats_of(src), stats_of(tgt), src)
         batch = substitution_operator(src, stats)
         loop = np.vstack([stats.apply(row[None])[0] for row in src])
-        npt.assert_array_equal(batch.data, loop)
+        npt.assert_array_equal(batch, loop)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1026, 2050, 3000])
@@ -317,7 +316,7 @@ class TestSubstitutionOperator:
         stats = estimate_realign(stats_of(src), stats_of(tgt), rows)
         unit1 = unit_rows_f64(stats.mu_tgt + stats.scale * (rows.astype(np.float64) - stats.mu_src))
         npt.assert_array_equal(stats.mu_drift, unit1.mean(axis=0))
-        npt.assert_array_equal(substitution_operator(rows, stats).data, realign_oracle(rows, stats))
+        npt.assert_array_equal(substitution_operator(rows, stats), realign_oracle(rows, stats))
 
     def test_peak_memory_is_output_plus_one_block(self):
         rng = np.random.default_rng(25)
@@ -330,16 +329,15 @@ class TestSubstitutionOperator:
         finally:
             tracemalloc.stop()
         # whole-array steps would hold several 39 MiB float64 temporaries at once
-        assert peak < out.data.nbytes + 16 * 2**20
+        assert peak < out.nbytes + 16 * 2**20
 
-    def test_preserves_tag_and_order(self):
+    def test_preserves_order(self):
         rng = np.random.default_rng(13)
-        src = EmbeddingSet(anisotropic_sphere_sample(rng, 20, 4), "story")
+        src = anisotropic_sphere_sample(rng, 20, 4)
         stats = estimate_realign(stats_of(src), stats_of(src), src)
         out = substitution_operator(src, stats)
-        assert out.modality_tag == "story"
-        first = stats.apply(src.data[0][None])[0]
-        npt.assert_array_equal(out.data[0], first)
+        first = stats.apply(src[0][None])[0]
+        npt.assert_array_equal(out[0], first)
 
 
 class TestBaselines:
@@ -386,6 +384,34 @@ class TestBaselines:
     def test_c3_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             C3Baseline(np.zeros(2), np.zeros(2), sigma=-0.1)
+
+
+def test_every_operator_maps_a_single_row_to_a_one_row_matrix():
+    # blockwise once returned (d,) for a (d,) row while realign and c3 returned (1, d)
+    rng = np.random.default_rng(18)
+    src = anisotropic_sphere_sample(rng, 500, 6)
+    tgt = anisotropic_sphere_sample(rng, 500, 6, kappa=4.0)
+    stats_src, stats_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
+    frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=0.9)
+    for op in (estimate_realign(stats_src, stats_tgt, src),
+               C3Baseline(stats_src.mean, stats_tgt.mean),
+               estimate_blockwise(frame, stats_src, stats_tgt, src)):
+        assert op.apply(src[0]).shape == (1, 6)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-8])
+def test_estimate_realign_rejects_an_eps_that_is_not_finite_and_non_negative(eps):
+    stats = ModalityStats(mean=np.zeros(2), trace=1.0, n=10)
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        estimate_realign(stats, stats, np.eye(2), eps=eps)
+
+
+@pytest.mark.parametrize("eig_floor", [np.nan, -1.0, 1.5])
+def test_estimate_blockwise_rejects_an_eig_floor_outside_the_unit_interval(eig_floor):
+    stats = ModalityStats(mean=np.zeros(2), trace=1.0, n=10, covariance=np.eye(2))
+    frame = ReferenceFrame(basis=np.eye(2)[:, :1], energy_threshold=0.9)
+    with pytest.raises(ValueError, match=r"eig_floor must be finite and in \[0, 1\]"):
+        estimate_blockwise(frame, stats, stats, np.eye(2), eig_floor=eig_floor)
 
 
 class TestBlockwise:
@@ -497,7 +523,7 @@ class TestBlockwise:
         x = frame.lift(coeff)
         expected = frame.lift(t_in @ coeff)
         expected /= np.linalg.norm(expected)
-        npt.assert_allclose(apply_blockwise(x, stats), expected, atol=1e-12)
+        npt.assert_allclose(apply_blockwise(x, stats), expected[None], atol=1e-12)
 
     def test_ill_conditioned_source_floors_and_flags(self):
         # a condition number near 1e3 inside the blocks; a floor of 1e-2
