@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,6 +38,7 @@ from .contrastive import (
     moment_identity_check,
 )
 from .diagnostics import (
+    _check_sampling,
     cosine_histogram,
     js_divergence,
     knn_mixing_rate,
@@ -80,6 +82,36 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _FlagError(GapAlignError):
+    """A numeric flag out of its range, found while the command line is parsed."""
+
+
+def _bounded(flag: str, kind, lo=None, hi=None):
+    """argparse ``type=`` for ``flag``: an int, or a finite float, in [lo, hi] (None: open).
+
+    A value that does not parse is a usage error (exit 1).  A value out of
+    range raises ``_FlagError``, which argparse does not catch, so ``main``
+    exits 2 before any input is opened; the message names the flag.
+    """
+    show = str if kind is int else "{:g}".format
+    if lo is None or hi is None:
+        rule = f"<= {show(hi)}" if lo is None else f">= {show(lo)}"
+    else:
+        rule = f"in [{show(lo)}, {show(hi)}]"
+    rule = ("an integer " if kind is int else "finite and ") + rule
+
+    def parse(text):
+        value = kind(text)
+        if (kind is float and not math.isfinite(value)) or not (
+                (lo is None or value >= lo) and (hi is None or value <= hi)):
+            name = flag.lstrip("-").replace("-", "_")
+            raise _FlagError(f"{name} must be {rule}, got {text} ({flag})")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in a usage error
+    return parse
 
 
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -291,6 +323,7 @@ def _spectrum_summary(rows):
 
 
 def _cmd_diagnose(args):
+    _check_sampling(args.pairs, args.bins)  # before any input is read
     set_a = read_embeddings(args.a)
     set_b = read_embeddings(args.b)
     mu_a = np.mean(set_a, axis=0, dtype=np.float64)
@@ -605,9 +638,11 @@ def build_parser():
     p.add_argument("--calib-src")
     p.add_argument("--calib-tgt")
     p.add_argument("--save-stats", help="realign and blockwise only: save the fitted operator")
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--eps", type=_bounded("--eps", float, lo=0.0), default=1e-8,
+                   help="realign: trace regularizer, finite and >= 0")
     p.add_argument("--energy", type=float, default=0.90)
-    p.add_argument("--eig-floor", type=float, default=1e-6)
+    p.add_argument("--eig-floor", type=_bounded("--eig-floor", float, lo=0.0, hi=1.0),
+                   default=1e-6, help="blockwise: relative eigenvalue floor in [0, 1]")
     p.add_argument("--sigma", type=float, default=0.04, help="c3 only: finite noise std >= 0")
     p.add_argument("--seed", type=int, default=0, help="c3 only: key of the noise stream")
     p.set_defaults(func=_cmd_align)
@@ -618,11 +653,16 @@ def build_parser():
     p.add_argument("--report", required=True)
     p.add_argument("--plots-dir")
     p.add_argument("--overlap-with", help="index-aligned transformed copy of --a")
-    p.add_argument("--pairs", type=int, default=200_000)
-    p.add_argument("--bins", type=int, default=201)
+    # the lower bounds are the library's, checked before any input is read
+    p.add_argument("--pairs", type=_bounded("--pairs", int, hi=10**8), default=200_000,
+                   help="sampled pairs per set, 1 to 10^8")
+    p.add_argument("--bins", type=_bounded("--bins", int, hi=10**6), default=201,
+                   help="cosine histogram bins, 8 to 10^6")
     p.add_argument("--smoothing", action="store_true")
-    p.add_argument("--k-mix", type=int, default=20)
-    p.add_argument("--k-overlap", type=int, default=10)
+    p.add_argument("--k-mix", type=int, default=20,
+                   help="pooled neighbors per row, 1 to the rows of --a and --b less 1")
+    p.add_argument("--k-overlap", type=int, default=10,
+                   help="neighbors per row for --overlap-with, 1 to the rows of --a less 1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_diagnose)
 

@@ -17,11 +17,14 @@ block size rather than by ``num_pairs x d``.  Deferred and handed to
 ``knn_mixing_rate``, it reads each pair's dot product off the Gram tile
 of the pooled kNN pass that holds it, and gathers only pairs whose tile
 cosine lies within a round-off margin of a bin edge (``_PairSample``).
-Nearest neighbors use exact pairwise distances, formed in square tiles
-of ``_TILE`` rows a side and merged into a running k nearest per row,
-with ties broken toward the lower index; memory beyond the inputs is
-O(tile^2 + n k).  This is meant for desk-scale inputs (up to around 1e5
-rows), not approximate search.  The histogram and kNN metrics reject
+Nearest neighbors are exact, from square Gram tiles of ``_TILE`` rows a
+side merged into a running k nearest per row, with ties broken toward
+the lower index; memory beyond the inputs is O(tile^2 + n k).  A row
+first takes its k nearest in its diagonal tile; every other tile is
+screened in Gram space, with a round-off margin, so that only entries
+that can enter a row's k nearest get a distance (``_neighbor_indices``).
+This is meant for desk-scale inputs (up to around 1e5 rows), not
+approximate search.  The histogram and kNN metrics reject
 input with a non-finite value by raising ``DataFormatError`` that names
 the first such row.
 """
@@ -90,6 +93,14 @@ def modality_gap(mu_a: np.ndarray, mu_b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _check_sampling(num_pairs: int, bins: int) -> None:
+    """Refuse a pair count or bin grid no set of rows can be histogrammed with."""
+    if bins < 8:
+        raise ValueError("use at least 8 bins")
+    if num_pairs <= 0:
+        raise ValueError(f"num_pairs must be positive, got {num_pairs}")
+
+
 class _PairSample:
     """One set's seeded index pairs and the bin counts of their cosines.
 
@@ -117,10 +128,7 @@ class _PairSample:
         n = data.shape[0]
         if n < 2:
             raise DataFormatError("need at least 2 rows to form pairs")
-        if bins < 8:
-            raise ValueError("use at least 8 bins")
-        if num_pairs <= 0:
-            raise ValueError(f"num_pairs must be positive, got {num_pairs}")
+        _check_sampling(num_pairs, bins)
         norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
                                 for block in row_blocks(n)])
         if np.any(norms == 0):
@@ -266,41 +274,51 @@ def _widened(parts, rows: slice) -> np.ndarray:
     return np.concatenate(pieces, dtype=np.float64)
 
 
-def _merge_tile(best_d, best_i, d2, col0: int, k: int, spare: np.ndarray):
-    """Merge a distance tile into its rows' running k nearest.
+def _merge_tile(best_d, best_i, row, col, dist, k: int):
+    """Merge candidates into their rows' running k nearest.
 
-    ``best_d`` and ``best_i`` hold each row's nearest so far in
-    (distance, index) order.  ``d2`` holds the rows' distances to columns
-    ``col0, col0 + 1, ...``, which come after every column merged before,
-    so once a row holds k neighbors only an entry strictly nearer than its
-    k-th can enter.  Until then the candidates are the entries at or below
-    the row's k-th smallest in this tile, found by partitioning a copy in
-    ``spare`` (``d2``'s shape, free to overwrite).  Of the row's neighbors
-    and candidates, the first k by (distance, index) stay.
+    ``best_d`` and ``best_i`` hold each row's nearest so far in (distance,
+    index) order; candidate t is column ``col[t]`` at ``dist[t]`` from row
+    ``row[t]``, in any order.  The first k by (distance, index) stay.  Rows
+    without candidates are left alone, so a row short of k needs them all.
     """
-    rows, width = d2.shape
     have = best_d.shape[1]
-    if have == k:
-        hit = d2 < best_d[:, -1:]
-    elif width > k:
-        np.copyto(spare, d2)
-        spare.partition(k - 1, axis=1)
-        hit = d2 <= spare[:, k - 1:k]
-    else:
-        hit = np.ones(d2.shape, dtype=bool)
-    flat = np.flatnonzero(hit)
-    del hit
-    row, col = np.divmod(flat, width)
-    counts = np.bincount(row, minlength=rows)
-    slot = have + np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
-    dist = np.full((rows, have + int(counts.max(initial=0))), np.inf)
-    index = np.full(dist.shape, _NO_INDEX)
-    dist[:, :have] = best_d
-    index[:, :have] = best_i
-    dist[row, slot] = d2[row, col]
-    index[row, slot] = col0 + col
-    keep = np.lexsort((index, dist), axis=1)[:, :min(k, have + width)]
-    return np.take_along_axis(dist, keep, axis=1), np.take_along_axis(index, keep, axis=1)
+    rows, counts = np.unique(row, return_counts=True)
+    order = np.argsort(row, kind="stable")
+    at = np.repeat(np.arange(rows.size), counts)
+    slot = have + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    dist_m = np.full((rows.size, have + int(counts.max(initial=0))), np.inf)
+    index_m = np.full(dist_m.shape, _NO_INDEX)
+    dist_m[:, :have], index_m[:, :have] = best_d[rows], best_i[rows]
+    dist_m[at, slot], index_m[at, slot] = dist[order], col[order]
+    keep = np.lexsort((index_m, dist_m), axis=1)[:, :min(k, dist_m.shape[1])]
+    dist_m, index_m = (np.take_along_axis(m, keep, axis=1) for m in (dist_m, index_m))
+    if keep.shape[1] > have:  # the rows were short of k, so every row is here
+        return dist_m, index_m
+    best_d[rows], best_i[rows] = dist_m, index_m
+    return best_d, best_i
+
+
+def _screen(sq_rows: np.ndarray, sq_min: float, kth: np.ndarray) -> np.ndarray:
+    """Per row, the Gram value every entry within ``kth`` exceeds (see ``_neighbor_indices``)."""
+    near = sq_rows + sq_min
+    return 0.5 * (near - kth) - (2.0**-51 * (near + np.abs(kth)) + 2.0**-1072)
+
+
+def _merge_screened(best_d, best_i, gram, sq_rows, sq_cols, axis: int, col0: int, k: int, hit):
+    """Merge an off-diagonal Gram tile into the k nearest of its rows (``axis`` 0) or columns (1).
+
+    ``best_d`` and ``best_i`` are as in ``_merge_tile``; ``hit``, of ``gram``'s shape, is scratch.
+    """
+    own, other = (sq_rows, sq_cols) if axis == 0 else (sq_cols, sq_rows)
+    kth = best_d[:, -1]  # +inf while a row is short of k, since it still holds itself
+    h = _screen(own, other.min(), kth)
+    np.greater(gram, np.expand_dims(h, 1 - axis), out=hit)
+    i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])
+    d2 = (sq_rows[i] + sq_cols[j]) - 2.0 * gram[i, j]
+    row, col = (i, j) if axis == 0 else (j, i)
+    near = d2 <= kth[row]
+    return _merge_tile(best_d, best_i, row[near], col[near] + col0, d2[near], k)
 
 
 def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.ndarray:
@@ -309,18 +327,32 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     ``points`` is one matrix or a tuple of matrices read as their row
     concatenation; rows are widened to float64 one tile at a time, so no
     pooled copy is made.  Squared distances ``(|a|^2 + |b|^2) - 2 a.b``
-    are formed in tiles between ranges of ``chunk`` rows (``row_blocks``).
-    Each unordered pair of ranges is multiplied once: the tile serves the
-    first range's rows and its transpose the second's, since float
-    addition commutes and the BLAS product's transpose equals the
-    swapped product (checked bit for bit on OpenBLAS 0.3.31).  Every row
-    keeps a running k nearest in (distance, index) order, and each tile
-    merges into it (``_merge_tile``); tiles reach a row in increasing
-    column order.  Ties resolve to the lower index across tiles as
-    within one, so the result equals the first k columns of a stable
-    ``argsort`` of each full distance row.  Memory beyond the inputs is
-    O(chunk^2 + n k).  Inputs must be finite.  Returns an (n, k) index
-    array, nearest first.
+    come from Gram tiles between ranges of ``chunk`` rows (``row_blocks``),
+    each unordered pair of ranges multiplied once for both ranges' rows
+    (float addition commutes, and the BLAS product's transpose equals the
+    swapped product, checked bit for bit on OpenBLAS 0.3.31).  Every row
+    keeps a running k nearest in (distance, index) order (``_merge_tile``),
+    so the result equals the first k columns of a stable ``argsort`` of
+    each full distance row.  Memory beyond the inputs is O(chunk^2 + n k).
+    Rows must be finite; one of norm 2^510 or more, whose distances could
+    overflow, raises ``DataFormatError``.  Returns an (n, k) index array,
+    nearest first.
+
+    Tiles are taken range by range: the diagonal tile (b, b), with its
+    distances formed whole, then (a, b) for a < b, screened in Gram space.
+    A row i whose k-th distance is ``kth`` takes only entries g > h_i =
+    (s - kth)/2 - 4u (s + |kth|) - 2^-1072, u = 2^-53, s = fl(|x_i|^2 + m)
+    and m the least squared norm of the other range.  The margin is a
+    round-off bound like ``_PairSample``'s (Higham 2002, sec. 2.2): a kept
+    entry has fl(s' - 2g) <= kth with s' = fl(|x_i|^2 + |x_j|^2) >= s, so
+    s' - 2g <= kth + u|kth|/(1 - u) and g >= (s - kth)/2 - u|kth|, while
+    rounding h costs at most (1 + O(u)) u (s + |kth|) plus 2^-1075 for
+    halving a subnormal, which the margin exceeds.  A row short of k holds
+    every entry so far, itself at +inf (``fill_diagonal``) among them, so
+    its h is -inf.  A candidate's distance is the diagonal tiles'
+    elementwise expression, so its bits do not depend on which entries are
+    formed; those with d2 <= kth are merged, a tie at ``kth`` going to the
+    index key.
 
     ``on_tile(lo_a, lo_b, gram)``, if given, sees each Gram tile of dot
     products between the ranges starting at rows ``lo_a <= lo_b`` before
@@ -332,29 +364,37 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     widths = [span.stop - span.start for span in spans]
     sq = np.concatenate([np.einsum("ij,ij->i", block, block)
                          for block in (_widened(parts, span) for span in spans)])
+    if not sq.max() < 2.0**1020:  # else a squared distance could overflow
+        raise DataFormatError(f"row {int(np.argmax(~(sq < 2.0**1020)))} has norm >= 2^510")
     # the Gram and distance tiles reuse two buffers, so no tile is allocated twice
     buffers = np.empty((2, max(widths) ** 2))
-    best = [(np.empty((width, 0)), np.empty((width, 0), dtype=np.int64)) for width in widths]
-    for a, span_a in enumerate(spans):
-        rows_a = _widened(parts, span_a)
-        for b in range(a, len(spans)):
-            span_b = spans[b]
-            rows_b = rows_a if b == a else _widened(parts, span_b)
-            shape = (widths[a], widths[b])
+    best = []
+    for b, span_b in enumerate(spans):
+        rows_b = _widened(parts, span_b)
+        for a in (b, *range(b)):  # the diagonal tile first
+            span_a, shape = spans[a], (widths[a], widths[b])
             gram, d2 = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
-            np.matmul(rows_a, rows_b.T, out=gram)
+            np.matmul(rows_b if a == b else _widened(parts, span_a), rows_b.T, out=gram)
             if on_tile is not None:
                 on_tile(span_a.start, span_b.start, gram)
+            if a < b:  # the distance buffer holds the candidate masks
+                hit = buffers[1].view(bool)[:gram.size].reshape(shape)
+                for axis, (own, col0) in enumerate(((a, span_b.start), (b, span_a.start))):
+                    best[own] = _merge_screened(*best[own], gram, sq[span_a], sq[span_b], axis,
+                                                col0, k, hit)
+                continue
             gram *= 2.0
-            np.add.outer(sq[span_a], sq[span_b], out=d2)
+            np.add.outer(sq[span_b], sq[span_b], out=d2)
             d2 -= gram
-            if b == a:
-                np.fill_diagonal(d2, np.inf)
-            # the Gram tile is spent, so its buffer is the merges' spare
-            best[a] = _merge_tile(*best[a], d2, span_b.start, k, spare=gram)
-            if b != a:
-                best[b] = _merge_tile(*best[b], d2.T, span_a.start, k,
-                                      spare=gram.reshape(shape[::-1]))
+            np.fill_diagonal(d2, np.inf)
+            kth = np.full(widths[b], np.inf)
+            if widths[b] > k:  # the first k by (distance, index) lie within the k-th distance
+                np.copyto(gram, d2)
+                gram.partition(k - 1, axis=1)
+                kth = gram[:, k - 1]
+            row, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), widths[b])
+            best.append(_merge_tile(np.empty((widths[b], 0)), np.empty((widths[b], 0), np.int64),
+                                    row, col + span_b.start, d2[row, col], k))
     return np.vstack([index for _, index in best])
 
 

@@ -110,6 +110,8 @@ class AlignmentStats(Payload, kind="alignment_stats"):
         self.mu_drift = _checked("mu_drift", self.mu_drift, (self.dims,))
         for name in ("trace_src", "trace_tgt", "scale", "eps"):
             setattr(self, name, float(_checked(name, getattr(self, name), ())))
+        if self.eps < 0:  # the range estimate_realign fits with
+            raise DataFormatError(f"eps must be >= 0, got {self.eps}")
         _check_int("calib_n", self.calib_n, 1)
         with np.errstate(all="ignore"):  # a negative or zero denominator fails the check below
             expected = np.sqrt(np.divide(self.trace_tgt, self.trace_src + self.eps))
@@ -271,6 +273,8 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
         self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
         self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
         self.eig_floor = float(_checked("eig_floor", self.eig_floor, ()))
+        if not 0 <= self.eig_floor <= 1:  # the range estimate_blockwise fits with
+            raise DataFormatError(f"eig_floor must be in [0, 1], got {self.eig_floor}")
         _check_int("calib_n", self.calib_n, 1)
         if not isinstance(self.floored, bool):
             raise DataFormatError(f"floored must be a bool, got {self.floored!r}")

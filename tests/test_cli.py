@@ -695,6 +695,44 @@ def test_align_rejects_an_eps_or_eig_floor_out_of_range(workdir, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "-1"), ("--eig-floor", "-1"),
+                                         ("--eig-floor", "1.5")])
+def test_align_rejects_an_eps_or_eig_floor_before_reading(workdir, capsys, monkeypatch, flag,
+                                                          value):
+    # --eps nan once ran stats_of over both calibration files before estimate_realign refused it
+    monkeypatch.setattr("gapalign.cli.stats_of", lambda *a, **k: pytest.fail("read an input"))
+    out = workdir / "out.emb"
+    method = "realign" if flag == "--eps" else "blockwise"
+    assert main(["align", "--method", method, "--in", str(workdir / "src.emb"), "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+                 f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"got {value} ({flag})" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, field, value", [("realign", "eps", -0.5),
+                                                  ("blockwise", "eig_floor", -3.0),
+                                                  ("blockwise", "eig_floor", 1.5)])
+def test_align_rejects_a_saved_operator_fitted_outside_the_fit_ranges(workdir, capsys, method,
+                                                                       field, value):
+    # these artifacts once loaded; eps -0.5 then failed only as an inconsistent scale
+    path = str(workdir / f"{method}.stats")
+    assert main(["align", "--method", method, "--in", str(workdir / "src.emb"),
+                 "--out", str(workdir / "first.emb"), "--calib-src", str(workdir / "src.emb"),
+                 "--calib-tgt", str(workdir / "tgt.emb"), "--save-stats", path]) == 0
+    doc = json.loads(Path(path).read_text())
+    doc["payload"][field] = value
+    Path(path).write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = workdir / "from_artifact.emb"
+    assert main(["align", "--method", method, "--in", str(workdir / "src.emb"), "--out", str(out),
+                 "--stats", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gapalign: {field} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["c3", "anchor-only"])
 def test_align_save_stats_is_an_error_for_methods_that_fit_nothing(workdir, capsys, monkeypatch,
                                                                   method):
@@ -810,6 +848,20 @@ def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
     _write_csv(expected, ["bin_center", "mass_a", "mass_b"],
                list(zip(mids.tolist(), hist_a.masses.tolist(), hist_b.masses.tolist())))
     assert (plots / "cosine_hist.csv").read_bytes() == Path(expected).read_bytes()
+
+
+@pytest.mark.parametrize("value", [str(2**40), "0", "-1"])
+@pytest.mark.parametrize("flag", ["--pairs", "--bins"])
+def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, monkeypatch, flag,
+                                                            value):
+    # 10^13 pairs or 10^14 bins once raised a numpy _ArrayMemoryError traceback, exit 1
+    monkeypatch.setattr("gapalign.cli.read_embeddings", lambda *a, **k: pytest.fail("read"))
+    report = workdir / "diag.json"
+    assert main(["diagnose", "--a", str(workdir / "src.emb"), "--b", str(workdir / "tgt.emb"),
+                 "--report", str(report), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and flag[2:] in err and "Traceback" not in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("extra,code,message", [

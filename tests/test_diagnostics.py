@@ -27,7 +27,8 @@ from gapalign import (
 )
 from gapalign import diagnostics
 from gapalign.cli import main
-from gapalign.diagnostics import _has_duplicate_rows, _neighbor_indices, _PairSample
+from gapalign.diagnostics import (_has_duplicate_rows, _neighbor_indices, _PairSample, _screen,
+                                  _widened)
 
 
 def unit_rows(rows):
@@ -46,6 +47,60 @@ def neighbor_indices_oracle(points, k, chunk=512):
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
+
+
+def _merge_tile_unscreened(best_d, best_i, d2, col0, k, spare):
+    """The tile merge the screened kernel replaced: every entry of every tile is compared."""
+    rows, width = d2.shape
+    have = best_d.shape[1]
+    if have == k:
+        hit = d2 < best_d[:, -1:]
+    elif width > k:
+        np.copyto(spare, d2)
+        spare.partition(k - 1, axis=1)
+        hit = d2 <= spare[:, k - 1:k]
+    else:
+        hit = np.ones(d2.shape, dtype=bool)
+    flat = np.flatnonzero(hit)
+    row, col = np.divmod(flat, width)
+    counts = np.bincount(row, minlength=rows)
+    slot = have + np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
+    dist = np.full((rows, have + int(counts.max(initial=0))), np.inf)
+    index = np.full(dist.shape, np.iinfo(np.int64).max)
+    dist[:, :have] = best_d
+    index[:, :have] = best_i
+    dist[row, slot] = d2[row, col]
+    index[row, slot] = col0 + col
+    keep = np.lexsort((index, dist), axis=1)[:, :min(k, have + width)]
+    return np.take_along_axis(dist, keep, axis=1), np.take_along_axis(index, keep, axis=1)
+
+
+def neighbor_indices_unscreened(points, k, chunk):
+    """The kNN kernel before screening: whole distance tiles in row-major tile order.
+
+    The oracle for the screened kernel, which must return the same
+    neighbors on any input, ties and round-off included.
+    """
+    parts = points if isinstance(points, tuple) else (points,)
+    spans = list(diagnostics.row_blocks(sum(part.shape[0] for part in parts), chunk))
+    widths = [span.stop - span.start for span in spans]
+    sq = np.concatenate([np.einsum("ij,ij->i", block, block)
+                         for block in (_widened(parts, span) for span in spans)])
+    best = [(np.empty((width, 0)), np.empty((width, 0), dtype=np.int64)) for width in widths]
+    for a, span_a in enumerate(spans):
+        rows_a = _widened(parts, span_a)
+        for b in range(a, len(spans)):
+            span_b = spans[b]
+            rows_b = rows_a if b == a else _widened(parts, span_b)
+            gram = rows_a @ rows_b.T
+            d2 = np.add.outer(sq[span_a], sq[span_b]) - 2.0 * gram
+            if b == a:
+                np.fill_diagonal(d2, np.inf)
+            best[a] = _merge_tile_unscreened(*best[a], d2, span_b.start, k, np.empty_like(d2))
+            if b != a:
+                best[b] = _merge_tile_unscreened(*best[b], d2.T, span_a.start, k,
+                                                 np.empty_like(d2.T))
+    return np.vstack([index for _, index in best])
 
 
 def mixing_rate_oracle(a, b, k):
@@ -313,6 +368,32 @@ class TestJsDivergence:
             js_divergence(p, q)
 
 
+@st.composite
+def screened_knn_cases(draw):
+    """Row sets for the screened kNN kernel, with k and a tile size.
+
+    Gaussian rows, unit-norm float32 rows, rows with many exact copies,
+    and Gaussian rows scaled by 2^-500 or 2^500, whose squares and
+    products sit near the ends of the float64 range.  One matrix or a
+    two-part tuple; tiles from one row (every row short of k) to wider
+    than the set; k in {1, 20, n - 1}.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 48)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "unit32", "copies", "tiny", "huge"]))
+    rows = rng.standard_normal((n, d))
+    if kind == "unit32":
+        rows = unit_rows(rows).astype(np.float32)
+    elif kind == "copies":
+        rows = rows[rng.integers(0, max(1, n // 4), n)]
+    elif kind != "gaussian":
+        rows *= 2.0**-500 if kind == "tiny" else 2.0**500
+    k = draw(st.sampled_from([1, min(20, n - 1), n - 1]))
+    chunk = draw(st.one_of(st.integers(1, k), st.integers(1, n + 2)))
+    split = draw(st.none() | st.integers(1, n - 1))
+    return (rows if split is None else (rows[:split], rows[split:])), k, chunk
+
+
 class TestNeighborIndices:
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_points())
@@ -334,6 +415,45 @@ class TestNeighborIndices:
         points = rng.integers(-1, 2, size=(1100, 3)).astype(np.float64)
         for k in (1, 20, 1099):
             assert np.array_equal(_neighbor_indices(points, k), neighbor_indices_oracle(points, k))
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(screened_knn_cases())
+    def test_screened_kernel_equals_the_unscreened_one(self, case):
+        points, k, chunk = case
+        assert np.array_equal(_neighbor_indices(points, k, chunk=chunk),
+                              neighbor_indices_unscreened(points, k, chunk))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.floats(0, 2.0**1000) | st.sampled_from([0.0, 1.0, 2.0**-1074, 2.0**-1030]),
+           st.floats(0, 2.0**1000) | st.sampled_from([0.0, 1.0, 2.0**-1074, 2.0**-1030]),
+           st.floats(-2.0**1000, 2.0**1000) | st.sampled_from([0.0, 0.5, -2.0**-1074, 2.0**-1060]))
+    def test_screen_passes_every_entry_within_kth(self, sq_row, sq_min, kth):
+        # Gram values on the threshold h, one ulp either side of it, and 40 ulps
+        # either side of the margin-free threshold (s - kth)/2, near which an
+        # entry of the nearest possible column lands at exactly kth
+        h = float(_screen(np.array([sq_row]), sq_min, np.array([kth]))[0])
+        assume(np.isfinite(h))
+        s = sq_row + sq_min
+        grams = [np.nextafter(h, -np.inf), h, np.nextafter(h, np.inf)]
+        up = down = 0.5 * (s - kth)
+        for _ in range(40):
+            grams += [up, down]
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        for g in grams:
+            with np.errstate(over="ignore"):
+                d2 = s - 2.0 * g  # the kernel's distance to a column of squared norm sq_min
+            if d2 <= kth:
+                assert g > h, (g, h, d2)
+        # the margin is a few ulps of the terms, not a wider net
+        assert h >= 0.5 * (s - kth) - 8 * 2.0**-53 * (s + abs(kth)) - 2.0**-1070
+
+    def test_screen_is_strict_when_every_term_is_zero(self):
+        # zero rows: each Gram entry is 0 and lies at the k-th distance 0
+        assert _screen(np.zeros(1), 0.0, np.zeros(1))[0] < 0.0
+        points = np.zeros((6, 3))
+        for chunk in (1, 2, 6):
+            assert np.array_equal(_neighbor_indices(points, 2, chunk=chunk),
+                                  neighbor_indices_oracle(points, 2))
 
 
 class TestKnnMixing:
@@ -392,6 +512,14 @@ class TestKnnMixing:
             b = rng.normal(size=(n, 16)).astype(np.float32)
             peaks.append(traced_peak(knn_mixing_rate, a, b, k=20))
         assert peaks[1] - peaks[0] < 4 * 2**20
+
+    def test_row_too_long_for_distances_rejected(self):
+        # a squared norm of 2^1040 puts sums of squares past the float64 range,
+        # where a distance would overflow to inf or nan
+        a, b = np.ones((5, 3)), np.ones((5, 3))
+        b[2] *= 2.0**520
+        with pytest.raises(DataFormatError, match=r"row 7 has norm >= 2\^510"):
+            knn_mixing_rate(a, b, k=2)
 
     def test_non_finite_row_rejected(self):
         rng = np.random.default_rng(25)
