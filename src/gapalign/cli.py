@@ -397,7 +397,7 @@ def _parse_config_file(path):
 def _cmd_simulate(args):
     config = SimulatorConfig.from_mapping(_parse_config_file(args.config)) if args.config else SimulatorConfig()
     if args.ablation:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
+        seeds = tuple(map(_bounded("--seeds", int, lo=0), args.seeds.split(",")))
         report = gap_necessity_ablation(config, seeds=seeds)
         report["provenance"] = _provenance(args, [args.config])
         _write_json(args.ablation_report, report)
@@ -540,7 +540,7 @@ def _offset_cov_error(rows):
 
 
 def _cmd_bench(args):
-    sizes = [int(float(s)) for s in args.sizes.split(",")]
+    sizes = [int(_bounded("--sizes", float, hi=1e8)(s)) for s in args.sizes.split(",")]
     if sorted(sizes) != sizes:
         raise DataFormatError("bench sizes must be ascending")
     chunk_rows = 10_000  # rows per timed accumulate call
@@ -643,8 +643,10 @@ def build_parser():
     p.add_argument("--energy", type=float, default=0.90)
     p.add_argument("--eig-floor", type=_bounded("--eig-floor", float, lo=0.0, hi=1.0),
                    default=1e-6, help="blockwise: relative eigenvalue floor in [0, 1]")
-    p.add_argument("--sigma", type=float, default=0.04, help="c3 only: finite noise std >= 0")
-    p.add_argument("--seed", type=int, default=0, help="c3 only: key of the noise stream")
+    p.add_argument("--sigma", type=_bounded("--sigma", float, lo=0.0), default=0.04,
+                   help="c3 only: noise std, finite and >= 0")
+    p.add_argument("--seed", type=_bounded("--seed", int, lo=0, hi=2**128 - 1), default=0,
+                   help="c3 only: key of the noise stream, 0 to 2^128 - 1")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("diagnose", help="alignment quality metrics for two embedding files")
@@ -663,7 +665,7 @@ def build_parser():
                    help="pooled neighbors per row, 1 to the rows of --a and --b less 1")
     p.add_argument("--k-overlap", type=int, default=10,
                    help="neighbors per row for --overlap-with, 1 to the rows of --a less 1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="toy dual-encoder training with geometric tracing")
@@ -677,24 +679,26 @@ def build_parser():
     p = sub.add_parser("verify", help="run the analytic-oracle check suites")
     p.add_argument("--suite", choices=["gradients", "span", "bounds", "coupling", "all"],
                    default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sample-curve", help="held-out gap vs calibration sample size")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--sizes", required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    # the lower bound of --trials is the library's (sample_complexity_curve)
+    p.add_argument("--trials", type=_bounded("--trials", int, hi=10_000), default=5)
+    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.add_argument("--holdout", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_curve)
 
     p = sub.add_parser("bench", help="accumulator throughput, state size, and precision floor")
     p.add_argument("--sizes", default="100000,500000,1000000")
-    p.add_argument("--dims", type=int, default=64)
+    # at 1,024 dims the offset-covariance check holds two 20,000 x 1,024 long-double arrays
+    p.add_argument("--dims", type=_bounded("--dims", int, lo=1, hi=1024), default=64)
     p.add_argument("--no-cov", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_bench)

@@ -283,8 +283,11 @@ def _merge_tile(best_d, best_i, row, col, dist, k: int):
     without candidates are left alone, so a row short of k needs them all.
     """
     have = best_d.shape[1]
-    rows, counts = np.unique(row, return_counts=True)
-    order = np.argsort(row, kind="stable")
+    counts = np.bincount(row)
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    # one stable sort, by radix on the narrowest integers that hold a row of the tile
+    order = np.argsort(row.astype(np.min_scalar_type(best_d.shape[0])), kind="stable")
     at = np.repeat(np.arange(rows.size), counts)
     slot = have + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
     dist_m = np.full((rows.size, have + int(counts.max(initial=0))), np.inf)

@@ -1,6 +1,7 @@
 """Reading, writing, and streaming of embedding matrices plus statistics artifacts.
 
-Two on-disk embedding formats are supported:
+Two on-disk embedding formats are supported, told apart by one rule: a
+path ending in ``.csv`` is CSV, and every other path is emb1.
 
 * ``emb1`` -- native binary: magic ``EMB1``, u32 version (=1), u32 dtype
   code (0 = float32, 1 = float64), u64 rows, u32 dims, u32 reserved (=0),
@@ -21,7 +22,9 @@ holds one block of the file however many rows it has.  ``row_source``
 opens a path as one or the other, and ``RowMap`` maps a function over a
 source's row blocks.  ``write_embeddings`` writes any row source one
 block at a time, so an output computed block by block is written as it
-is computed and never held whole.
+is computed and never held whole.  Rows are plain arrays: ``EmbeddingSet``
+is only a name for ``np.ascontiguousarray``, kept while the benchmark's
+fixture writer (``perfbench/workloads.py``) still wraps its rows in it.
 
 Statistics artifacts (moment summaries, reference frames, calibrated
 alignment operators) persist as a JSON file plus the ``.npy`` sidecars
@@ -125,30 +128,12 @@ def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
     return rows
 
 
-@dataclass
-class EmbeddingSet:
-    """An (N, d) float32 or float64 array, checked on construction.
-
-    Readers and operators take and return plain arrays; ``write_embeddings``
-    and ``as_matrix`` also accept an array wrapped in this type.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data)
-        if self.data.ndim != 2:
-            raise DataFormatError(f"embedding data must be 2-D, got shape {self.data.shape}")
-        if self.data.dtype not in (np.float32, np.float64):
-            raise DataFormatError(f"unsupported dtype {self.data.dtype}; use float32 or float64")
-        if self.data.shape[1] < 1:
-            raise DataFormatError("embedding sets need at least one dimension")
+# the benchmark's fixture writer still wraps its rows in this name (module docstring)
+EmbeddingSet = np.ascontiguousarray
 
 
 def as_matrix(obj) -> np.ndarray:
     """An array-like as an (N, d) matrix, one row as a (1, d) matrix; row sources as they are."""
-    if isinstance(obj, EmbeddingSet):
-        return obj.data
     if isinstance(obj, (EmbeddingFile, RowMap)):
         return obj
     arr = np.asarray(obj)
@@ -252,14 +237,9 @@ def _codec_fields(cls) -> tuple:
     return tuple((f.name, f.default is not None, nested.get(f.name)) for f in fields(cls) if f.init)
 
 
-def _infer_format(path: str, format: str | None) -> str:
-    if format is not None:
-        if format not in ("emb1", "csv"):
-            raise DataFormatError(f"unknown embedding format {format!r}")
-        return format
-    if str(path).endswith(".csv"):
-        return "csv"
-    return "emb1"
+def _is_csv(path: str) -> bool:
+    """Whether ``path`` names a CSV file (it ends in ``.csv``); every other path is emb1."""
+    return str(path).endswith(".csv")
 
 
 def _atomic_write(path: str, write_fn) -> None:
@@ -277,7 +257,10 @@ def _atomic_write(path: str, write_fn) -> None:
 
 
 def _read_emb1_header(fh, path: str):
-    """The header's dtype, rows and dims, once the payload size is known to match them."""
+    """(dtype, rows, dims, stream) from the header; ``stream``: ``fh`` is no regular file.
+
+    A regular file's payload size is checked here, before anything of its size is allocated.
+    """
     raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise DataFormatError(f"{path}: file too short for header")
@@ -297,20 +280,11 @@ def _read_emb1_header(fh, path: str):
     if expected > np.iinfo(np.intp).max:
         raise DataFormatError(f"{path}: header claims {rows} x {dims} values, more bytes "
                               f"than can be addressed")
-    size = _payload_size(fh)
-    if size is not None and size != expected:
-        raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
-    return dtype, rows, dims
-
-
-def _payload_size(fh) -> int | None:
-    """Bytes after the header of a regular file; None for streams of unknown size.
-
-    Called before any payload allocation, so a header claiming more rows
-    or dims than the file holds is an error instead of a huge allocation.
-    """
     st = os.fstat(fh.fileno())
-    return st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else None
+    stream, size = not stat.S_ISREG(st.st_mode), st.st_size - _HEADER.size
+    if not stream and size != expected:
+        raise DataFormatError(f"{path}: payload has {size} bytes, header implies {expected}")
+    return dtype, rows, dims, stream
 
 
 def _read_rows(fh, rows: int, dims: int, dtype, stream: bool) -> np.ndarray | None:
@@ -337,7 +311,7 @@ def _native(payload: np.ndarray) -> np.ndarray:
     return payload if payload.dtype.isnative else payload.astype(payload.dtype.newbyteorder("="))
 
 
-def read_embeddings(path: str, format: str | None = None, rows: slice | None = None,
+def read_embeddings(path: str, rows: slice | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Load a whole embedding file, or one row range of an emb1 file, as an (N, d) array.
 
@@ -346,9 +320,7 @@ def read_embeddings(path: str, format: str | None = None, rows: slice | None = N
     Parameters
     ----------
     path : str
-        Input file.
-    format : {"emb1", "csv", None}
-        Explicit format; inferred from the extension when None.
+        Input file; CSV if it ends in ``.csv``, emb1 otherwise.
     rows : slice, optional
         Read only this contiguous row range of an emb1 file.  The header
         and the payload size are checked as for a whole read.
@@ -363,8 +335,7 @@ def read_embeddings(path: str, format: str | None = None, rows: slice | None = N
         Malformed header, truncated payload, or a non-finite value
         (the message names the offending row's index in the whole file).
     """
-    fmt = _infer_format(path, format)
-    if fmt == "csv":
+    if _is_csv(path):
         if rows is not None or out is not None:
             raise ValueError("row ranges are read from emb1 files only")
         batches = list(_iter_csv_batches(path, _ROW_BLOCK))
@@ -373,35 +344,29 @@ def read_embeddings(path: str, format: str | None = None, rows: slice | None = N
         return np.concatenate(batches)
 
     with open(path, "rb") as fh:
-        first, payload = _read_emb1_payload(fh, path, rows, out)
-    return _finite(payload, "non-finite value in row {}", first)
+        dtype, n, dims, stream = _read_emb1_header(fh, path)
+        lo, hi, step = (rows or slice(None)).indices(n)
+        hi = max(lo, hi)
+        if step != 1:
+            raise ValueError("only contiguous row ranges can be read")
+        if out is not None and (out.shape != (hi - lo, dims) or out.dtype != dtype
+                                or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous {dtype} array of shape {(hi - lo, dims)}")
+        if lo:
+            fh.seek(lo * dims * dtype.itemsize, os.SEEK_CUR)
+        if out is None:
+            out = _read_rows(fh, hi - lo, dims, dtype, stream)
+        elif fh.readinto(out) != out.nbytes:
+            out = None
+        if out is None or (hi == n and fh.read(1)):
+            raise _size_error(path, dtype, n, dims)
+    return _finite(_native(out), "non-finite value in row {}", lo)
 
 
 def _size_error(path: str, dtype, rows: int, dims: int) -> DataFormatError:
     """The error for a payload found shorter or longer than its header implies while read."""
     return DataFormatError(f"{path}: payload is not the {rows * dims * dtype.itemsize} bytes "
                            f"the header implies")
-
-
-def _read_emb1_payload(fh, path: str, rows: slice | None, out: np.ndarray | None):
-    """(first row, payload) of the rows ``rows`` (all of them when None)."""
-    dtype, n, dims = _read_emb1_header(fh, path)
-    lo, hi, step = (rows or slice(None)).indices(n)
-    hi = max(lo, hi)
-    if step != 1:
-        raise ValueError("only contiguous row ranges can be read")
-    if out is not None and (out.shape != (hi - lo, dims) or out.dtype != dtype
-                            or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {(hi - lo, dims)}")
-    if lo:
-        fh.seek(lo * dims * dtype.itemsize, os.SEEK_CUR)
-    if out is None:
-        out = _read_rows(fh, hi - lo, dims, dtype, stream=_payload_size(fh) is None)
-    elif fh.readinto(out) != out.nbytes:
-        out = None
-    if out is None or (hi == n and fh.read(1)):
-        raise _size_error(path, dtype, n, dims)
-    return lo, _native(out)
 
 
 class EmbeddingFile:
@@ -421,7 +386,7 @@ class EmbeddingFile:
 
     def __init__(self, path: str):
         with open(path, "rb") as fh:
-            dtype, rows, dims = _read_emb1_header(fh, path)
+            dtype, rows, dims, _ = _read_emb1_header(fh, path)
         self.path = path
         self.shape = (rows, dims)
         self.dtype = dtype.newbyteorder("=")
@@ -456,7 +421,7 @@ class RowMap:
         return self.fn(self.source[rows], rows.indices(self.shape[0])[0])
 
 
-def row_source(path: str, format: str | None = None):
+def row_source(path: str):
     """The rows of an embedding file as a row source.
 
     A regular emb1 file opens as an ``EmbeddingFile``, whose header and
@@ -464,13 +429,12 @@ def row_source(path: str, format: str | None = None):
     CSV file, or an emb1 stream such as a pipe, is read whole into an
     array, which slices the same way.
     """
-    if _infer_format(path, format) == "emb1" and stat.S_ISREG(os.stat(path).st_mode):
+    if not _is_csv(path) and stat.S_ISREG(os.stat(path).st_mode):
         return EmbeddingFile(path)
-    return read_embeddings(path, format)
+    return read_embeddings(path)
 
 
-def iter_embedding_batches(path: str, batch_rows: int,
-                           format: str | None = None) -> Iterator[np.ndarray]:
+def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
     """Stream an embedding file as arrays of at most ``batch_rows`` rows.
 
     Visits every row exactly once, in file order, without materializing
@@ -480,13 +444,12 @@ def iter_embedding_batches(path: str, batch_rows: int,
     """
     if batch_rows < 1:
         raise ValueError("batch_rows must be >= 1")
-    if _infer_format(path, format) == "csv":
+    if _is_csv(path):
         yield from _iter_csv_batches(path, batch_rows)
         return
 
     with open(path, "rb") as fh:
-        dtype, rows, dims = _read_emb1_header(fh, path)
-        stream = _payload_size(fh) is None
+        dtype, rows, dims, stream = _read_emb1_header(fh, path)
         for seen in range(0, rows, batch_rows):
             data = _read_rows(fh, min(batch_rows, rows - seen), dims, dtype, stream)
             if data is None:
@@ -530,20 +493,23 @@ def _parse_csv(lines: list) -> np.ndarray | None:
             return None
 
 
-def write_embeddings(embeddings, path: str, format: str | None = None) -> None:
+def write_embeddings(embeddings, path: str) -> None:
     """Write a float32 or float64 matrix or row source; a re-read returns identical values.
 
     ``embeddings`` is sliced and written one row block (``row_blocks``) at
     a time, so a ``RowMap`` is computed as it is written.  Binary writes
     are bit-exact.  CSV uses shortest round-trip decimal rendering, so
     float64 values also survive exactly and float32 values round-trip at
-    float32 precision.
+    float32 precision.  Rows of width 0, which no reader accepts, are a
+    ``DataFormatError`` before any file is created.
     """
     rows = as_matrix(embeddings)
     (n, dims), dtype = rows.shape, np.dtype(rows.dtype).newbyteorder("=")
     if dtype not in _CODE_OF_DTYPE:
         raise DataFormatError(f"unsupported dtype {dtype}; use float32 or float64")
-    if _infer_format(path, format) == "csv":
+    if dims < 1:
+        raise DataFormatError(f"{path}: rows need at least one dimension, got shape {rows.shape}")
+    if _is_csv(path):
         digits = 17 if dtype == np.float64 else 9
 
         def write(fh):

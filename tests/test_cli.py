@@ -711,6 +711,49 @@ def test_align_rejects_an_eps_or_eig_floor_before_reading(workdir, capsys, monke
     assert not out.exists()
 
 
+def _command_line(command, workdir, out):
+    """A valid command line for ``command`` on the fixture pair, writing ``out``."""
+    src, tgt = str(workdir / "src.emb"), str(workdir / "tgt.emb")
+    return {
+        "align": ["align", "--method", "c3", "--in", src, "--out", out, "--calib-src", src,
+                  "--calib-tgt", tgt],
+        "bench": ["bench", "--sizes", "10000", "--dims", "8", "--out", out],
+        "diagnose": ["diagnose", "--a", src, "--b", tgt, "--report", out],
+        "sample-curve": ["sample-curve", "--src", src, "--tgt", tgt, "--sizes", "50",
+                         "--out", out],
+        "simulate": ["simulate", "--ablation", "--ablation-report", out],
+        "verify": ["verify"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("bench", "--dims", "100000000"),  # once a numpy MemoryError traceback
+    ("bench", "--dims", "0"),
+    ("bench", "--sizes", "10000,1e15"),  # once 10^11 timed accumulate calls
+    ("bench", "--sizes", "10000,inf"),  # once an OverflowError traceback
+    ("sample-curve", "--trials", "100000000000"),  # once one loop pass per trial
+    ("simulate", "--seeds", "0,-1"),  # once four trainings of seed 0 first
+    ("align", "--sigma", "-1"),
+    ("align", "--seed", "-1"),  # once refused by Philox after both inputs were read
+    ("align", "--seed", str(2**128)),
+    ("bench", "--seed", "-1"),
+    ("diagnose", "--seed", "-1"),
+    ("sample-curve", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
+])
+def test_absurd_sizes_and_negative_seeds_exit_2_before_any_work(workdir, capsys, monkeypatch,
+                                                                command, flag, value):
+    for name in ("cli.read_embeddings", "cli.row_source", "cli.MomentAccumulator",
+                 "cli.run_toy_training", "simulator.run_toy_training"):
+        monkeypatch.setattr(f"gapalign.{name}", lambda *a, **k: pytest.fail("work started"))
+    before = sorted(os.listdir(workdir))
+    argv = _command_line(command, workdir, str(workdir / "out"))
+    assert main([*argv, f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: ") and f"({flag})" in err and "Traceback" not in err
+    assert sorted(os.listdir(workdir)) == before
+
+
 @pytest.mark.parametrize("method, field, value", [("realign", "eps", -0.5),
                                                   ("blockwise", "eig_floor", -3.0),
                                                   ("blockwise", "eig_floor", 1.5)])

@@ -47,6 +47,14 @@ def test_write_embeddings_takes_an_embedding_set_as_its_array(tmp_path):
     assert (tmp_path / "wrapped.emb").read_bytes() == (tmp_path / "plain.emb").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["z.emb1", "z.csv"])
+def test_write_embeddings_refuses_rows_of_width_0_and_creates_no_file(tmp_path, name):
+    # these once wrote a file every reader rejects: a bare emb1 header, or five blank lines
+    with pytest.raises(DataFormatError, match="at least one dimension"):
+        write_embeddings(np.zeros((5, 0)), str(tmp_path / name))
+    assert os.listdir(tmp_path) == []
+
+
 def test_empty_set_round_trip(tmp_path):
     path = str(tmp_path / "empty.emb")
     write_embeddings(np.zeros((0, 4)), path)
@@ -487,8 +495,8 @@ def _assert_rows(got, want):
         assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
 
 
-def _batches(path, batch_rows, format=None):
-    batches = [batch for batch in iter_embedding_batches(path, batch_rows, format)]
+def _batches(path, batch_rows):
+    batches = [batch for batch in iter_embedding_batches(path, batch_rows)]
     assert all(0 < batch.shape[0] <= batch_rows for batch in batches)
     return batches
 
