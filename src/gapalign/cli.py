@@ -12,9 +12,12 @@ names beside it (see ``gapalign.io``); copy or move them together.  An
 artifact's ``input_digests`` entry is the digest of its JSON file, which
 covers the sidecars through the SHA-256 recorded for each.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad files, shape or
-version mismatches), 3 numerical degeneracy (zero norms, collapsed
-spectra, diverged runs).
+Exit codes: 0 success; 1 usage error, a flag value that does not parse
+included; 2 data error: bad files, shape or version mismatches, and a
+flag value out of range, refused while parsing, before any input is
+opened, with ``<param> must be <rule>, got <text> (<flag>)`` (each
+``--help`` states its range); 3 numerical degeneracy: zero norms,
+collapsed spectra, diverged runs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .contrastive import (
     moment_identity_check,
 )
 from .diagnostics import (
-    _check_sampling,
     cosine_histogram,
     js_divergence,
     knn_mixing_rate,
@@ -80,38 +82,41 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _FlagError(GapAlignError):
-    """A numeric flag out of its range, found while the command line is parsed."""
-
-
-def _bounded(flag: str, kind, lo=None, hi=None):
-    """argparse ``type=`` for ``flag``: an int, or a finite float, in [lo, hi] (None: open).
+def _bounded(flag: str, kind, lo, hi=None, open_lo=False):
+    """argparse ``type=`` for ``flag``: an int or finite float >= lo (> lo if open_lo), <= hi.
 
     A value that does not parse is a usage error (exit 1).  A value out of
-    range raises ``_FlagError``, which argparse does not catch, so ``main``
-    exits 2 before any input is opened; the message names the flag.
+    range raises ``GapAlignError``, which argparse does not catch, so
+    ``main`` exits 2 before any input is opened; the message names the flag.
     """
     show = str if kind is int else "{:g}".format
-    if lo is None or hi is None:
-        rule = f"<= {show(hi)}" if lo is None else f">= {show(lo)}"
-    else:
-        rule = f"in [{show(lo)}, {show(hi)}]"
+    rule = (f"{'>' if open_lo else '>='} {show(lo)}" if hi is None
+            else f"in {'(' if open_lo else '['}{show(lo)}, {show(hi)}]")
     rule = ("an integer " if kind is int else "finite and ") + rule
 
     def parse(text):
         value = kind(text)
-        if (kind is float and not math.isfinite(value)) or not (
-                (lo is None or value >= lo) and (hi is None or value <= hi)):
+        if (kind is float and not math.isfinite(value)) or value < lo or (
+                open_lo and value == lo) or (hi is not None and value > hi):
             name = flag.lstrip("-").replace("-", "_")
-            raise _FlagError(f"{name} must be {rule}, got {text} ({flag})")
+            raise GapAlignError(f"{name} must be {rule}, got {text} ({flag})")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in a usage error
     return parse
+
+
+def _listed(parse):
+    """argparse ``type=`` for a comma list whose every entry ``parse`` parses and checks."""
+
+    def parse_list(text):
+        return [parse(entry) for entry in text.split(",")]
+
+    parse_list.__name__ = f"{parse.__name__} list"
+    return parse_list
 
 
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -170,8 +175,6 @@ def _write_csv(path, header, rows, preamble=()):
 
 
 def _cmd_stats(args):
-    if not 0.0 <= args.shrink <= 1.0:  # with or without --no-cov, before the input is opened
-        raise ValueError(f"--shrink must be in [0, 1], got {args.shrink}")
     acc = None
     for batch in iter_embedding_batches(args.in_path, batch_rows=8192):
         if acc is None:
@@ -307,9 +310,10 @@ def _cmd_align(args):
 # -------------------------------------------------------------- diagnose
 
 
-def _spectrum_summary(rows):
-    cov = stats_of(rows, track_cov=True).covariance
-    lam = sym_eig(cov).eigenvalues
+def _spectrum_summary(acc):
+    """The mean, descending eigenvalues and spectrum summary of ``acc``'s rows."""
+    stats = acc.finalize()
+    lam = sym_eig(stats.covariance).eigenvalues
     summary = {
         "trace": float(lam.sum()),
         "effective_rank": effective_rank(lam) if lam.max() > 0 else None,
@@ -319,23 +323,24 @@ def _spectrum_summary(rows):
         summary["power_law_alpha"] = power_law_alpha(lam)
     except (GapAlignError, ValueError):
         summary["power_law_alpha"] = None
-    return lam, summary
+    return stats.mean, lam, summary
 
 
 def _cmd_diagnose(args):
-    _check_sampling(args.pairs, args.bins)  # before any input is read
     set_a = read_embeddings(args.a)
     set_b = read_embeddings(args.b)
-    mu_a = np.mean(set_a, axis=0, dtype=np.float64)
-    mu_b = np.mean(set_b, axis=0, dtype=np.float64)
     # the pairs are drawn and checked now, and scored off the kNN mixing pass's Gram tiles
     hist_a = cosine_histogram(set_a, num_pairs=args.pairs, bins=args.bins,
                               smoothing=args.smoothing, seed=args.seed, deferred=True)
     hist_b = cosine_histogram(set_b, num_pairs=args.pairs, bins=args.bins,
                               smoothing=args.smoothing, seed=args.seed + 1, deferred=True)
-    lam_a, spec_a = _spectrum_summary(set_a)
-    lam_b, spec_b = _spectrum_summary(set_b)
+    acc_a, acc_b = (MomentAccumulator(s.shape[1]).accumulate(s) for s in (set_a, set_b))
+    (mu_a, lam_a, spec_a), (mu_b, lam_b, spec_b) = map(_spectrum_summary, (acc_a, acc_b))
     gap = modality_gap(mu_a, mu_b)
+    if args.plots_dir:
+        pooled = acc_a.merge(acc_b).finalize()
+        pca_mean, pca_axes = pooled.mean, sym_eig(pooled.covariance).eigenvectors[:, :2].copy()
+    acc_a = acc_b = pooled = None  # no d x d matrix is held through the kNN passes
     mixing = knn_mixing_rate(set_a, set_b, k=args.k_mix, histograms=(hist_a, hist_b))
     report = {
         "rows_a": set_a.shape[0],
@@ -358,15 +363,12 @@ def _cmd_diagnose(args):
         mids = 0.5 * (hist_a.bin_edges[:-1] + hist_a.bin_edges[1:])
         _write_csv(f"{args.plots_dir}/cosine_hist.csv", ["bin_center", "mass_a", "mass_b"],
                    list(zip(mids.tolist(), hist_a.masses.tolist(), hist_b.masses.tolist())))
-        _write_csv(f"{args.plots_dir}/spectrum_a.csv", ["k", "eigenvalue"],
-                   list(enumerate(lam_a.tolist(), start=1)))
-        _write_csv(f"{args.plots_dir}/spectrum_b.csv", ["k", "eigenvalue"],
-                   list(enumerate(lam_b.tolist(), start=1)))
-        pooled = MomentAccumulator(set_a.shape[1]).accumulate(set_a).accumulate(set_b).finalize()
-        basis = sym_eig(pooled.covariance).eigenvectors[:, :2]
+        for name, lam in (("a", lam_a), ("b", lam_b)):
+            _write_csv(f"{args.plots_dir}/spectrum_{name}.csv", ["k", "eigenvalue"],
+                       list(enumerate(lam.tolist(), start=1)))
         # blocked to bound the centred temporary; 1,024-row blocks matched the whole-set
         # product bit for bit on 768-wide sets at 1 and 2 BLAS threads, 512-row ones did not
-        coords = np.vstack([(s[block] - pooled.mean) @ basis
+        coords = np.vstack([(s[block] - pca_mean) @ pca_axes
                             for s in (set_a, set_b) for block in row_blocks(s.shape[0])])
         labels = [0] * set_a.shape[0] + [1] * set_b.shape[0]
         _write_csv(f"{args.plots_dir}/pca_coords.csv", ["pc1", "pc2", "set"],
@@ -397,8 +399,7 @@ def _parse_config_file(path):
 def _cmd_simulate(args):
     config = SimulatorConfig.from_mapping(_parse_config_file(args.config)) if args.config else SimulatorConfig()
     if args.ablation:
-        seeds = tuple(map(_bounded("--seeds", int, lo=0), args.seeds.split(",")))
-        report = gap_necessity_ablation(config, seeds=seeds)
+        report = gap_necessity_ablation(config, seeds=args.seeds)
         report["provenance"] = _provenance(args, [args.config])
         _write_json(args.ablation_report, report)
         ratio = report["baseline_over_shared"]
@@ -487,18 +488,16 @@ def _verify_coupling(rng):
     ]
 
 
+_SUITES = {"gradients": _verify_gradients, "span": _verify_span, "bounds": _verify_bounds,
+           "coupling": _verify_coupling}
+
+
 def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
-    suites = {
-        "gradients": _verify_gradients,
-        "span": _verify_span,
-        "bounds": _verify_bounds,
-        "coupling": _verify_coupling,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        for label, ok, detail in suites[name](rng):
+        for label, ok, detail in _SUITES[name](rng):
             all_ok &= ok
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label} ({detail})")
     return 0 if all_ok else 3
@@ -510,10 +509,8 @@ def _cmd_verify(args):
 def _cmd_sample_curve(args):
     src = read_embeddings(args.src)
     tgt = read_embeddings(args.tgt)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    table = sample_complexity_curve(
-        src, tgt, sizes, trials=args.trials, seed=args.seed, holdout=args.holdout
-    )
+    table = sample_complexity_curve(src, tgt, args.sizes, trials=args.trials, seed=args.seed,
+                                    holdout=args.holdout)
     rows = [[e["size"], e["gap_mean"], e["gap_std"]] + [float(g) for g in e["gaps"]]
             for e in table]
     header = ["size", "gap_mean", "gap_std"] + [f"trial_{i}" for i in range(args.trials)]
@@ -539,43 +536,41 @@ def _offset_cov_error(rows):
                  / np.linalg.norm(truth.astype(np.float64)))
 
 
+_BENCH_CHUNK = 10_000  # rows per timed accumulate call, so the least --sizes entry
+
+
 def _cmd_bench(args):
-    sizes = [int(_bounded("--sizes", float, hi=1e8)(s)) for s in args.sizes.split(",")]
-    if sorted(sizes) != sizes:
+    if sorted(args.sizes) != args.sizes:
         raise DataFormatError("bench sizes must be ascending")
-    chunk_rows = 10_000  # rows per timed accumulate call
-    if sizes[0] < chunk_rows:
-        raise DataFormatError(f"bench sizes must be at least {chunk_rows} rows, got {sizes[0]}")
     rng = np.random.default_rng(args.seed)
-    dims = args.dims
-    chunk = rng.normal(size=(chunk_rows, dims)) + 0.75
+    chunk = rng.normal(size=(_BENCH_CHUNK, args.dims)) + 0.75
     rows = []
-    for n in sizes:
-        acc = MomentAccumulator(dims, track_cov=not args.no_cov)
-        reps = n // chunk.shape[0]
+    for n in args.sizes:
+        acc = MomentAccumulator(args.dims, track_cov=not args.no_cov)
+        reps = int(n) // chunk.shape[0]
         start = time.perf_counter()
         for _ in range(reps):
             acc.accumulate(chunk)
         elapsed = time.perf_counter() - start
         done = reps * chunk.shape[0]
         rows.append([done, elapsed, done / elapsed, acc.state_nbytes()])
-    _write_csv(args.out, ["rows", "seconds", "rows_per_sec", "state_bytes"], rows)
+    header = ["rows", "seconds", "rows_per_sec", "state_bytes"]
+    _write_csv(args.out, header, rows)
 
     replay_n = 500_000
-    f64 = MomentAccumulator(dims, track_cov=False)
-    f32 = Float32ReplayMean(dims)
-    oracle = CompensatedMean(dims)
+    f64 = MomentAccumulator(args.dims, track_cov=False)
+    f32 = Float32ReplayMean(args.dims)
+    oracle = CompensatedMean(args.dims)
     gen = np.random.default_rng(args.seed + 1)
-    for _ in range(replay_n // 10_000):
-        block = gen.normal(size=(10_000, dims)) + 0.75
-        f64.accumulate(block)
-        f32.accumulate(block)
-        oracle.accumulate(block)
+    for _ in range(replay_n // _BENCH_CHUNK):
+        block = gen.normal(size=(_BENCH_CHUNK, args.dims)) + 0.75
+        for acc in (f64, f32, oracle):
+            acc.accumulate(block)
     truth = oracle.mean()
     err64 = float(np.linalg.norm(f64.finalize().mean - truth))
     err32 = float(np.linalg.norm(f32.mean().astype(np.float64) - truth))
     offset, offset_n = 1e4, 20_000
-    offset_err = _offset_cov_error(gen.normal(size=(offset_n, dims)) + offset)
+    offset_err = _offset_cov_error(gen.normal(size=(offset_n, args.dims)) + offset)
     per_row = [r[1] / r[0] for r in rows]
     spread = max(per_row) / min(per_row)
     print(f"bench: time/row spread x{spread:.3f} across sizes; state bytes "
@@ -586,8 +581,7 @@ def _cmd_bench(args):
           f"vs two-pass long-double oracle at n={offset_n}")
     if args.report:
         _write_json(args.report, {
-            "timing": [dict(zip(["rows", "seconds", "rows_per_sec", "state_bytes"], r))
-                       for r in rows],
+            "timing": [dict(zip(header, r)) for r in rows],
             "per_row_spread": spread,
             "f32_replay_error": err32,
             "f64_error": err64,
@@ -607,18 +601,26 @@ def build_parser():
     parser = _Parser(prog="gapalign", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    energy = argparse.ArgumentParser(add_help=False)
+    energy.add_argument("--energy", type=_bounded("--energy", float, lo=0, hi=1, open_lo=True),
+                        default=0.90, help="share of the summed covariances' trace the frame "
+                        "keeps, in (0, 1] (align: blockwise only)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0,
+                        help="key of the random draws, >= 0")
 
-    p = sub.add_parser("stats", parents=[], help="streaming moments of an embedding file")
+    p = sub.add_parser("stats", help="streaming moments of an embedding file")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-cov", action="store_true")
-    p.add_argument("--shrink", type=float, default=0.0, help="shrinkage intensity in [0,1]")
+    p.add_argument("--shrink", type=_bounded("--shrink", float, lo=0.0, hi=1.0), default=0.0,
+                   help="shrinkage intensity in [0, 1]")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("frame", help="build the frozen reference frame from two stats artifacts")
+    p = sub.add_parser("frame", parents=[energy],
+                       help="build the frozen reference frame from two stats artifacts")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--energy", type=float, default=0.90)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_frame)
 
@@ -629,7 +631,7 @@ def build_parser():
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("align", help="apply a training-free alignment operator")
+    p = sub.add_parser("align", parents=[energy], help="apply a training-free alignment operator")
     p.add_argument("--method", choices=["realign", "blockwise", "c3", "anchor-only"],
                    required=True)
     p.add_argument("--in", dest="in_path", required=True)
@@ -640,7 +642,6 @@ def build_parser():
     p.add_argument("--save-stats", help="realign and blockwise only: save the fitted operator")
     p.add_argument("--eps", type=_bounded("--eps", float, lo=0.0), default=1e-8,
                    help="realign: trace regularizer, finite and >= 0")
-    p.add_argument("--energy", type=float, default=0.90)
     p.add_argument("--eig-floor", type=_bounded("--eig-floor", float, lo=0.0, hi=1.0),
                    default=1e-6, help="blockwise: relative eigenvalue floor in [0, 1]")
     p.add_argument("--sigma", type=_bounded("--sigma", float, lo=0.0), default=0.04,
@@ -649,23 +650,22 @@ def build_parser():
                    help="c3 only: key of the noise stream, 0 to 2^128 - 1")
     p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("diagnose", help="alignment quality metrics for two embedding files")
+    p = sub.add_parser("diagnose", parents=[seeded],
+                       help="alignment quality metrics for two embedding files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--plots-dir")
     p.add_argument("--overlap-with", help="index-aligned transformed copy of --a")
-    # the lower bounds are the library's, checked before any input is read
-    p.add_argument("--pairs", type=_bounded("--pairs", int, hi=10**8), default=200_000,
+    p.add_argument("--pairs", type=_bounded("--pairs", int, lo=1, hi=10**8), default=200_000,
                    help="sampled pairs per set, 1 to 10^8")
-    p.add_argument("--bins", type=_bounded("--bins", int, hi=10**6), default=201,
+    p.add_argument("--bins", type=_bounded("--bins", int, lo=8, hi=10**6), default=201,
                    help="cosine histogram bins, 8 to 10^6")
     p.add_argument("--smoothing", action="store_true")
-    p.add_argument("--k-mix", type=int, default=20,
+    p.add_argument("--k-mix", type=_bounded("--k-mix", int, lo=1), default=20,
                    help="pooled neighbors per row, 1 to the rows of --a and --b less 1")
-    p.add_argument("--k-overlap", type=int, default=10,
+    p.add_argument("--k-overlap", type=_bounded("--k-overlap", int, lo=1), default=10,
                    help="neighbors per row for --overlap-with, 1 to the rows of --a less 1")
-    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("simulate", help="toy dual-encoder training with geometric tracing")
@@ -673,32 +673,36 @@ def build_parser():
     p.add_argument("--trace", default="trace.csv")
     p.add_argument("--ablation", action="store_true")
     p.add_argument("--ablation-report", default="ablation.json")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--seeds", type=_listed(_bounded("--seeds", int, lo=0)), default="0,1,2,3,4",
+                   help="--ablation: comma-separated training seeds, each >= 0")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the analytic-oracle check suites")
-    p.add_argument("--suite", choices=["gradients", "span", "bounds", "coupling", "all"],
-                   default="all")
-    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
+    p = sub.add_parser("verify", parents=[seeded], help="run the analytic-oracle check suites")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample-curve", help="held-out gap vs calibration sample size")
+    p = sub.add_parser("sample-curve", parents=[seeded],
+                       help="held-out gap vs calibration sample size")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
-    p.add_argument("--sizes", required=True)
-    # the lower bound of --trials is the library's (sample_complexity_curve)
-    p.add_argument("--trials", type=_bounded("--trials", int, hi=10_000), default=5)
-    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
-    p.add_argument("--holdout", type=int, default=None)
+    p.add_argument("--sizes", type=_listed(_bounded("--sizes", int, lo=1)), required=True,
+                   help="ascending comma-separated calibration sizes, each >= 1")
+    p.add_argument("--trials", type=_bounded("--trials", int, lo=1, hi=10_000), default=5,
+                   help="draws per size, 1 to 10^4")
+    p.add_argument("--holdout", type=_bounded("--holdout", int, lo=2), default=None,
+                   help="held-out rows per set, >= 2 (default: a fifth of the smaller set)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_curve)
 
-    p = sub.add_parser("bench", help="accumulator throughput, state size, and precision floor")
-    p.add_argument("--sizes", default="100000,500000,1000000")
+    p = sub.add_parser("bench", parents=[seeded],
+                       help="accumulator throughput, state size, and precision floor")
+    p.add_argument("--sizes", type=_listed(_bounded("--sizes", float, lo=_BENCH_CHUNK, hi=1e8)),
+                   default="100000,500000,1000000",
+                   help="ascending comma-separated row counts, each 10^4 to 10^8")
     # at 1,024 dims the offset-covariance check holds two 20,000 x 1,024 long-double arrays
-    p.add_argument("--dims", type=_bounded("--dims", int, lo=1, hi=1024), default=64)
+    p.add_argument("--dims", type=_bounded("--dims", int, lo=1, hi=1024), default=64,
+                   help="row width, 1 to 1024")
     p.add_argument("--no-cov", action="store_true")
-    p.add_argument("--seed", type=_bounded("--seed", int, lo=0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_bench)

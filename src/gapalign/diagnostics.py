@@ -93,14 +93,6 @@ def modality_gap(mu_a: np.ndarray, mu_b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _check_sampling(num_pairs: int, bins: int) -> None:
-    """Refuse a pair count or bin grid no set of rows can be histogrammed with."""
-    if bins < 8:
-        raise ValueError("use at least 8 bins")
-    if num_pairs <= 0:
-        raise ValueError(f"num_pairs must be positive, got {num_pairs}")
-
-
 class _PairSample:
     """One set's seeded index pairs and the bin counts of their cosines.
 
@@ -128,7 +120,10 @@ class _PairSample:
         n = data.shape[0]
         if n < 2:
             raise DataFormatError("need at least 2 rows to form pairs")
-        _check_sampling(num_pairs, bins)
+        if bins < 8:
+            raise ValueError("use at least 8 bins")
+        if num_pairs <= 0:
+            raise ValueError(f"num_pairs must be positive, got {num_pairs}")
         norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
                                 for block in row_blocks(n)])
         if np.any(norms == 0):

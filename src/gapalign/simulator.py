@@ -22,6 +22,7 @@ training step end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -44,6 +45,21 @@ from .spectral import condition_number, sym_eig, tyler_shape
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# The fields that size each array a run allocates: draws of probe_size or batch_size
+# rows, the fixed maps and encoder weights, batch logits, embedding covariances and the
+# logged steps.  None may exceed _MAX_ELEMENTS, the cap of ``diagnose --pairs``.
+_ARRAY_SHAPES = (*((rows, cols) for rows in ("probe_size", "batch_size")
+                   for cols in ("input_dim", "latent_dim", "noise_rank", "embed_dim")),
+                 ("input_dim", "latent_dim"), ("input_dim", "noise_rank"),
+                 ("input_dim", "embed_dim"), ("batch_size", "batch_size"),
+                 ("embed_dim", "embed_dim"), ("steps",))
+_MAX_ELEMENTS = 10**8
+# the least value of each field that has one and no other bound
+_LEAST = dict(embed_dim=1, input_dim=1, latent_dim=1, batch_size=2, steps=1, probe_size=4,
+              noise_rank=0, data_seed=0, init_seed=0, latent_decay=0.0, learning_rate=0.0,
+              offset_scale=0.0, channel_noise=0.0, channel_noise_decay=0.0, noise_scale=0.0,
+              white_noise=0.0, coupling_ridge=0.0)
 
 
 @dataclass
@@ -86,14 +102,28 @@ class SimulatorConfig:
     similarity: str = "dot"  # "dot" or "sqdist"
 
     def validate(self):
-        if self.steps < 1 or self.batch_size < 2 or self.probe_size < 4:
-            raise ValueError("steps, batch_size, and probe_size are too small")
-        if self.similarity not in ("dot", "sqdist"):
-            raise ValueError(f"unknown similarity head {self.similarity!r}")
-        if not 0.0 < self.freeze_fraction < 1.0:
-            raise ValueError("freeze_fraction must be in (0, 1)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        """Refuse a field out of its range, naming it, before a run draws or allocates."""
+        rules = {name: (f">= {least}", getattr(self, name) >= least)
+                 for name, least in _LEAST.items()}
+        rules.update({
+            "log_every": (f"in [1, steps = {self.steps}]", 1 <= self.log_every <= self.steps),
+            "temperature": ("> 0", self.temperature > 0),
+            "noise_decay": ("> 0", self.noise_decay > 0),
+            "freeze_fraction": ("in (0, 1)", 0 < self.freeze_fraction < 1),
+            "energy": ("in (0, 1]", 0 < self.energy <= 1),
+            "similarity": ("'dot' or 'sqdist'", self.similarity in ("dot", "sqdist")),
+        })
+        for name, (rule, ok) in rules.items():
+            value = getattr(self, name)
+            if isinstance(value, float):
+                ok, rule = ok and math.isfinite(value), f"finite and {rule}"
+            if not ok:
+                raise ValueError(f"simulator config {name} must be {rule}, got {value!r}")
+        for shape in _ARRAY_SHAPES:
+            size = math.prod(getattr(self, name) for name in shape)
+            if size > _MAX_ELEMENTS:
+                raise ValueError(f"simulator config {' x '.join(shape)} = {size} exceeds "
+                                 f"{_MAX_ELEMENTS} elements")
 
     @staticmethod
     def from_mapping(mapping: dict) -> "SimulatorConfig":
@@ -107,7 +137,11 @@ class SimulatorConfig:
             if kind is bool and str(value).lower() not in _BOOLEANS:
                 raise ValueError(f"simulator config key {key!r} needs 1/true/yes or 0/false/no, "
                                  f"got {value!r}")
-            kwargs[key] = _BOOLEANS[str(value).lower()] if kind is bool else kind(value)
+            try:
+                kwargs[key] = _BOOLEANS[str(value).lower()] if kind is bool else kind(value)
+            except ValueError:
+                raise ValueError(f"simulator config key {key!r} must be of type {kind.__name__}, "
+                                 f"got {value!r}") from None
         return SimulatorConfig(**kwargs)
 
 

@@ -1,16 +1,21 @@
 import contextlib
 import json
 import os
+import re
 import shutil
 import struct
+import tempfile
 import threading
 import tracemalloc
+from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapalign import (
     AlignmentStats,
@@ -251,7 +256,8 @@ def test_stats_rejects_a_shrink_outside_the_unit_interval_before_reading(
     out = workdir / "stats.json"
     assert main(["stats", "--in", str(workdir / "src.emb"), "--out", str(out),
                  f"--shrink={shrink}", *no_cov]) == 2
-    assert capsys.readouterr().err.startswith("gapalign: --shrink must be in [0, 1]")
+    assert capsys.readouterr().err.startswith(
+        f"gapalign: shrink must be finite and in [0, 1], got {shrink} (--shrink)")
     assert not out.exists()
 
 
@@ -715,6 +721,8 @@ def _command_line(command, workdir, out):
     """A valid command line for ``command`` on the fixture pair, writing ``out``."""
     src, tgt = str(workdir / "src.emb"), str(workdir / "tgt.emb")
     return {
+        "stats": ["stats", "--in", src, "--out", out],
+        "frame": ["frame", "--x", src, "--y", tgt, "--out", out],
         "align": ["align", "--method", "c3", "--in", src, "--out", out, "--calib-src", src,
                   "--calib-tgt", tgt],
         "bench": ["bench", "--sizes", "10000", "--dims", "8", "--out", out],
@@ -740,17 +748,52 @@ def _command_line(command, workdir, out):
     ("diagnose", "--seed", "-1"),
     ("sample-curve", "--seed", "-1"),
     ("verify", "--seed", "-1"),
+    # these were checked in command bodies, in the library after reading, or not at all
+    ("stats", "--shrink", "inf"),
+    ("frame", "--energy", "0"),
+    ("frame", "--energy", "nan"),
+    ("align", "--energy", "1.5"),  # blockwise once read both calibration files first
+    ("diagnose", "--pairs", "0"),
+    ("diagnose", "--bins", "7"),
+    ("diagnose", "--k-mix", "0"),  # once refused after both inputs were read
+    ("diagnose", "--k-overlap", "-1"),
+    ("sample-curve", "--trials", "0"),
+    ("sample-curve", "--holdout", "1"),
+    ("sample-curve", "--sizes", "50,0"),
+    ("bench", "--sizes", "9999"),
+    ("simulate", "--seeds", "-1"),
 ])
 def test_absurd_sizes_and_negative_seeds_exit_2_before_any_work(workdir, capsys, monkeypatch,
                                                                 command, flag, value):
-    for name in ("cli.read_embeddings", "cli.row_source", "cli.MomentAccumulator",
-                 "cli.run_toy_training", "simulator.run_toy_training"):
+    for name in ("cli.read_embeddings", "cli.row_source", "cli.iter_embedding_batches",
+                 "cli.load_artifact", "cli.MomentAccumulator", "cli.run_toy_training",
+                 "simulator.run_toy_training"):
         monkeypatch.setattr(f"gapalign.{name}", lambda *a, **k: pytest.fail("work started"))
     before = sorted(os.listdir(workdir))
     argv = _command_line(command, workdir, str(workdir / "out"))
     assert main([*argv, f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gapalign: ") and f"({flag})" in err and "Traceback" not in err
+    # one message style for every flag: the parameter, its rule, the bad entry, the flag
+    param, entry = flag[2:].replace("-", "_"), value.split(",")[-1]
+    assert re.fullmatch(rf"gapalign: {param} must be .+, got {re.escape(entry)} \({flag}\)\n", err)
+    assert sorted(os.listdir(workdir)) == before
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sample-curve", "--sizes", "abc"),  # once exit 2 with int()'s message, naming no flag
+    ("sample-curve", "--sizes", "50,,60"),
+    ("bench", "--sizes", "abc"),  # once exit 2 with float()'s message
+    ("simulate", "--seeds", "x"),
+    ("diagnose", "--pairs", "abc"),
+    ("frame", "--energy", "abc"),
+])
+def test_an_unparsable_flag_value_is_a_usage_error_naming_the_flag(workdir, capsys, command,
+                                                                   flag, value):
+    before = sorted(os.listdir(workdir))
+    assert main([*_command_line(command, workdir, str(workdir / "out")), f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid" in err and "Traceback" not in err
     assert sorted(os.listdir(workdir)) == before
 
 
@@ -908,15 +951,17 @@ def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, mon
 
 
 @pytest.mark.parametrize("extra,code,message", [
-    (["--bins", "4"], 2, "use at least 8 bins"),
-    (["--pairs", "-1"], 2, "num_pairs must be positive, got -1"),
-    (["--k-mix", "0"], 2, "k=0 must be positive and smaller than the pooled size 3000"),
+    (["--bins", "4"], 2, "bins must be an integer in [8, 1000000], got 4 (--bins)"),
+    (["--pairs", "-1"], 2, "pairs must be an integer in [1, 100000000], got -1 (--pairs)"),
+    (["--k-mix", "0"], 2, "k_mix must be an integer >= 1, got 0 (--k-mix)"),
     (["--k-mix", "3000"], 2, "k=3000 must be positive and smaller than the pooled size 3000"),
     (["zero-norm"], 3, "numerical degeneracy: zero-norm row 4"),
     (["non-finite"], 2, "non-finite value in row 9"),
     (["other-dims"], 2, "centroids have mismatched shapes"),
 ])
-def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, extra, code, message):
+def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, monkeypatch, extra, code, message):
+    if message.endswith(f"({extra[0]})"):  # refused while the command line is parsed
+        monkeypatch.setattr("gapalign.cli.read_embeddings", lambda *a, **k: pytest.fail("read"))
     a = str(workdir / "src.emb")
     if extra[0] in ("zero-norm", "non-finite", "other-dims"):
         rows = read_embeddings(a).copy()
@@ -962,6 +1007,31 @@ def test_simulate_unknown_config_key(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 2
 
 
+@pytest.mark.parametrize("config, key", [
+    ("steps = 10\nlog_every = 20", "log_every"),  # once an IndexError traceback
+    ("input_dim = 100000000000", "input_dim"),  # once an _ArrayMemoryError traceback
+    ("log_every = 0", "log_every"),  # once range()'s "arg 3 must not be zero"
+    ("noise_rank = -1", "noise_rank"),  # once numpy's "Number of samples, -1, ..."
+    ("energy = 2", "energy"),  # once refused at the freeze step, 40% into the run
+    ("steps = 1e3", "steps"),  # once int()'s "invalid literal", naming no key
+    ("latent_dim = 0", "latent_dim"),
+    ("temperature = nan", "temperature"),
+    ("white_noise = inf", "white_noise"),
+    ("batch_size = 20000", "batch_size"),  # 4 x 10^8 batch logits
+])
+def test_simulate_config_out_of_range_exits_2_naming_the_key_before_any_draw(
+        tmp_path, capsys, monkeypatch, config, key):
+    monkeypatch.setattr("gapalign.simulator.PairedDataGenerator",
+                        lambda *a, **k: pytest.fail("drew"))
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{config}\n")
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", str(cfg), "--trace", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: simulator config ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_suites_pass():
     assert main(["verify", "--suite", "gradients"]) == 0
     assert main(["verify", "--suite", "span"]) == 0
@@ -982,12 +1052,16 @@ def test_sample_curve_csv(workdir):
 
 
 @pytest.mark.parametrize("flag", ["--trials=0", "--trials=-1", "--sizes=0"])
-def test_sample_curve_rejects_no_trials_and_empty_sizes(workdir, capsys, flag):
+def test_sample_curve_rejects_no_trials_and_empty_sizes(workdir, capsys, monkeypatch, flag):
     # trials 0 once wrote gap_mean nan with exit 0, and a size of 0 exited 3
+    monkeypatch.setattr("gapalign.cli.read_embeddings", lambda *a, **k: pytest.fail("read"))
     out = workdir / "curve.csv"
     assert main(["sample-curve", "--src", str(workdir / "src.emb"),
                  "--tgt", str(workdir / "tgt.emb"), "--sizes", "50", flag, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("gapalign: trials and every size must be >= 1")
+    name, value = flag[2:].split("=")
+    rule = "in [1, 10000]" if name == "trials" else ">= 1"
+    assert capsys.readouterr().err.startswith(
+        f"gapalign: {name} must be an integer {rule}, got {value} (--{name})")
     assert not out.exists()
 
 
@@ -1004,11 +1078,13 @@ def test_bench_state_bytes_constant(tmp_path):
     assert doc["f32_replay_error"] >= 1e3 * doc["f64_error"]
 
 
-def test_bench_rejects_sizes_below_one_timed_chunk(tmp_path, capsys):
+def test_bench_rejects_sizes_below_one_timed_chunk(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gapalign.cli.MomentAccumulator", lambda *a, **k: pytest.fail("ran"))
     out = tmp_path / "bench.csv"
     assert main(["bench", "--sizes", "5000", "--dims", "8", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("gapalign: bench sizes must be at least") and "Traceback" not in err
+    assert err.startswith("gapalign: sizes must be finite and in [10000, 1e+08], got 5000 "
+                          "(--sizes)") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -1022,3 +1098,121 @@ def test_bench_reports_covariance_precision_at_large_offset(tmp_path, capsys):
     assert doc["offset"] == 1e4 and doc["offset_rows"] == 20_000
     # raw moments gave about 1e-6 here
     assert 0 <= doc["offset_cov_rel_error"] < 1e-10
+
+
+# ------------------------------------------------------------ main under drawn flag values
+
+_COMMANDS = ["stats", "frame", "decompose", "align", "diagnose", "simulate", "verify",
+             "sample-curve", "bench"]
+# small valid values of each numeric flag; every flag also draws the boundary and absurd ones
+_VALID = {
+    "stats": {"--shrink": ["0.25", "1"]},
+    "frame": {"--energy": ["0.5", "1"]},
+    "decompose": {},
+    "align": {"--eps": ["1e-8"], "--energy": ["0.5", "1"], "--eig-floor": ["1e-6", "1"],
+              "--sigma": ["0.1"], "--seed": ["3"]},
+    "diagnose": {"--pairs": ["1", "500"], "--bins": ["8", "50"], "--k-mix": ["1", "5"],
+                 "--k-overlap": ["1", "5"], "--seed": ["3"]},
+    "simulate": {"--seeds": ["0", "1,2"]},
+    "verify": {"--seed": ["3"]},
+    "sample-curve": {"--sizes": ["10", "10,20"], "--trials": ["1", "2"],
+                     "--holdout": ["2", "30"], "--seed": ["3"]},
+    "bench": {"--sizes": ["1e4", "10000,20000"], "--dims": ["1", "4"], "--seed": ["3"]},
+}
+_BOUNDARY = ["0", "-1", "nan", "inf", "-inf"]
+_ABSURD = [str(2**40), str(2**64)]
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 300 x 8 pair, its stats artifacts and frame, and a simulator config of a few steps."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(5)
+    for name, shift in (("src", 0.5), ("tgt", -0.5)):
+        rows = str(inputs / f"{name}.emb1")
+        write_embeddings(unit_rows(rng.standard_normal((300, 8)) + shift), rows)
+        with contextlib.redirect_stdout(StringIO()):
+            assert main(["stats", "--in", rows, "--out", str(inputs / f"{name}.json")]) == 0
+    with contextlib.redirect_stdout(StringIO()):
+        assert main(["frame", "--x", str(inputs / "src.json"), "--y", str(inputs / "tgt.json"),
+                     "--out", str(inputs / "frame.json")]) == 0
+    (inputs / "sim.cfg").write_text("embed_dim = 8\ninput_dim = 16\nlatent_dim = 4\n"
+                                    "batch_size = 16\nsteps = 20\nlog_every = 10\n"
+                                    "probe_size = 64\nnoise_rank = 2\n")
+    return inputs
+
+
+def _valid_line(command, inputs, out, method, ablation):
+    src, tgt = str(inputs / "src.emb1"), str(inputs / "tgt.emb1")
+    return {
+        "stats": ["stats", "--in", src, "--out", f"{out}/s.json"],
+        "frame": ["frame", "--x", str(inputs / "src.json"), "--y", str(inputs / "tgt.json"),
+                  "--out", f"{out}/f.json"],
+        "decompose": ["decompose", "--x", src, "--y", tgt, "--frame", str(inputs / "frame.json"),
+                      "--report", f"{out}/d.json"],
+        "align": ["align", "--method", method, "--in", src, "--out", f"{out}/a.emb1",
+                  "--calib-src", src, "--calib-tgt", tgt],
+        "diagnose": ["diagnose", "--a", src, "--b", tgt, "--overlap-with", tgt, "--pairs", "2000",
+                     "--plots-dir", f"{out}/plots", "--report", f"{out}/r.json"],
+        "simulate": ["simulate", "--config", str(inputs / "sim.cfg"), "--trace", f"{out}/t.csv",
+                     *(["--ablation", "--ablation-report", f"{out}/ab.json"] if ablation else [])],
+        "verify": ["verify", "--suite", "span"],
+        "sample-curve": ["sample-curve", "--src", src, "--tgt", tgt, "--sizes", "10,20",
+                         "--out", f"{out}/c.csv"],
+        "bench": ["bench", "--sizes", "1e4", "--dims", "4", "--out", f"{out}/b.csv",
+                  "--report", f"{out}/b.json"],
+    }[command]
+
+
+@st.composite
+def command_lines(draw):
+    """(command, flags): a few of the command's numeric flags, or ``--help``."""
+    command = draw(st.sampled_from(_COMMANDS))
+    if draw(st.integers(0, 9)) == 0:
+        return command, ["--help"]
+    flags = []
+    for flag, valid in _VALID[command].items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(valid + _BOUNDARY + _ABSURD))
+            if flag in ("--sizes", "--seeds") and draw(st.booleans()):
+                value = f"{valid[0]},{value}"  # a bad entry after a good one
+            flags.append(f"{flag}={value}")
+    return command, flags
+
+
+def _finite_outputs(out):
+    """Every number in every file under ``out`` is finite; JSON holds no NaN or Infinity token."""
+    for path in Path(out).rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+        elif path.suffix == ".csv":
+            rows = [line.split(",") for line in path.read_text().splitlines()
+                    if not line.startswith("#")][1:]
+            assert all(np.isfinite(float(v)) for row in rows for v in row), path
+        elif path.suffix in (".emb1", ".npy"):
+            data = read_embeddings(str(path)) if path.suffix == ".emb1" else np.load(path)
+            assert np.isfinite(data).all(), path
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(line=command_lines(), method=st.sampled_from(["realign", "blockwise", "c3", "anchor-only"]),
+       ablation=st.booleans())
+@example(line=("simulate", ["--seeds=0,-1"]), method="c3", ablation=True)
+@example(line=("align", ["--energy=0"]), method="blockwise", ablation=False)
+def test_main_exits_0_with_finite_outputs_or_1_2_3_with_no_output(small_inputs, line, method,
+                                                                  ablation):
+    command, flags = line
+    with tempfile.TemporaryDirectory() as out:
+        argv = (_valid_line(command, small_inputs, out, method, ablation) if flags != ["--help"]
+                else [command])
+        with contextlib.redirect_stdout(StringIO()) as stdout, \
+                contextlib.redirect_stderr(StringIO()) as stderr:
+            code = main([*argv, *flags])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 0:
+            assert flags != ["--help"] or stdout.getvalue().startswith("usage:")
+            _finite_outputs(out)
+        else:
+            assert err.startswith("usage:" if code == 1 else "gapalign: "), err
+            assert os.listdir(out) == []
