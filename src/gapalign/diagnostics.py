@@ -557,10 +557,11 @@ def sample_complexity_curve(
     held_tgt = tgt[perm_tgt[:holdout]]
     pool_src = src[perm_src[holdout:]]
     pool_tgt = tgt[perm_tgt[holdout:]]
-    if sizes[-1] > min(pool_src.shape[0], pool_tgt.shape[0]):
+    pool = min(pool_src.shape[0], pool_tgt.shape[0])
+    if sizes[-1] > pool:
         raise DataFormatError(
-            f"largest size {sizes[-1]} exceeds the calibration pool "
-            f"({min(pool_src.shape[0], pool_tgt.shape[0])} rows)"
+            f"holdout {holdout} leaves {pool} of {min(src.shape[0], tgt.shape[0])} rows for "
+            f"calibration, fewer than the largest size {sizes[-1]}"
         )
 
     mu_held_tgt = held_tgt.mean(axis=0)

@@ -18,11 +18,13 @@ second moments more aggressively at the price of amplifying noise in
 weak directions, so its inverse square roots are floored and flagged.
 
 Every operator maps rows to float64 rows with ``apply(rows, first_row=0)``,
-naming a collapse at its row counted from ``first_row``.  Rows are an
-(N, d) array or a row source; a single (d,) row is one row of one, so
-every operator maps it to a (1, d) array.  Realign and
-blockwise share the centroid stage after their own shaping step; the
-noise of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
+naming a norm collapse or overflow at its row counted from ``first_row``.
+Rows are an (N, d) array or a row source; a single (d,) row is one row of
+one, so every operator maps it to a (1, d) array.  Each operator's row map
+up to its last unit-norm projection is its ``_shape(rows, out, at)``,
+which calibration and apply share; one walker, ``_mapped``, serves every
+``apply`` and adds the centroid stage to realign and blockwise.  The noise
+of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
 
 Calibration and application both run in row blocks (``io.row_blocks``)
 and widen float32 input block by block, so each needs O(block * d + d^2)
@@ -35,11 +37,11 @@ consecutive blocks and writing each output block as it comes, as
 calibration pass recomputes the intermediate rows it needs (the first
 normalization, the anchored rows) one block at a time instead of
 holding them for the whole set.  Covariances come from the centred
-moment kernel in ``moments``, and drift means from ``moments._mean_of``,
-equal bitwise to a whole-array mean of the same rows; each shaping step
-is a ``fill(block, out)`` producer for both.  Blockwise is applied as one
-composed d x d map, derived once from the stored per-block transforms
-and bases; its square roots come from ``spectral.sym_apply``.
+moment kernel in ``moments``, and drift means from ``moments._mean_of``
+over ``_shape``, equal bitwise to a whole-array mean of the same rows.
+Blockwise is applied as one composed d x d map, derived once from the
+stored per-block transforms and bases; its square roots come from
+``spectral.sym_apply``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import Payload, _check_int, _checked, _widest_block, as_matrix, row_blocks
+from .io import Payload, _check_int, _checked, as_matrix, row_blocks
 from .moments import ModalityStats, MomentAccumulator, _mean_of
 from .spectral import sym_apply
 
@@ -62,28 +64,51 @@ def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndar
     """Divide each row of a float64 matrix by its norm in place and return ``rows``.
 
     ``first_row`` is the index of ``rows[0]`` in the caller's input, so a
-    collapse is reported at its row in the whole input.  A single row is
-    normalized by the same row-wise reduction as the rows of a matrix, so
-    batch and single-row paths agree bitwise.
+    norm that collapses below 1e-12 or overflows to inf is reported at its
+    row in the whole input.  A single row is normalized by the same
+    row-wise reduction as the rows of a matrix, so batch and single-row
+    paths agree bitwise.
     """
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    if np.any(norms < _COLLAPSE):
-        bad = first_row + int(np.argmax(norms < _COLLAPSE))
-        raise DegenerateInputError(f"{stage}: norm collapsed below {_COLLAPSE} at row {bad}")
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norms = np.sqrt((rows * rows).sum(axis=1))
+    bad = (norms < _COLLAPSE) | (norms == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "overflowed" if norms[i] == np.inf else f"collapsed below {_COLLAPSE}"
+        raise DegenerateInputError(f"{stage}: norm {what} at row {first_row + i}")
     rows /= norms[:, None]
     return rows
 
 
-def _affine_into(rows, mu_src, scale, mu_tgt, out: np.ndarray, stage: str | None = None,
-                 first_row: int = 0) -> np.ndarray:
-    """out = mu_tgt + scale * (rows - mu_src), widening ``rows`` to float64 on the fly.
-
-    With a ``stage`` name, each row of ``out`` is then projected to the unit sphere.
-    """
+def _affine_into(rows, mu_src, scale, mu_tgt, out: np.ndarray) -> np.ndarray:
+    """out = mu_tgt + scale * (rows - mu_src), widening ``rows`` to float64 on the fly."""
     np.subtract(rows, mu_src, out=out, dtype=np.float64)
     out *= scale
     out += mu_tgt
-    return out if stage is None else _normalize_in_place(out, stage, first_row)
+    return out
+
+
+def _anchored(rows, mu_src, mu_tgt, out: np.ndarray, at: int) -> np.ndarray:
+    """The anchor step: the mean shift at unit scale into ``out``, then each row made unit."""
+    return _normalize_in_place(_affine_into(rows, mu_src, 1.0, mu_tgt, out),
+                               "anchor normalization", at)
+
+
+def _mapped(rows, op, first_row: int) -> np.ndarray:
+    """``op._shape`` on each row block, then step 3 if ``op`` carries a ``mu_drift``."""
+    rows = as_matrix(rows)
+    if rows.shape[1] != op.dims:
+        raise DataFormatError(f"rows have {rows.shape[1]} dims, the operator expects {op.dims}")
+    out = np.empty((rows.shape[0], op.dims))
+    drift = getattr(op, "mu_drift", None)
+    for block in row_blocks(rows.shape[0]):
+        at = first_row + block.start
+        shaped = op._shape(rows[block], out[block], at)
+        if drift is not None:
+            shaped -= drift
+            shaped += op.mu_tgt
+            _normalize_in_place(shaped, "centroid-stage normalization", at)
+    return out
 
 
 @dataclass
@@ -128,22 +153,15 @@ class AlignmentStats(Payload, kind="alignment_stats"):
         """``substitution_operator`` on ``rows``, as a float64 array."""
         return substitution_operator(rows, self, first_row)
 
+    def _shape(self, rows, out: np.ndarray, at: int) -> np.ndarray:
+        """Steps 1-2 into ``out``, then each row made unit: the rows ``mu_drift`` is the mean of."""
+        return _normalize_in_place(_affine_into(rows, self.mu_src, self.scale, self.mu_tgt, out),
+                                   "affine-stage normalization", at)
+
 
 def affine_align(rows, stats: AlignmentStats) -> np.ndarray:
     """Steps 1-2 only: mu_tgt + scale * (rows - mu_src), no normalization."""
     return _affine_into(rows, stats.mu_src, stats.scale, stats.mu_tgt, np.empty(np.shape(rows)))
-
-
-def _centroid_stage(n: int, stats, fill, first_row: int) -> np.ndarray:
-    """n rows through ``fill(block, out)``, then - mu_drift + mu_tgt, unit."""
-    out = np.empty((n, stats.dims))
-    for block in row_blocks(n):
-        shaped = out[block]
-        fill(block, shaped)
-        shaped -= stats.mu_drift
-        shaped += stats.mu_tgt
-        _normalize_in_place(shaped, "centroid-stage normalization", first_row + block.start)
-    return out
 
 
 def estimate_realign(
@@ -167,35 +185,29 @@ def estimate_realign(
         raise DegenerateInputError("empty calibration set")
     if calib.shape[1] != stats_src.dims or stats_src.dims != stats_tgt.dims:
         raise DataFormatError("dimension mismatch between stats and calibration set")
-    scale = float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps)))
-    mu_drift = _mean_of(calib.shape[0], calib.shape[1], lambda block, out: _affine_into(
-        calib[block], stats_src.mean, scale, stats_tgt.mean, out, "calibration normalization",
-        block.start))
-    return AlignmentStats(
+    stats = AlignmentStats(
         mu_src=stats_src.mean,
         mu_tgt=stats_tgt.mean,
         trace_src=stats_src.trace,
         trace_tgt=stats_tgt.trace,
-        scale=scale,
+        scale=float(np.sqrt(stats_tgt.trace / (stats_src.trace + eps))),
         eps=eps,
-        mu_drift=mu_drift,
+        mu_drift=np.zeros(stats_src.dims),
         calib_n=calib.shape[0],
     )
+    stats.mu_drift = _mean_of(calib.shape[0], stats.dims,
+                              lambda block, out: stats._shape(calib[block], out, block.start))
+    return stats
 
 
 def substitution_operator(source_set, stats: AlignmentStats, first_row: int = 0) -> np.ndarray:
     """The three steps on every row of ``source_set``, as a float64 array in the same row order.
 
-    The output rows are unit-norm.  A norm collapse below 1e-12 raises
-    ``DegenerateInputError`` naming the stage and the row, counted from
-    ``first_row``.
+    The output rows are unit-norm.  A norm that collapses below 1e-12 or
+    overflows raises ``DegenerateInputError`` naming the stage and the row,
+    counted from ``first_row``.
     """
-    rows = as_matrix(source_set)
-    if rows.shape[1] != stats.dims:
-        raise DataFormatError(f"rows have {rows.shape[1]} dims, stats expect {stats.dims}")
-    return _centroid_stage(rows.shape[0], stats, lambda block, out: _affine_into(
-        rows[block], stats.mu_src, stats.scale, stats.mu_tgt, out, "affine-stage normalization",
-        first_row + block.start), first_row)
+    return _mapped(source_set, stats, first_row)
 
 
 @dataclass
@@ -225,15 +237,15 @@ class C3Baseline:
         return self.mu_src.shape[0]
 
     def apply(self, rows, first_row: int = 0) -> np.ndarray:
-        rows = as_matrix(rows)
-        stage = "noise-stage normalization" if self.sigma > 0 else "anchor normalization"
-        out = np.empty(rows.shape)
-        for block in row_blocks(rows.shape[0]):
-            shaped = _affine_into(rows[block], self.mu_src, 1.0, self.mu_tgt, out[block])
-            if self.sigma > 0:
-                shaped += self.sigma * self.rng.standard_normal(size=shaped.shape)
-            _normalize_in_place(shaped, stage, first_row + block.start)
-        return out
+        return _mapped(rows, self, first_row)
+
+    def _shape(self, rows, out: np.ndarray, at: int) -> np.ndarray:
+        """The anchor step, with the next noise of the stream added before the projection."""
+        if self.sigma == 0:
+            return _anchored(rows, self.mu_src, self.mu_tgt, out, at)
+        _affine_into(rows, self.mu_src, 1.0, self.mu_tgt, out)
+        out += self.sigma * self.rng.standard_normal(size=out.shape)
+        return _normalize_in_place(out, "noise-stage normalization", at)
 
 
 @dataclass
@@ -288,6 +300,12 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
     def apply(self, rows, first_row: int = 0) -> np.ndarray:
         """``apply_blockwise`` on ``rows``."""
         return apply_blockwise(rows, self, first_row)
+
+    def _shape(self, rows, out: np.ndarray, at: int) -> np.ndarray:
+        """The anchor step into a block-sized scratch, then ``operator`` into ``out``, unit."""
+        unit = _anchored(rows, self.mu_src, self.mu_tgt, np.empty(out.shape), at)
+        return _normalize_in_place(np.matmul(unit, self.operator, out=out),
+                                   "block-transform normalization", at)
 
 
 def _floored_invsqrt(cov: np.ndarray, eig_floor: float):
@@ -345,12 +363,9 @@ def estimate_blockwise(
         warnings.warn("calibration set smaller than block size; covariances will be singular")
 
     mu_src, mu_tgt, cov_tgt = stats_src.mean, stats_tgt.mean, stats_tgt.covariance
-
-    def anchor_into(block, out):
-        # the anchor step is the affine step with unit scale
-        _affine_into(src[block], mu_src, 1.0, mu_tgt, out, "anchor normalization", block.start)
-
-    cov_src = MomentAccumulator(d).accumulate_from(n, anchor_into).finalize().covariance
+    cov_src = MomentAccumulator(d).accumulate_from(
+        n, lambda block, out: _anchored(src[block], mu_src, mu_tgt, out, block.start)
+    ).finalize().covariance
     basis_out = frame.complement_basis()
 
     def block_transform(basis):
@@ -380,7 +395,7 @@ def estimate_blockwise(
         calib_n=n,
         floored=floored,
     )
-    stats.mu_drift = _mean_of(n, d, _blockwise_shaping(stats, src))
+    stats.mu_drift = _mean_of(n, d, lambda block, out: stats._shape(src[block], out, block.start))
     return stats
 
 
@@ -389,28 +404,10 @@ def sym_sqrt_of(cov: np.ndarray) -> np.ndarray:
     return sym_apply(cov, lambda lam: np.sqrt(np.maximum(lam, 0.0)))
 
 
-def _blockwise_shaping(stats: BlockwiseStats, rows, first_row: int = 0):
-    """``fill(block, out)``: anchor into a scratch block, then the composed operator, unit."""
-    scratch = np.empty((_widest_block(rows.shape[0]), stats.dims))
-
-    def fill(block, out):
-        at = first_row + block.start
-        unit = _affine_into(rows[block], stats.mu_src, 1.0, stats.mu_tgt, scratch[:out.shape[0]],
-                            "anchor normalization", at)
-        _normalize_in_place(np.matmul(unit, stats.operator, out=out),
-                            "block-transform normalization", at)
-
-    return fill
-
-
 def apply_blockwise(e_src, stats: BlockwiseStats, first_row: int = 0) -> np.ndarray:
     """Map rows through the blockwise pipeline, as a float64 array in the same row order.
 
     A collapse names its row counted from ``first_row``, as in
     ``substitution_operator``.
     """
-    rows = as_matrix(e_src)
-    if rows.shape[1] != stats.dims:
-        raise DataFormatError(f"expected dimension {stats.dims}, got {rows.shape[1]}")
-    return _centroid_stage(rows.shape[0], stats, _blockwise_shaping(stats, rows, first_row),
-                           first_row)
+    return _mapped(e_src, stats, first_row)

@@ -406,6 +406,22 @@ def test_align_collapse_names_row_in_whole_input(tmp_path, saved_operators, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, stage", [("realign", "affine-stage"), ("blockwise", "anchor"),
+                                           ("anchor-only", "anchor"), ("c3", "noise-stage")])
+def test_align_norm_overflow_exits_3_with_no_output(workdir, capsys, method, stage):
+    # each once exited 0: c3 --sigma 1e300 and anchor-only wrote all-zero rows and realign
+    # identical ones, because every row was divided by an infinite norm
+    rows = read_embeddings(str(workdir / "src.emb"))
+    huge = write_rows(workdir / "huge.emb", rows if method == "c3" else rows * 1e200)
+    out = workdir / "out.emb"
+    assert main(["align", "--method", method, "--in", huge, "--out", str(out),
+                 "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+                 "--sigma", "1e300"]) == 3
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"{stage} normalization: norm overflowed at row 0")
+    assert not out.exists()
+
+
 def test_align_dims_mismatch_with_saved_stats_leaves_no_output(workdir, saved_operators, capsys):
     bad = write_rows(workdir / "wide.emb", np.ones((3000, STREAM_DIMS + 1)))
     out = workdir / "out.emb"
@@ -1062,6 +1078,22 @@ def test_sample_curve_rejects_no_trials_and_empty_sizes(workdir, capsys, monkeyp
     rule = "in [1, 10000]" if name == "trials" else ">= 1"
     assert capsys.readouterr().err.startswith(
         f"gapalign: {name} must be an integer {rule}, got {value} (--{name})")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("holdout, left", [(299, 1), (2**40, 0)])
+def test_sample_curve_holdout_leaving_too_few_rows_names_the_holdout(workdir, capsys, holdout,
+                                                                    left):
+    # once "largest size 10 exceeds the calibration pool (1 rows)", which names no holdout
+    paths = []
+    for side in ("src", "tgt"):
+        rows = read_embeddings(str(workdir / f"{side}.emb"))[:300]
+        paths.append(write_rows(workdir / f"{side}300.emb", rows))
+    out = workdir / "curve.csv"
+    assert main(["sample-curve", "--src", paths[0], "--tgt", paths[1], "--sizes", "10",
+                 "--holdout", str(holdout), "--out", str(out)]) == 2
+    message = f"holdout {holdout} leaves {left} of 300 rows for calibration, fewer than the largest"
+    assert capsys.readouterr().err.rstrip().endswith(f"{message} size 10")
     assert not out.exists()
 
 

@@ -380,6 +380,11 @@ class TestBaselines:
         split = np.vstack([c3.apply(rows[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])])
         whole = C3Baseline(stats.mu_src, stats.mu_tgt, sigma=0.05, seed=7).apply(rows)
         npt.assert_array_equal(split, whole)
+        stats_src, stats_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
+        frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=0.9)
+        blockwise = estimate_blockwise(frame, stats_src, stats_tgt, src)
+        split = np.vstack([blockwise.apply(rows[lo:hi], lo) for lo, hi in zip(cuts, cuts[1:])])
+        npt.assert_array_equal(split, blockwise.apply(rows))
 
     def test_c3_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -397,6 +402,20 @@ def test_every_operator_maps_a_single_row_to_a_one_row_matrix():
                C3Baseline(stats_src.mean, stats_tgt.mean),
                estimate_blockwise(frame, stats_src, stats_tgt, src)):
         assert op.apply(src[0]).shape == (1, 6)
+
+
+def test_every_operator_refuses_rows_of_another_width_with_one_message():
+    # c3 once raised numpy's "operands could not be broadcast" instead
+    rng = np.random.default_rng(19)
+    src = anisotropic_sphere_sample(rng, 500, 6)
+    tgt = anisotropic_sphere_sample(rng, 500, 6, kappa=4.0)
+    stats_src, stats_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
+    frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=0.9)
+    for op in (estimate_realign(stats_src, stats_tgt, src),
+               C3Baseline(stats_src.mean, stats_tgt.mean, sigma=0.05),
+               estimate_blockwise(frame, stats_src, stats_tgt, src)):
+        with pytest.raises(DataFormatError, match=r"^rows have 5 dims, the operator expects 6$"):
+            op.apply(src[:, :5])
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-8])
