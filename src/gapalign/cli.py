@@ -68,6 +68,7 @@ from .moments import (
     Float32ReplayMean,
     ModalityStats,
     MomentAccumulator,
+    _mean_of,
     shrink,
     stats_of,
 )
@@ -277,7 +278,8 @@ def _operator(args):
         if args.method == "realign":
             return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src,
                                     eps=args.eps)
-        mu_src, mu_tgt = stats_of(calib_src).mean, stats_of(calib_tgt).mean
+        mu_src, mu_tgt = (_mean_of(*rows.shape, lambda block, out, rows=rows: np.copyto(
+            out, rows[block])) for rows in (calib_src, calib_tgt))
     return C3Baseline(mu_src, mu_tgt, args.sigma if args.method == "c3" else 0.0, args.seed)
 
 
@@ -537,23 +539,31 @@ def _offset_cov_error(rows):
 
 
 _BENCH_CHUNK = 10_000  # rows per timed accumulate call, so the least --sizes entry
+_BENCH_PASSES = 3  # each size's time is the best of this many
 
 
 def _cmd_bench(args):
+    """Time the accumulator per row at each --sizes entry, then its precision floor.
+
+    One warm-up accumulate call comes first.  Then 3 passes each time every
+    size in turn, and a size's time is the best of its 3: host noise only
+    adds time, and cycling through the sizes keeps a slow spell of the host
+    off any one size's passes.
+    """
     if sorted(args.sizes) != args.sizes:
         raise DataFormatError("bench sizes must be ascending")
     rng = np.random.default_rng(args.seed)
     chunk = rng.normal(size=(_BENCH_CHUNK, args.dims)) + 0.75
-    rows = []
-    for n in args.sizes:
-        acc = MomentAccumulator(args.dims, track_cov=not args.no_cov)
-        reps = int(n) // chunk.shape[0]
-        start = time.perf_counter()
-        for _ in range(reps):
-            acc.accumulate(chunk)
-        elapsed = time.perf_counter() - start
-        done = reps * chunk.shape[0]
-        rows.append([done, elapsed, done / elapsed, acc.state_nbytes()])
+    MomentAccumulator(args.dims, track_cov=not args.no_cov).accumulate(chunk)
+    rows = [[int(n) // _BENCH_CHUNK * _BENCH_CHUNK, math.inf] for n in args.sizes]
+    for _ in range(_BENCH_PASSES):
+        for row in rows:
+            acc = MomentAccumulator(args.dims, track_cov=not args.no_cov)
+            start = time.perf_counter()
+            for _ in range(row[0] // _BENCH_CHUNK):
+                acc.accumulate(chunk)
+            seconds = min(row[1], time.perf_counter() - start)
+            row[1:] = [seconds, row[0] / seconds, acc.state_nbytes()]
     header = ["rows", "seconds", "rows_per_sec", "state_bytes"]
     _write_csv(args.out, header, rows)
 
@@ -695,7 +705,8 @@ def build_parser():
     p.set_defaults(func=_cmd_sample_curve)
 
     p = sub.add_parser("bench", parents=[seeded],
-                       help="accumulator throughput, state size, and precision floor")
+                       help="accumulator throughput, state size, and precision floor",
+                       description=_cmd_bench.__doc__)
     p.add_argument("--sizes", type=_listed(_bounded("--sizes", float, lo=_BENCH_CHUNK, hi=1e8)),
                    default="100000,500000,1000000",
                    help="ascending comma-separated row counts, each 10^4 to 10^8")

@@ -70,6 +70,8 @@ def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK):
 
 def _mean_of(n: int, dims: int, fill) -> np.ndarray:
     """The mean of n rows of ``dims`` values that ``fill(block, out)`` writes (``_row_sums``)."""
+    if n < 1:
+        raise DegenerateInputError("cannot take the mean of 0 rows")
     for _, _, total in _row_sums(n, dims, fill):
         pass
     return total / n
@@ -158,23 +160,28 @@ class MomentAccumulator:
         it.  Producers of float64 rows write straight into the buffer,
         without a copy of their own.  The rows are folded into a fresh
         accumulator whose column sum is that of ``_row_sums``, merged into
-        this one at the end, so a non-finite row leaves this one unchanged.
+        this one at the end, so a non-finite row, or moments that overflow
+        float64 (``DegenerateInputError``), leave this one unchanged.
         """
         part, seen = MomentAccumulator(self.dims, self.track_cov), None
-        for rows, block, total in _row_sums(n, self.dims, fill, _BLOCK):
-            k = block.shape[0]
-            # a sum of finite values is finite unless it overflows, so only
-            # a non-finite sum needs the per-row search
-            if not np.isfinite(total).all():
-                _finite(block, "non-finite value in batch row {}", rows.start)
-            # the first block's sum is the running total itself
-            mean = (total if seen is None else block.sum(axis=0)) / k
-            block -= mean
-            scatter = block.T @ block if self.scatter is not None else None
-            delta = None if seen is None else mean - seen / part.n
-            part._merge_centred(k, delta, float(np.vdot(block, block)), scatter)
-            part.n += k
-            part.sum = seen = total
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            for rows, block, total in _row_sums(n, self.dims, fill, _BLOCK):
+                k = block.shape[0]
+                # a sum of finite values is finite unless it overflows, so only
+                # a non-finite sum needs the per-row search
+                if not np.isfinite(total).all():
+                    _finite(block, "non-finite value in batch row {}", rows.start)
+                # the first block's sum is the running total itself
+                mean = (total if seen is None else block.sum(axis=0)) / k
+                block -= mean
+                scatter = block.T @ block if self.scatter is not None else None
+                delta = None if seen is None else mean - seen / part.n
+                part._merge_centred(k, delta, float(np.vdot(block, block)), scatter)
+                part.n += k
+                part.sum = seen = total
+        if not (math.isfinite(part.sumsq_norm)
+                and (part.scatter is None or np.isfinite(part.scatter).all())):
+            raise DegenerateInputError(f"moments of {n} rows overflow float64")
         return self._add(part)
 
     def _merge_centred(self, n_b: int, delta, sumsq_b: float, scatter_b) -> None:

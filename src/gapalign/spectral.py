@@ -41,8 +41,10 @@ def _check_symmetric(mat: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
         raise DataFormatError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise DataFormatError("matrix contains non-finite entries")
-    scale = np.linalg.norm(mat)
-    if np.linalg.norm(mat - mat.T) > rtol * max(scale, 1e-300):
+    # scaled by the power of two that brings the largest |entry| into [0.5, 1), so no
+    # square overflows; exact but for entries 2^1022 below the largest, far under rtol
+    scaled = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
+    if np.linalg.norm(scaled - scaled.T) > rtol * np.linalg.norm(scaled):
         raise DataFormatError("matrix is not symmetric within tolerance")
     return 0.5 * (mat + mat.T)
 

@@ -4,16 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the line per
 criterion; tolerances are pinned here and nowhere else.
 """
 
+import csv
+import json
 import time
 
 import numpy as np
 import pytest
 
 from gapalign import (
-    CompensatedMean,
     ContrastiveBatch,
-    Float32ReplayMean,
-    MomentAccumulator,
     ReferenceFrame,
     apply_blockwise,
     build_frame,
@@ -37,6 +36,7 @@ from gapalign import (
     sym_eig,
     tyler_shape,
 )
+from gapalign.cli import main
 from gapalign.diagnostics import CosineHistogram
 from gapalign.frame import geometric_baseline
 from gapalign.realign import affine_align
@@ -301,44 +301,23 @@ def test_criterion_9_phantom_drift():
                   f"symmetric mean {sym_mean:.2e} < {3 / np.sqrt(n):.2e}")
 
 
-def test_criterion_10_streaming_contracts():
+def test_criterion_10_streaming_contracts(tmp_path):
+    # `gapalign bench` is the accumulator's one probe: a warm-up call, then each size's
+    # time the best of 3 passes that cycle through the sizes; its float32 replay draws
+    # 500k rows from default_rng(seed + 1)
     start = time.perf_counter()
-    rng = np.random.default_rng(10)
-    d = 64
-    chunk = rng.normal(size=(10_000, d)) + 0.75
-    MomentAccumulator(d).accumulate(chunk)  # warmup
-
-    # each size's time is the best of 3 passes, as timeit recommends, since host
-    # noise only adds time; the passes cycle through the sizes, so a slow spell
-    # of the host (or its warm-up) does not fall on one size's passes only
-    sizes = (100_000, 500_000, 1_000_000)
-    best = dict.fromkeys(sizes, float("inf"))
-    state_sizes = set()
-    for _ in range(3):
-        for n in sizes:
-            acc = MomentAccumulator(d)
-            t0 = time.perf_counter()
-            for _ in range(n // chunk.shape[0]):
-                acc.accumulate(chunk)
-            best[n] = min(best[n], (time.perf_counter() - t0) / n)
-            state_sizes.add(acc.state_nbytes())
-    per_row = list(best.values())
-    spread = max(per_row) / min(per_row)
-
-    f64 = MomentAccumulator(d, track_cov=False)
-    f32 = Float32ReplayMean(d)
-    oracle = CompensatedMean(d)
-    gen = np.random.default_rng(11)
-    for _ in range(50):
-        block = gen.normal(size=(10_000, d)) + 0.75
-        f64.accumulate(block)
-        f32.accumulate(block)
-        oracle.accumulate(block)
-    truth = oracle.mean()
-    err64 = float(np.linalg.norm(f64.finalize().mean - truth))
-    err32 = float(np.linalg.norm(f32.mean().astype(np.float64) - truth))
+    out, path = tmp_path / "bench.csv", tmp_path / "bench.json"
+    assert main(["bench", "--seed", "10", "--dims", "64", "--out", str(out),
+                 "--report", str(path)]) == 0
     elapsed = time.perf_counter() - start
-
+    doc = json.loads(path.read_text())
+    timing = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(row["rows"]) for row in timing] == [100_000, 500_000, 1_000_000]
+    per_row = [float(row["seconds"]) / int(row["rows"]) for row in timing]
+    spread = max(per_row) / min(per_row)
+    assert spread == pytest.approx(doc["per_row_spread"], rel=1e-12)
+    state_sizes = {int(row["state_bytes"]) for row in timing}
+    err32, err64 = doc["f32_replay_error"], doc["f64_error"]
     ok = spread <= 1.25 and len(state_sizes) == 1 and err32 >= 1e3 * err64 and elapsed < 120.0
     report(10, ok, f"time/row spread x{spread:.3f}, state bytes {state_sizes}, "
                    f"f32/f64 err ratio {err32 / max(err64, 1e-300):.1e}, {elapsed:.1f}s")

@@ -310,3 +310,16 @@ def test_non_finite_row_in_a_later_block_leaves_state_unchanged():
     assert acc.n == before[0] and acc.sumsq_norm == before[2]
     npt.assert_array_equal(acc.sum, before[1])
     npt.assert_array_equal(acc.scatter, before[3])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("track_cov", [True, False])
+def test_moments_that_overflow_are_refused_and_leave_state_unchanged(track_cov):
+    # finite rows of norm 1e200: the scatter and the squared norms overflow float64
+    rng = np.random.default_rng(55)
+    acc = MomentAccumulator(4, track_cov=track_cov).accumulate(rng.normal(size=(10, 4)))
+    before = (acc.n, acc.sum.copy(), acc.sumsq_norm)
+    with pytest.raises(DegenerateInputError, match=f"moments of {2 * BLOCK + 5} rows overflow"):
+        acc.accumulate(rng.normal(size=(2 * BLOCK + 5, 4)) * 1e200)
+    assert acc.n == before[0] and acc.sumsq_norm == before[2]
+    npt.assert_array_equal(acc.sum, before[1])
