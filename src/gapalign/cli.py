@@ -289,9 +289,10 @@ def _cmd_align(args):
     ``--in`` and the calibration files are row sources: every calibration
     pass and the apply pass read them one row block at a time, and each
     output block is written as soon as it is computed.  So the command
-    holds O(block * d + d^2) whatever the row count.  The output file
-    appears by an atomic rename after its last block, so an error midway
-    (a non-finite input row, a collapse) leaves no ``--out``.
+    holds one ``moments._BLOCK`` float64 block, pieces of at most
+    ``io._widest_block`` rows and O(d^2), whatever the row count.  The
+    output file appears by an atomic rename after its last block, so an
+    error midway (a non-finite input row, a collapse) leaves no ``--out``.
     """
     if args.save_stats and args.method not in _FITTED:
         raise DataFormatError(f"--save-stats saves a realign or blockwise operator; "

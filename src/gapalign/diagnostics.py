@@ -124,10 +124,13 @@ class _PairSample:
             raise ValueError("use at least 8 bins")
         if num_pairs <= 0:
             raise ValueError(f"num_pairs must be positive, got {num_pairs}")
-        norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False), axis=1)
-                                for block in row_blocks(n)])
+        with np.errstate(over="ignore"):  # an infinite norm is refused below
+            norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False),
+                                                   axis=1) for block in row_blocks(n)])
         if np.any(norms == 0):
             raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")
+        if np.any(norms == np.inf):
+            raise DegenerateInputError(f"norm overflowed at row {int(np.argmax(norms == np.inf))}")
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=num_pairs)
         j = (i + rng.integers(1, n, size=num_pairs)) % n

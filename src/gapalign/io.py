@@ -379,7 +379,10 @@ class EmbeddingFile:
     size, so a truncated or oversized file fails before any pass reads a
     row.  Each read fills one buffer that the source reuses, grown to the
     largest range read so far: rows returned by a read stay valid until the
-    same source's next read.  There is no ``data``; nothing holds every row.
+    same source's next read.  Every pass reads at most one piece of
+    ``_widest_block`` rows at a time (the moment kernel fills its wider
+    blocks piece by piece), so the buffer holds at most one piece.  There is
+    no ``data``; nothing holds every row.
     """
 
     ndim = 2

@@ -28,7 +28,11 @@ of ``C3Baseline`` is one seeded stream its ``apply`` calls continue.
 
 Calibration and application both run in row blocks (``io.row_blocks``)
 and widen float32 input block by block, so each needs O(block * d + d^2)
-memory beyond its rows and its output, whether in memory or in a file.
+memory beyond its rows and its output, whether in memory or in a file:
+a covariance pass holds the moment kernel's one ``moments._BLOCK``
+float64 block, which it fills in pieces of at most ``io._widest_block``
+rows, and every other pass holds pieces of that size.  A normalization
+squares ``_NORM_ROWS`` rows at a time and divides its rows in place.
 Calibration slices a row source such as ``io.EmbeddingFile`` one block
 at a time, as it slices an array, and the file's rows are read block by
 block.  Apply maps every row block on its own, so applying to
@@ -58,6 +62,7 @@ from .moments import ModalityStats, MomentAccumulator, _mean_of
 from .spectral import sym_apply
 
 _COLLAPSE = 1e-12
+_NORM_ROWS = 128  # rows whose squares are formed at a time, so no block-sized temporary
 
 
 def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndarray:
@@ -65,12 +70,15 @@ def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndar
 
     ``first_row`` is the index of ``rows[0]`` in the caller's input, so a
     norm that collapses below 1e-12 or overflows to inf is reported at its
-    row in the whole input.  A single row is normalized by the same
-    row-wise reduction as the rows of a matrix, so batch and single-row
-    paths agree bitwise.
+    row in the whole input.  Each row's squared norm is the same row-wise
+    reduction whatever the piece of ``_NORM_ROWS`` rows it is formed in, so
+    batch and single-row paths agree bitwise.
     """
+    norms = np.empty(rows.shape[0])
     with np.errstate(over="ignore"):  # an infinite norm is refused below
-        norms = np.sqrt((rows * rows).sum(axis=1))
+        for piece in row_blocks(rows.shape[0], _NORM_ROWS):
+            part = rows[piece]
+            np.sqrt((part * part).sum(axis=1), out=norms[piece])
     bad = (norms < _COLLAPSE) | (norms == np.inf)
     if bad.any():
         i = int(np.argmax(bad))

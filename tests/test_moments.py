@@ -18,6 +18,7 @@ from gapalign import (
 )
 from gapalign import moments as moments_module
 from gapalign.io import _ROW_BLOCK as ROW_BLOCK
+from gapalign.io import EmbeddingFile, _widest_block, write_embeddings
 
 
 def two_pass_stats(rows):
@@ -246,7 +247,8 @@ def test_covariance_and_trace_accurate_far_from_the_origin(offset, batches):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1,
+                               ROW_BLOCK + 1, BLOCK + 3])
 def test_mean_is_bitwise_the_whole_array_sum(n, dtype):
     rows = (np.random.default_rng(n).normal(size=(n, 8)) * 3.0 + 0.7).astype(dtype)
     mean = stats_of(rows, track_cov=n > 1).mean
@@ -299,6 +301,39 @@ def test_calibration_memory_is_inputs_plus_blocks(operator):
     assert traced_peak(calibrate) < 2 * block * d * 8 + 24 * d * d * 8 + (1 << 20)
 
 
+def blockwise_from_files(tmp_path, n, d):
+    """Two ``EmbeddingFile`` sources of n x d float32 rows and a blockwise calibration over them."""
+    rng = np.random.default_rng(56)
+    for name, spread in (("src", 0.3), ("tgt", 0.2)):
+        write_embeddings(unit_sample(rng, n, d, spread), tmp_path / f"{name}.emb1")
+    src, tgt = (EmbeddingFile(str(tmp_path / f"{name}.emb1")) for name in ("src", "tgt"))
+
+    def calibrate():
+        s_src, s_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
+        frame = build_frame(s_src.covariance, s_tgt.covariance, energy=0.9)
+        return estimate_blockwise(frame, s_src, s_tgt, src)
+
+    return src, tgt, calibrate
+
+
+def test_blockwise_calibration_from_files_holds_one_block_and_pieces(tmp_path):
+    # the kernel's float64 block, its producers' pieces (the files' read
+    # buffers, a normalization) and the d x d moments, frame and transforms;
+    # a second block-sized array, or read buffers a block wide, exceed it
+    n, d = 20_000, 256
+    _, _, calibrate = blockwise_from_files(tmp_path, n, d)
+    block = (_widest_block(n, BLOCK) + 1) * d * 8
+    assert traced_peak(calibrate) < block + 4 * _widest_block(n) * d * 8 + 12 * d * d * 8
+
+
+def test_file_read_buffers_hold_at_most_one_piece(tmp_path):
+    n = 20_000
+    src, tgt, calibrate = blockwise_from_files(tmp_path, n, 64)
+    calibrate()
+    # a source's buffer grows to the widest range read from it
+    assert max(src._buffer.shape[0], tgt._buffer.shape[0]) <= _widest_block(n)
+
+
 def test_non_finite_row_in_a_later_block_leaves_state_unchanged():
     rng = np.random.default_rng(54)
     acc = MomentAccumulator(4).accumulate(rng.normal(size=(10, 4)))
@@ -323,3 +358,20 @@ def test_moments_that_overflow_are_refused_and_leave_state_unchanged(track_cov):
         acc.accumulate(rng.normal(size=(2 * BLOCK + 5, 4)) * 1e200)
     assert acc.n == before[0] and acc.sumsq_norm == before[2]
     npt.assert_array_equal(acc.sum, before[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_merge_that_overflows_is_refused_and_leaves_state_unchanged():
+    # each part's rows are equal, so its own moments are 0 and pass the per-call
+    # check; the merge term 5 * 8 * (4e153)^2 of the squared norms overflows
+    acc = MomentAccumulator(8).accumulate(np.full((10, 8), 2e153))
+    other = MomentAccumulator(8).accumulate(np.full((10, 8), -2e153))
+    states = [(a.n, a.sum.copy(), a.sumsq_norm, a.scatter.copy()) for a in (acc, other)]
+    with pytest.raises(DegenerateInputError, match="moments of 20 rows overflow float64"):
+        acc.accumulate(np.full((10, 8), -2e153))
+    with pytest.raises(DegenerateInputError, match="moments of 20 rows overflow float64"):
+        acc.merge(other)
+    for a, (n, total, sumsq, scatter) in zip((acc, other), states):
+        assert a.n == n and a.sumsq_norm == sumsq
+        npt.assert_array_equal(a.sum, total)
+        npt.assert_array_equal(a.scatter, scatter)

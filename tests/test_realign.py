@@ -307,7 +307,7 @@ class TestSubstitutionOperator:
         npt.assert_array_equal(batch, loop)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1026, 2050, 3000])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1026, 2050, 3000, 4097, 4099])
     def test_blocked_equals_unblocked_bitwise(self, n, dtype):
         rng = np.random.default_rng(24)
         src = anisotropic_sphere_sample(rng, n, 12)

@@ -103,3 +103,24 @@ def test_frame_blockwise_and_diagnose_work_where_covariance_squares_overflow():
     unit, big = (json.loads(Path(f"diag{s}.json").read_text()) for s in ("1", "2^332"))
     for key in ("js_divergence_nats", "knn_mixing_rate"):
         assert big[key] == unit[key]
+
+
+@pytest.mark.usefixtures("scaled_pair")
+def test_diagnose_refuses_a_row_norm_that_overflows_naming_the_row(capsys):
+    # the squares of 1e160 overflow in the pair sample's row norms
+    assert main("diagnose --a src1e160.emb --b src1e160.emb --report r.json --pairs 1000"
+                .split()) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gapalign: numerical degeneracy: ")
+    assert "norm overflowed at row 0" in err and "Warning" not in err
+    assert not Path("r.json").exists()
+
+
+def test_stats_whose_batches_overflow_only_when_merged_exits_3(tmp_path, capsys, monkeypatch):
+    # each 8,192-row batch is constant, so its own moments are 0; the merge term overflows
+    monkeypatch.chdir(tmp_path)
+    write_embeddings(np.repeat([[2e153], [-2e153]], 8192, axis=0) * np.ones(8), "big.emb")
+    assert main("stats --in big.emb --out big.json".split()) == 3
+    err = capsys.readouterr().err
+    assert "moments of 16384 rows overflow float64" in err and "Warning" not in err
+    assert not list(Path(".").glob("big.json*"))
