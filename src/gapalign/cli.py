@@ -68,6 +68,7 @@ from .moments import (
     Float32ReplayMean,
     ModalityStats,
     MomentAccumulator,
+    _BLOCK,
     _mean_of,
     shrink,
     stats_of,
@@ -177,7 +178,7 @@ def _write_csv(path, header, rows, preamble=()):
 
 def _cmd_stats(args):
     acc = None
-    for batch in iter_embedding_batches(args.in_path, batch_rows=8192):
+    for batch in iter_embedding_batches(args.in_path, batch_rows=_BLOCK):
         if acc is None:
             acc = MomentAccumulator(batch.shape[1], track_cov=not args.no_cov)
         acc.accumulate(batch)

@@ -24,9 +24,10 @@ first takes its k nearest in its diagonal tile; every other tile is
 screened in Gram space, with a round-off margin, so that only entries
 that can enter a row's k nearest get a distance (``_neighbor_indices``).
 This is meant for desk-scale inputs (up to around 1e5 rows), not
-approximate search.  The histogram and kNN metrics reject
-input with a non-finite value by raising ``DataFormatError`` that names
-the first such row.
+approximate search.  The histogram and kNN metrics reject input with a
+non-finite value by raising ``DataFormatError`` that names the first
+such row, and the kNN a row of norm 2^510 or more, whose distances could
+overflow, with ``DegenerateInputError``.
 """
 
 from __future__ import annotations
@@ -336,8 +337,8 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     so the result equals the first k columns of a stable ``argsort`` of
     each full distance row.  Memory beyond the inputs is O(chunk^2 + n k).
     Rows must be finite; one of norm 2^510 or more, whose distances could
-    overflow, raises ``DataFormatError``.  Returns an (n, k) index array,
-    nearest first.
+    overflow, raises ``DegenerateInputError``.  Returns an (n, k) index
+    array, nearest first.
 
     Tiles are taken range by range: the diagonal tile (b, b), with its
     distances formed whole, then (a, b) for a < b, screened in Gram space.
@@ -366,7 +367,7 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     sq = np.concatenate([np.einsum("ij,ij->i", block, block)
                          for block in (_widened(parts, span) for span in spans)])
     if not sq.max() < 2.0**1020:  # else a squared distance could overflow
-        raise DataFormatError(f"row {int(np.argmax(~(sq < 2.0**1020)))} has norm >= 2^510")
+        raise DegenerateInputError(f"row {int(np.argmax(~(sq < 2.0**1020)))} has norm >= 2^510")
     # the Gram and distance tiles reuse two buffers, so no tile is allocated twice
     buffers = np.empty((2, max(widths) ** 2))
     best = []

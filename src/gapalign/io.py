@@ -438,12 +438,14 @@ def row_source(path: str):
 
 
 def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
-    """Stream an embedding file as arrays of at most ``batch_rows`` rows.
+    """Stream an embedding file in batches, in file order, never holding every row.
 
-    Visits every row exactly once, in file order, without materializing
-    the full matrix.  The header and a regular file's size are checked
-    before the first batch, as ``read_embeddings`` checks them.  Each
-    batch is validated for finiteness; errors report the global row index.
+    An emb1 file's batches are the slices of ``row_blocks(n, batch_rows)``
+    (the last up to ``batch_rows + 2`` rows): ``stats`` walks the moment
+    kernel's blocks.  A CSV file's row count is unknown until read, so it
+    comes in batches of ``batch_rows`` lines, and its ``stats`` is not
+    bitwise ``stats_of``.  The header and a regular file's size are
+    checked before the first batch; a non-finite row is named by its index.
     """
     if batch_rows < 1:
         raise ValueError("batch_rows must be >= 1")
@@ -453,11 +455,11 @@ def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
 
     with open(path, "rb") as fh:
         dtype, rows, dims, stream = _read_emb1_header(fh, path)
-        for seen in range(0, rows, batch_rows):
-            data = _read_rows(fh, min(batch_rows, rows - seen), dims, dtype, stream)
+        for block in row_blocks(rows, batch_rows):
+            data = _read_rows(fh, block.stop - block.start, dims, dtype, stream)
             if data is None:
                 raise _size_error(path, dtype, rows, dims)
-            yield _finite(_native(data), "non-finite value in row {}", seen)
+            yield _finite(_native(data), "non-finite value in row {}", block.start)
         if fh.read(1):
             raise _size_error(path, dtype, rows, dims)
 

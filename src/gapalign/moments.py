@@ -21,12 +21,12 @@ merge, are refused before they are stored.  Memory is one ``_BLOCK``
 float64 block, plus what a producer needs for one piece (a file source's
 read buffer, a normalization), plus O(d^2), whatever the number of rows.
 
-Within one ``accumulate`` call the column sum adds rows one after
-another in input order (``_row_sums``), and each call's sum is then added
-to the running sum.  So the mean of one in-memory array is bitwise the
-whole-array ``rows.sum(axis=0) / n``, and streamed batches give the sum
-of per-batch sums, as raw-moment accumulation did.  ``_mean_of`` sums the
-same way for passes that need only a mean (the mean gap, the drift).
+Every ``accumulate`` call continues one walk: the column sum adds rows
+in input order (``_row_sums``), carried on from the state's.  So the mean
+of an array is bitwise ``rows.sum(axis=0) / n``, and calls over the
+batches of ``row_blocks(n, k * _BLOCK)`` give bitwise the moments of one
+call over all n rows (``stats`` reads its file so).  ``_mean_of`` sums
+the same way for passes that need only a mean (the mean gap, the drift).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .io import (_ROW_BLOCK, Payload, _check_int, _checked, _finite, _widest_blo
 _BLOCK = 4096
 
 
-def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK):
+def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK, total=None):
     """``(rows, block, total)`` for each slice ``rows`` of ``row_blocks(n, size)``.
 
     ``block`` is a float64 view of one reusable buffer, filled one piece of
@@ -57,13 +57,13 @@ def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK):
     ``fill(piece, out)`` writes the rows the global slice ``piece`` names
     into ``out``, so a producer's own temporaries are a piece wide however
     wide ``size`` is.  ``total`` is the column sum of every row up to the
-    block's end.  The running total is carried as row 0 of the buffer
-    and summed together with the block's rows, so every row is added to
-    the total in input order.  That is the order numpy's axis-0 sum of a
-    C-contiguous array with two or more columns uses, so ``total`` is
-    bitwise that whole-array sum.
+    block's end, after the starting ``total`` if one is given.  The running
+    total is carried as row 0 of the buffer and summed together with the
+    block's rows, so every row is added to the total in input order.  That
+    is the order numpy's axis-0 sum of a C-contiguous array with two or
+    more columns uses, so ``total`` is bitwise that whole-array sum.
     """
-    buf, total = np.empty((_widest_block(n, size) + 1, dims)), None
+    buf = np.empty((_widest_block(n, size) + 1, dims))
     for rows in row_blocks(n, size):
         block = buf[1:rows.stop - rows.start + 1]
         for piece in row_blocks(block.shape[0]):
@@ -149,7 +149,7 @@ class MomentAccumulator:
         return total
 
     def accumulate(self, batch) -> "MomentAccumulator":
-        """Fold a batch of rows into the running moments.
+        """Continue the walk over a batch of rows (``accumulate_from``).
 
         The batch is left unmodified; its values are widened to float64
         one block at a time before any arithmetic.
@@ -161,51 +161,49 @@ class MomentAccumulator:
                                     lambda block, out: np.copyto(out, rows[block]))
 
     def accumulate_from(self, n: int, fill) -> "MomentAccumulator":
-        """Fold n rows that ``fill(rows, out)`` writes piece by piece.
+        """Continue the walk over n more rows that ``fill(rows, out)`` writes piece by piece.
 
         ``out`` is a float64 (k x d) view of the kernel's block buffer, k at
         most ``io._widest_block(n)``; ``fill`` must write the k input rows
         the slice ``rows`` names into it.  ``rows`` counts from the first of
         the n rows, so a producer names a bad row by its index in the whole
         input.  Producers of float64 rows write straight into the buffer,
-        without a copy of their own.  The rows are folded into a fresh
-        accumulator whose column sum is that of ``_row_sums``, merged into
-        this one at the end, so a non-finite row, or moments that overflow
-        float64 (``DegenerateInputError``), leave this one unchanged.
+        without a copy of their own.  Each block of ``row_blocks(n, _BLOCK)``
+        is folded into a shallow copy of the state, carrying its column sum
+        on (``_row_sums``), and ``_commit`` stores the result, so a non-finite
+        row, or moments that overflow float64, leave this one unchanged.
         """
-        part, seen = MomentAccumulator(self.dims, self.track_cov), None
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            for rows, block, total in _row_sums(n, self.dims, fill, _BLOCK):
+        state = copy.copy(self)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _commit
+            for rows, block, total in _row_sums(n, self.dims, fill, _BLOCK,
+                                                self.sum if self.n else None):
                 k = block.shape[0]
                 # a sum of finite values is finite unless it overflows, so only
                 # a non-finite sum needs the per-row search
                 if not np.isfinite(total).all():
                     _finite(block, "non-finite value in batch row {}", rows.start)
-                # the first block's sum is the running total itself
-                mean = (total if seen is None else block.sum(axis=0)) / k
+                # the walk's first block's sum is the running total itself
+                mean = (block.sum(axis=0) if state.n else total) / k
                 block -= mean
                 scatter = block.T @ block if self.scatter is not None else None
-                delta = None if seen is None else mean - seen / part.n
-                part.sumsq_norm, part.scatter = part._merged(k, delta, float(np.vdot(block, block)),
-                                                             scatter)
-                part.n += k
-                part.sum = seen = total
-        if not (math.isfinite(part.sumsq_norm)
-                and (part.scatter is None or np.isfinite(part.scatter).all())):
-            raise DegenerateInputError(f"moments of {n} rows overflow float64")
-        return self._add(part)
+                delta = mean - state.sum / state.n if state.n else None
+                state.sumsq_norm, state.scatter = state._merged(
+                    k, delta, float(np.vdot(block, block)), scatter)
+                state.n, state.sum = state.n + k, total
+        return self._commit(state.n, state.sum, state.sumsq_norm, state.scatter)
 
     def _merged(self, n_b: int, delta, sumsq_b: float, scatter_b):
         """Chan et al.'s update: the centred moments of these rows and n_b more.
 
-        ``delta`` is the new rows' mean minus the current mean.  Returns the
-        merged ``(sumsq_norm, scatter)`` and assigns nothing; the merged
-        scatter is built in ``scatter_b``, which the caller gives up.
+        ``delta`` is the new rows' mean minus the current mean, None if
+        either side has no rows.  Returns the merged ``(sumsq_norm,
+        scatter)`` and assigns nothing; the merged scatter is built in
+        ``scatter_b``, which the caller gives up.
         """
         sumsq = self.sumsq_norm + sumsq_b
         if self.scatter is not None:
             scatter_b += self.scatter
-        if self.n:
+        if delta is not None:
             weight = self.n * n_b / (self.n + n_b)
             sumsq += weight * float(delta @ delta)
             if self.scatter is not None:
@@ -214,34 +212,31 @@ class MomentAccumulator:
                 scatter_b += outer
         return sumsq, scatter_b
 
-    def _add(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Fold ``other``'s rows in, building the merged scatter in ``other``'s.
-
-        Moments that overflow float64 raise ``DegenerateInputError`` and
-        leave this accumulator unchanged.
-        """
-        if other.n:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                delta = other.sum / other.n - self.sum / self.n if self.n else None
-                total = self.sum + other.sum
-                sumsq, scatter = self._merged(other.n, delta, other.sumsq_norm, other.scatter)
-            if not (math.isfinite(sumsq) and np.isfinite(total).all()
-                    and (scatter is None or np.isfinite(scatter).all())):
-                raise DegenerateInputError(f"moments of {self.n + other.n} rows overflow float64")
-            if scatter is not None:
-                # copied into the state's own array: taking the merged one instead left
-                # the heap 3.6 MB larger at the peak of `stats` on 768-d rows
-                np.copyto(self.scatter, scatter)
-            self.n, self.sum, self.sumsq_norm = self.n + other.n, total, sumsq
+    def _commit(self, n: int, total, sumsq: float, scatter) -> "MomentAccumulator":
+        """Store the moments of n rows; ones that overflow float64 are refused, the state kept."""
+        if not (math.isfinite(sumsq) and np.isfinite(total).all()
+                and (scatter is None or np.isfinite(scatter).all())):
+            raise DegenerateInputError(f"moments of {n} rows overflow float64")
+        if scatter is not None:
+            # copied into the state's own array: taking the merged one instead left
+            # the heap 3.6 MB larger at the peak of `stats` on 768-d rows
+            np.copyto(self.scatter, scatter)
+        self.n, self.sum, self.sumsq_norm = n, total, sumsq
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Return a new accumulator equivalent to concatenating both inputs."""
+        """Return a new accumulator equivalent to concatenating both inputs (``_commit``)."""
         if self.dims != other.dims:
             raise DataFormatError("cannot merge accumulators with different dims")
         if self.track_cov != other.track_cov:
             raise DataFormatError("cannot merge accumulators with different track_cov flags")
-        return copy.deepcopy(self)._add(copy.deepcopy(other))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _commit
+            delta = other.sum / other.n - self.sum / self.n if self.n and other.n else None
+            sumsq, scatter = self._merged(other.n, delta, other.sumsq_norm,
+                                          copy.copy(other.scatter))
+            total = self.sum + other.sum
+        return MomentAccumulator(self.dims, self.track_cov)._commit(self.n + other.n, total,
+                                                                     sumsq, scatter)
 
     def finalize(self) -> ModalityStats:
         """Convert the centred moments to mean/trace/covariance.
@@ -263,8 +258,7 @@ class MomentAccumulator:
 def stats_of(rows, track_cov: bool = False) -> ModalityStats:
     """One-shot moments of an in-memory sample."""
     rows = as_matrix(rows)
-    acc = MomentAccumulator(rows.shape[1], track_cov=track_cov)
-    return acc.accumulate(rows).finalize()
+    return MomentAccumulator(rows.shape[1], track_cov=track_cov).accumulate(rows).finalize()
 
 
 def shrink(cov: np.ndarray, intensity: float) -> np.ndarray:
@@ -315,9 +309,9 @@ class CompensatedMean:
 class Float32ReplayMean:
     """Deliberately single-precision mean accumulator.
 
-    Mirrors the production accumulation pattern (per-batch sums added
-    to a running total) but keeps all state in float32.  Exists only to
-    demonstrate the precision floor; never use it for real statistics.
+    Adds each batch's float32 sum to a float32 running total, on purpose,
+    where ``MomentAccumulator`` adds every row in order in float64.  Only
+    demonstrates the precision floor; never use it for real statistics.
     """
 
     def __init__(self, dims: int):

@@ -28,11 +28,12 @@ from gapalign import (
     knn_mixing_rate,
     load_artifact,
     read_embeddings,
+    stats_of,
     substitution_operator,
     write_embeddings,
 )
 from gapalign.cli import _write_csv, main
-from gapalign.io import file_digest
+from gapalign.io import file_digest, row_source
 from gapalign.moments import ModalityStats, MomentAccumulator
 
 # a command that computes a NaN or overflows on valid input fails here, not only on stderr
@@ -210,8 +211,8 @@ def fed_pipe(content: bytes):
     """A ``/dev/fd`` path to a pipe that one writer thread feeds ``content``.
 
     The writer is joined, then the read end closed, on exit.  ``content``
-    must fit the pipe's buffer (64 KiB on Linux), so the writer never waits
-    on a reader that stopped early.
+    must fit the pipe's buffer (64 KiB on Linux) unless the reader reads
+    all of it, so the writer never waits on a reader that stopped early.
     """
     read_fd, write_fd = os.pipe()
 
@@ -267,6 +268,45 @@ def test_stats_overwrite_without_covariance_leaves_no_covariance_sidecar(workdir
     assert (workdir / "s.json.covariance.npy").is_file()
     assert main(["stats", "--no-cov", "--in", str(workdir / "src.emb"), "--out", out]) == 0
     assert sorted(p.name for p in workdir.glob("s.json*")) == ["s.json"]
+
+
+@pytest.mark.parametrize("no_cov", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [8193, 8194, 12289, 16386])
+def test_stats_artifact_is_bitwise_the_moments_of_one_walk(tmp_path, n, dtype, no_cov):
+    # `stats` reads moments._BLOCK-row batches and each accumulate call continues the
+    # walk that stats_of takes over the whole file: 2 to 4 blocks, the last 1 to 3 rows
+    # wider, from a regular file and from a pipe
+    path, out = str(tmp_path / "rows.emb"), str(tmp_path / "rows.stats")
+    write_embeddings((np.random.default_rng(n).normal(size=(n, 8)) * 3.0 + 0.7).astype(dtype),
+                     path)
+    want = stats_of(row_source(path), track_cov=not no_cov)
+
+    def assert_stats_of(source):
+        assert main(["stats", "--in", source, "--out", out, *(["--no-cov"] * no_cov)]) == 0
+        got = ModalityStats.from_payload(load_artifact(out).payload)
+        assert got.n == n and got.trace == want.trace
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert (got.covariance is None) == no_cov
+        assert no_cov or got.covariance.tobytes() == want.covariance.tobytes()
+
+    assert_stats_of(path)
+    with fed_pipe(Path(path).read_bytes()) as pipe:
+        assert_stats_of(pipe)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [8193, 8194, 16386])
+def test_frame_from_stats_artifacts_is_bitwise_the_frame_blockwise_align_builds(tmp_path, n,
+                                                                                 dtype):
+    # write_paired_fixture runs `stats` on both files and `frame --energy 0.8`
+    write_paired_fixture(tmp_path, n, 8, 23, dtype=dtype)
+    assert main(["align", "--method", "blockwise", "--in", str(tmp_path / "src.emb"),
+                 "--out", str(tmp_path / "bw.emb"), "--calib-src", str(tmp_path / "src.emb"),
+                 "--calib-tgt", str(tmp_path / "tgt.emb"), "--energy", "0.8",
+                 "--save-stats", str(tmp_path / "bw.json")]) == 0
+    assert ((tmp_path / "frame.stats.basis.npy").read_bytes()
+            == (tmp_path / "bw.json.frame.basis.npy").read_bytes())
 
 
 @pytest.mark.parametrize("method", ["realign", "blockwise"])

@@ -518,7 +518,7 @@ class TestKnnMixing:
         # where a distance would overflow to inf or nan
         a, b = np.ones((5, 3)), np.ones((5, 3))
         b[2] *= 2.0**520
-        with pytest.raises(DataFormatError, match=r"row 7 has norm >= 2\^510"):
+        with pytest.raises(DegenerateInputError, match=r"row 7 has norm >= 2\^510"):
             knn_mixing_rate(a, b, k=2)
 
     def test_non_finite_row_rejected(self):

@@ -18,7 +18,7 @@ from gapalign import (
 )
 from gapalign import moments as moments_module
 from gapalign.io import _ROW_BLOCK as ROW_BLOCK
-from gapalign.io import EmbeddingFile, _widest_block, write_embeddings
+from gapalign.io import EmbeddingFile, _widest_block, row_blocks, write_embeddings
 
 
 def two_pass_stats(rows):
@@ -255,6 +255,22 @@ def test_mean_is_bitwise_the_whole_array_sum(n, dtype):
     assert np.array_equal(mean, rows.astype(np.float64).sum(axis=0) / n)
 
 
+@pytest.mark.parametrize("track_cov", [True, False])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK + 7, 4 * BLOCK + 2, 5 * BLOCK + 3])
+def test_calls_over_the_batches_of_kernel_blocks_continue_one_walk(n, k, track_cov):
+    # each call carries the column sum on and merges its blocks into the state, so
+    # calls over the batches of row_blocks(n, k * BLOCK) walk the blocks of one call
+    rows = offset_rows(np.random.default_rng(n + k), n, 8, 30.0)
+    whole = MomentAccumulator(8, track_cov).accumulate(rows)
+    acc = MomentAccumulator(8, track_cov)
+    for batch in row_blocks(n, k * BLOCK):
+        acc.accumulate(rows[batch])
+    assert acc.n == whole.n and acc.sumsq_norm == whole.sumsq_norm
+    assert acc.sum.tobytes() == whole.sum.tobytes()
+    assert not track_cov or acc.scatter.tobytes() == whole.scatter.tobytes()
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -354,7 +370,7 @@ def test_moments_that_overflow_are_refused_and_leave_state_unchanged(track_cov):
     rng = np.random.default_rng(55)
     acc = MomentAccumulator(4, track_cov=track_cov).accumulate(rng.normal(size=(10, 4)))
     before = (acc.n, acc.sum.copy(), acc.sumsq_norm)
-    with pytest.raises(DegenerateInputError, match=f"moments of {2 * BLOCK + 5} rows overflow"):
+    with pytest.raises(DegenerateInputError, match=f"moments of {2 * BLOCK + 15} rows overflow"):
         acc.accumulate(rng.normal(size=(2 * BLOCK + 5, 4)) * 1e200)
     assert acc.n == before[0] and acc.sumsq_norm == before[2]
     npt.assert_array_equal(acc.sum, before[1])

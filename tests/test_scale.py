@@ -117,10 +117,10 @@ def test_diagnose_refuses_a_row_norm_that_overflows_naming_the_row(capsys):
 
 
 def test_stats_whose_batches_overflow_only_when_merged_exits_3(tmp_path, capsys, monkeypatch):
-    # each 8,192-row batch is constant, so its own moments are 0; the merge term overflows
+    # each 4,096-row batch is constant, so its own moments are 0; the merge term overflows
     monkeypatch.chdir(tmp_path)
     write_embeddings(np.repeat([[2e153], [-2e153]], 8192, axis=0) * np.ones(8), "big.emb")
     assert main("stats --in big.emb --out big.json".split()) == 3
     err = capsys.readouterr().err
-    assert "moments of 16384 rows overflow float64" in err and "Warning" not in err
+    assert "moments of 12288 rows overflow float64" in err and "Warning" not in err
     assert not list(Path(".").glob("big.json*"))
