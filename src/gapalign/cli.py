@@ -13,11 +13,13 @@ artifact's ``input_digests`` entry is the digest of its JSON file, which
 covers the sidecars through the SHA-256 recorded for each.
 
 Exit codes: 0 success; 1 usage error, a flag value that does not parse
-included; 2 data error: bad files, shape or version mismatches, and a
-flag value out of range, refused while parsing, before any input is
-opened, with ``<param> must be <rule>, got <text> (<flag>)`` (each
-``--help`` states its range); 3 numerical degeneracy: zero norms,
-collapsed spectra, diverged runs.
+included; 2 data error: bad files, shape or version mismatches, an
+``align`` or ``sample-curve`` row off the unit sphere (its norm off 1 by
+more than 1e-4, the rule ``gapalign.realign`` states), and a flag value
+out of range, refused while parsing, before any input is opened, with
+``<param> must be <rule>, got <text> (<flag>)`` (each ``--help`` states
+its range); 3 numerical degeneracy: zero or overflowing norms, collapsed
+spectra, diverged runs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .frame import ReferenceFrame, build_frame, decompose_gap, leakage_ratio, pa
 from .io import (
     RowMap,
     StatsArtifact,
+    _on_sphere,
     atomic_write_text,
     file_digest,
     iter_embedding_batches,
@@ -73,8 +76,8 @@ from .moments import (
     shrink,
     stats_of,
 )
-from .realign import (AlignmentStats, BlockwiseStats, C3Baseline, estimate_blockwise,
-                      estimate_realign)
+from .realign import (_SPHERE_TOL, AlignmentStats, BlockwiseStats, C3Baseline,
+                      estimate_blockwise, estimate_realign)
 from .simulator import SimulatorConfig, gap_necessity_ablation, run_toy_training
 from .spectral import condition_number, effective_rank, power_law_alpha, sym_eig
 
@@ -256,28 +259,43 @@ def _cmd_decompose(args):
 _FITTED = {"realign": (AlignmentStats,), "blockwise": (BlockwiseStats,)}
 
 
+def _unit_rows(path):
+    """``path``'s rows as a row source that refuses a row off the unit sphere as it is read.
+
+    The rule and its tolerance are ``realign``'s (``_SPHERE_TOL``).  Its
+    ``source`` is the same rows unchecked, for a later pass over them.
+    """
+    return RowMap(row_source(path), lambda rows, lo: _on_sphere(rows, path, _SPHERE_TOL, lo))
+
+
 def _operator(args):
     """The operator of ``--method``: loaded from ``--stats`` or fitted to the calibration files.
 
-    c3 and anchor-only fit nothing; they take the means of either.
+    c3 and anchor-only fit nothing; they take the means of either.  Each
+    calibration row is checked on the unit sphere in the first pass over it.
     """
     if args.stats:
         op = _load_payload(args.stats, *_FITTED.get(args.method, (AlignmentStats, BlockwiseStats)))
+        for name in ("mu_src", "mu_tgt"):
+            length = float(np.linalg.norm(getattr(op, name)))
+            if length > 1.0 + _SPHERE_TOL:
+                raise DataFormatError(f"{args.stats}: {name} has length {length:.9g}, longer "
+                                      f"than 1 + {_SPHERE_TOL:g}; not a mean of unit rows")
         if args.method in _FITTED:
             return op
         mu_src, mu_tgt = op.mu_src, op.mu_tgt
     elif not (args.calib_src and args.calib_tgt):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
     else:
-        calib_src, calib_tgt = row_source(args.calib_src), row_source(args.calib_tgt)
+        calib_src, calib_tgt = _unit_rows(args.calib_src), _unit_rows(args.calib_tgt)
         if args.method == "blockwise":
             stats_src = stats_of(calib_src, track_cov=True)
             stats_tgt = stats_of(calib_tgt, track_cov=True)
             frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
-            return estimate_blockwise(frame, stats_src, stats_tgt, calib_src,
+            return estimate_blockwise(frame, stats_src, stats_tgt, calib_src.source,
                                       eig_floor=args.eig_floor)
         if args.method == "realign":
-            return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src,
+            return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src.source,
                                     eps=args.eps)
         mu_src, mu_tgt = (_mean_of(*rows.shape, lambda block, out, rows=rows: np.copyto(
             out, rows[block])) for rows in (calib_src, calib_tgt))
@@ -293,12 +311,13 @@ def _cmd_align(args):
     holds one ``moments._BLOCK`` float64 block, pieces of at most
     ``io._widest_block`` rows and O(d^2), whatever the row count.  The
     output file appears by an atomic rename after its last block, so an
-    error midway (a non-finite input row, a collapse) leaves no ``--out``.
+    error midway (a non-finite input row, a row off the unit sphere, a
+    collapse) leaves no ``--out``.
     """
     if args.save_stats and args.method not in _FITTED:
         raise DataFormatError(f"--save-stats saves a realign or blockwise operator; "
                               f"{args.method} fits none")
-    source = row_source(args.in_path)
+    source = _unit_rows(args.in_path)
     op = _operator(args)
     if args.save_stats:
         _save_payload(op, args.save_stats,
@@ -511,8 +530,8 @@ def _cmd_verify(args):
 
 
 def _cmd_sample_curve(args):
-    src = read_embeddings(args.src)
-    tgt = read_embeddings(args.tgt)
+    src, tgt = (_on_sphere(read_embeddings(path), path, _SPHERE_TOL)
+                for path in (args.src, args.tgt))
     table = sample_complexity_curve(src, tgt, args.sizes, trials=args.trials, seed=args.seed,
                                     holdout=args.holdout)
     rows = [[e["size"], e["gap_mean"], e["gap_std"]] + [float(g) for g in e["gaps"]]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame, geometric_baseline, leakage_ratio
-from .io import as_matrix
+from .io import _on_sphere, as_matrix
 
 
 @dataclass
@@ -45,11 +45,8 @@ class ContrastiveBatch:
             raise ValueError("temperature must be positive")
         if self.anchors.shape != self.candidates.shape or self.anchors.ndim != 2:
             raise DataFormatError("anchors and candidates must be equal-shape row matrices")
-        for name, arr in (("anchor", self.anchors), ("candidate", self.candidates)):
-            norms = np.linalg.norm(arr, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                bad = int(np.argmax(np.abs(norms - 1.0)))
-                raise DataFormatError(f"{name} row {bad} is not unit-norm (|e|={norms[bad]:.12f})")
+        for name, arr in (("anchors", self.anchors), ("candidates", self.candidates)):
+            _on_sphere(arr, name, 1e-9)
 
     @property
     def size(self) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import _finite, as_matrix, row_blocks
+from .io import _finite, _row_norms, as_matrix, row_blocks
 from .moments import stats_of
 from .realign import estimate_realign
 
@@ -125,13 +125,7 @@ class _PairSample:
             raise ValueError("use at least 8 bins")
         if num_pairs <= 0:
             raise ValueError(f"num_pairs must be positive, got {num_pairs}")
-        with np.errstate(over="ignore"):  # an infinite norm is refused below
-            norms = np.concatenate([np.linalg.norm(data[block].astype(np.float64, copy=False),
-                                                   axis=1) for block in row_blocks(n)])
-        if np.any(norms == 0):
-            raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms != 0))}")
-        if np.any(norms == np.inf):
-            raise DegenerateInputError(f"norm overflowed at row {int(np.argmax(norms == np.inf))}")
+        norms = _row_norms(data, "cosine histogram")
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=num_pairs)
         j = (i + rng.integers(1, n, size=num_pairs)) % n
@@ -493,21 +487,17 @@ def phantom_drift(m: np.ndarray, zeta_samples) -> DriftReport:
     norm and in angle.  Also reports the mixing matrix, the empirical
     mean of (I - uu^T)/|z| over noise directions u = z/|z|, whose
     anisotropy is what rotates the projected mean away from the bias.
+    A noise row, or a row of bias plus noise, whose norm is zero or
+    overflows raises ``DegenerateInputError`` naming the row.
     """
     m = np.asarray(m, dtype=np.float64)
     z = as_matrix(zeta_samples).astype(np.float64, copy=False)
     m_norm = np.linalg.norm(m)
     if m_norm == 0.0:
         raise DegenerateInputError("bias vector must be nonzero")
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateInputError(f"zero-norm noise sample at row {int(np.argmin(norms != 0))}")
-
+    norms = _row_norms(z, "noise samples")
     shifted = m + z
-    shifted_norms = np.linalg.norm(shifted, axis=1)
-    if np.any(shifted_norms == 0):
-        raise DegenerateInputError("a noise sample exactly cancels the bias")
-    mean_proj = (shifted / shifted_norms[:, None]).mean(axis=0)
+    mean_proj = (shifted / _row_norms(shifted, "bias plus noise")[:, None]).mean(axis=0)
 
     inv = 1.0 / norms
     d = z.shape[1]

@@ -70,7 +70,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ArtifactVersionError, DataFormatError
+from .errors import ArtifactVersionError, DataFormatError, DegenerateInputError
 
 _MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sIIQII")  # magic, version, dtype code, rows, dims, reserved
@@ -90,6 +90,7 @@ _SIDECAR_KEYS = {"npy", "shape", "dtype", "sha256"}
 _ROW_BLOCK = 1024
 _MIN_TAIL = 3  # a trailing block narrower than this joins the one before it
 _STREAM_CHUNK = 1 << 20  # bytes read from an emb1 stream at a time
+_NORM_ROWS = 128  # rows whose squares ``_row_norms`` forms at a time
 
 
 def row_blocks(n: int, size: int = _ROW_BLOCK) -> Iterator[slice]:
@@ -125,6 +126,44 @@ def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
         good = np.isfinite(rows[block]).all(axis=1)
         if not good.all():
             raise DataFormatError(message.format(first_row + block.start + int(np.argmin(good))))
+    return rows
+
+
+def _row_norms(rows, what: str, first_row: int = 0, floor: float = 0.0) -> np.ndarray:
+    """Each row's float64 norm, its squares formed ``_NORM_ROWS`` rows at a time in one buffer.
+
+    So float32 rows are widened a piece at a time, and a row's sum of squares
+    is the same reduction whatever piece holds it.  A norm below ``floor``,
+    zero or overflowed raises ``DegenerateInputError("<what>: norm ... at row
+    i")``, i the first such row counted from ``first_row``.
+    """
+    n = rows.shape[0]
+    norms, squares = np.empty(n), np.empty((_widest_block(n, _NORM_ROWS), rows.shape[1]))
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        for piece in row_blocks(n, _NORM_ROWS):
+            part = squares[:piece.stop - piece.start]
+            np.copyto(part, rows[piece])
+            np.sqrt(np.square(part, out=part).sum(axis=1), out=norms[piece])
+    bad = (norms < floor) | (norms == 0) | (norms == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        how = ("overflowed" if norms[i] == np.inf
+               else f"collapsed below {floor}" if floor else "is zero")
+        raise DegenerateInputError(f"{what}: norm {how} at row {first_row + i}")
+    return norms
+
+
+def _on_sphere(rows, what: str, tol: float, first_row: int = 0):
+    """``rows``; ``DataFormatError`` naming the first row whose norm is off 1 by more than ``tol``.
+
+    The norms come from ``_row_norms``, which refuses a zero or overflowing one first.
+    """
+    norms = _row_norms(rows, what, first_row)
+    off = np.abs(norms - 1.0) > tol
+    if off.any():
+        i = int(np.argmax(off))
+        raise DataFormatError(f"{what}: norm {norms[i]:.9g} is off the unit sphere by more "
+                              f"than {tol:g} at row {first_row + i}")
     return rows
 
 
@@ -407,9 +446,10 @@ class RowMap:
     """A row source whose rows are a function of another source's rows.
 
     ``RowMap(source, fn)[lo:hi]`` is ``fn(source[lo:hi], lo)``: as many
-    float64 rows of the source's width, computed when sliced.  ``lo`` is
-    the index of the range's first row in the whole source, for ``fn`` to
-    name rows in its error messages.
+    rows of the source's width, computed when sliced, float64 (``dtype``)
+    unless ``fn`` passes the source's rows on as they are, as a check does.
+    ``lo`` is the index of the range's first row in the whole source, for
+    ``fn`` to name rows in its error messages.
     """
 
     ndim = 2

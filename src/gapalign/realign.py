@@ -17,6 +17,19 @@ covariances with whitening-coloring transforms instead; it aligns
 second moments more aggressively at the price of amplifying noise in
 weak directions, so its inverse square roots are floored and flagged.
 
+Input rule: the operators are defined on the unit sphere.  Every source,
+calibration and target row must have a norm within ``_SPHERE_TOL`` =
+1e-4 of 1 (float32 unit rows miss it by about 1e-7).  Step 3 adds
+``mu_tgt`` at the input's scale to unit rows, so rows of norm 10 would
+all turn toward the target mean.  ``gapalign align`` and ``sample-curve``
+check each input, calibration and target row once, in the pass that
+first reads it (the moment or mean pass of a calibration file, the apply
+pass of ``--in``, the read of a ``sample-curve`` file), with
+``io._on_sphere``; a row off the sphere exits 2 naming the file, the row
+and its norm.  A ``--stats`` operator whose ``mu_src`` or ``mu_tgt`` is
+longer than 1 + ``_SPHERE_TOL`` is refused, as is one whose ``mu_drift``
+is longer than 1.  The functions here take rows as given.
+
 Every operator maps rows to float64 rows with ``apply(rows, first_row=0)``,
 naming a norm collapse or overflow at its row counted from ``first_row``.
 Rows are an (N, d) array or a row source; a single (d,) row is one row of
@@ -32,7 +45,7 @@ memory beyond its rows and its output, whether in memory or in a file:
 a covariance pass holds the moment kernel's one ``moments._BLOCK``
 float64 block, which it fills in pieces of at most ``io._widest_block``
 rows, and every other pass holds pieces of that size.  A normalization
-squares ``_NORM_ROWS`` rows at a time and divides its rows in place.
+takes its norms with ``io._row_norms`` and divides its rows in place.
 Calibration slices a row source such as ``io.EmbeddingFile`` one block
 at a time, as it slices an array, and the file's rows are read block by
 block.  Apply maps every row block on its own, so applying to
@@ -57,34 +70,22 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
 from .frame import ReferenceFrame
-from .io import Payload, _check_int, _checked, as_matrix, row_blocks
+from .io import Payload, _check_int, _checked, _row_norms, as_matrix, row_blocks
 from .moments import ModalityStats, MomentAccumulator, _mean_of
 from .spectral import sym_apply
 
 _COLLAPSE = 1e-12
-_NORM_ROWS = 128  # rows whose squares are formed at a time, so no block-sized temporary
+_SPHERE_TOL = 1e-4  # how far off 1 a row's norm may be (the input rule above)
 
 
 def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndarray:
-    """Divide each row of a float64 matrix by its norm in place and return ``rows``.
+    """Divide each row of a float64 matrix by its norm (``io._row_norms``) in place.
 
     ``first_row`` is the index of ``rows[0]`` in the caller's input, so a
-    norm that collapses below 1e-12 or overflows to inf is reported at its
-    row in the whole input.  Each row's squared norm is the same row-wise
-    reduction whatever the piece of ``_NORM_ROWS`` rows it is formed in, so
-    batch and single-row paths agree bitwise.
+    norm that collapses below 1e-12 or overflows is reported at its row in
+    the whole input, and batch and single-row paths agree bitwise.
     """
-    norms = np.empty(rows.shape[0])
-    with np.errstate(over="ignore"):  # an infinite norm is refused below
-        for piece in row_blocks(rows.shape[0], _NORM_ROWS):
-            part = rows[piece]
-            np.sqrt((part * part).sum(axis=1), out=norms[piece])
-    bad = (norms < _COLLAPSE) | (norms == np.inf)
-    if bad.any():
-        i = int(np.argmax(bad))
-        what = "overflowed" if norms[i] == np.inf else f"collapsed below {_COLLAPSE}"
-        raise DegenerateInputError(f"{stage}: norm {what} at row {first_row + i}")
-    rows /= norms[:, None]
+    rows /= _row_norms(rows, stage, first_row, _COLLAPSE)[:, None]
     return rows
 
 
@@ -298,6 +299,8 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
         _check_int("calib_n", self.calib_n, 1)
         if not isinstance(self.floored, bool):
             raise DataFormatError(f"floored must be a bool, got {self.floored!r}")
+        if np.linalg.norm(self.mu_drift) > 1.0 + 1e-9:
+            raise DataFormatError("mu_drift longer than 1; not a mean of unit vectors")
         basis, comp = self.frame.basis, self.basis_out
         self.operator = basis @ self.t_in.T @ basis.T + comp @ self.t_out.T @ comp.T
 

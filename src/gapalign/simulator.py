@@ -40,6 +40,7 @@ from .frame import (
     spectrum_correlation,
     noise_angle_degrees,
 )
+from .io import _row_norms
 from .moments import stats_of
 from .spectral import condition_number, sym_eig, tyler_shape
 
@@ -260,9 +261,7 @@ class _Encoders:
         raw = inputs @ weights.T
         if not self.config.normalize_outputs:
             return raw, raw, None
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise DegenerateInputError("encoder output collapsed to zero norm")
+        norms = _row_norms(raw, "encoder output")[:, None]
         return raw / norms, raw, norms
 
     @staticmethod

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
+from .io import _row_norms
 
 
 @dataclass
@@ -204,8 +205,12 @@ def tyler_shape(samples: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> 
     Iterates sigma <- (d/n) sum_i v_i v_i^T / (v_i^T sigma^{-1} v_i)
     from the identity, trace-normalizing to d after every update, until
     the relative Frobenius change drops below ``tol`` or ``max_iter``
-    updates have run.  Samples are direction-normalized up front, which
-    makes the estimate invariant to any positive rescaling of the data.
+    updates have run.  Samples are direction-normalized up front
+    (``io._row_norms``), which makes the estimate invariant to any positive
+    rescaling of the data, and bitwise so to a rescaling by 2^e while no
+    square of an entry overflows or turns subnormal (e from -400 to 500 for
+    entries of order 1).  A zero row, or one whose squares overflow (entries
+    beyond about 1e154), raises ``DegenerateInputError`` naming the row.
 
     A nearly singular iterate (minimum eigenvalue below 1e-12 * tr/d)
     is floored and reported through the ``regularized`` flag.
@@ -216,10 +221,7 @@ def tyler_shape(samples: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> 
     n, d = v.shape
     if n < 1:
         raise DegenerateInputError("no samples")
-    norms = np.linalg.norm(v, axis=1)
-    if np.any(norms == 0):
-        raise DegenerateInputError(f"zero-norm sample at row {int(np.argmin(norms != 0))}")
-    v = v / norms[:, None]
+    v = v / _row_norms(v, "samples")[:, None]
 
     sigma = np.eye(d)
     converged = False

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -22,12 +23,14 @@ from gapalign import (
     BlockwiseStats,
     C3Baseline,
     ReferenceFrame,
+    StatsArtifact,
     apply_blockwise,
     cosine_histogram,
     js_divergence,
     knn_mixing_rate,
     load_artifact,
     read_embeddings,
+    save_artifact,
     stats_of,
     substitution_operator,
     write_embeddings,
@@ -433,32 +436,98 @@ def test_align_non_finite_input_row_leaves_no_output(workdir, capsys):
 
 @pytest.mark.parametrize("method", ["realign", "blockwise", "anchor-only"])
 def test_align_collapse_names_row_in_whole_input(tmp_path, saved_operators, capsys, method):
-    stats = AlignmentStats.from_payload(load_artifact(saved_operators["realign"]).payload)
-    if method == "blockwise":
-        stats = BlockwiseStats.from_payload(load_artifact(saved_operators[method]).payload)
-    scale = stats.scale if method == "realign" else 1.0
+    # the saved operator with its source mean moved to the unit row e1 and its target mean
+    # to 0, so the affine or anchor step maps the unit input row e1 to 0
+    kind = "blockwise" if method == "blockwise" else "realign"
+    cls = BlockwiseStats if kind == "blockwise" else AlignmentStats
+    e1 = np.eye(STREAM_DIMS)[0]
+    stats = dataclasses.replace(cls.from_payload(load_artifact(saved_operators[kind]).payload),
+                                mu_src=e1, mu_tgt=np.zeros(STREAM_DIMS))
+    paths = {kind: str(tmp_path / "moved.stats")}
+    save_artifact(StatsArtifact(stats.kind, stats.to_payload()), paths[kind])
     rows = unit_rows(np.random.default_rng(8).normal(size=(2000, STREAM_DIMS)))
-    rows[1500] = stats.mu_src - stats.mu_tgt / scale  # the affine or anchor step maps it to 0
+    rows[1500] = e1
     out = tmp_path / "out.emb"
-    assert align_with_stats(method, write_rows(tmp_path / "in.emb", rows), out,
-                            saved_operators) == 3
+    assert align_with_stats(method, write_rows(tmp_path / "in.emb", rows), out, paths) == 3
     assert capsys.readouterr().err.rstrip().endswith("at row 1500")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def scaled_by_10(tmp_path_factory):
+    """A 3,000 x 16 float32 unit pair, ``src.emb`` and ``tgt.emb``, and both times 10."""
+    workdir = tmp_path_factory.mktemp("scaled")
+    rng = np.random.default_rng(12)
+    for side, offset in (("src", 0.4), ("tgt", -0.2)):
+        rows = unit_rows(offset + rng.normal(size=(3000, 16))).astype(np.float32)
+        write_embeddings(rows, str(workdir / f"{side}.emb"))
+        write_embeddings(rows * np.float32(10), str(workdir / f"{side}10.emb"))
+    return workdir
+
+
+@pytest.mark.parametrize("case", ["calib-tgt", "every input"])
+@pytest.mark.parametrize("method", ["realign", "blockwise", "c3", "anchor-only"])
+def test_align_refuses_rows_off_the_unit_sphere(scaled_by_10, capsys, method, case):
+    # each exited 0 once, with outputs at JS ln 2 from the unit target: step 3 adds the
+    # target mean at the rows' scale, so every output turned toward it
+    names = ("src.emb", "src.emb", "tgt10.emb") if case == "calib-tgt" else (
+        "src10.emb", "src10.emb", "tgt10.emb")
+    in_path, calib_src, calib_tgt = (str(scaled_by_10 / name) for name in names)
+    out = scaled_by_10 / "out.emb"
+    assert main(["align", "--method", method, "--in", in_path, "--out", str(out),
+                 "--calib-src", calib_src, "--calib-tgt", calib_tgt]) == 2
+    # the calibration files are read first, the source before the target
+    first = calib_tgt if case == "calib-tgt" else calib_src
+    err = capsys.readouterr().err  # the norm of a float32 unit row times 10 is near 10
+    assert re.fullmatch(rf"gapalign: {re.escape(first)}: norm 10\.?\d* is off the unit sphere "
+                        r"by more than 0\.0001 at row 0\n", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_sample_curve_refuses_rows_off_the_unit_sphere(scaled_by_10, capsys, side):
+    paths = {name: str(scaled_by_10 / (f"{name}10.emb" if name == side else f"{name}.emb"))
+             for name in ("src", "tgt")}
+    out = scaled_by_10 / "curve.csv"
+    assert main(["sample-curve", "--src", paths["src"], "--tgt", paths["tgt"], "--sizes", "50,100",
+                 "--out", str(out)]) == 2
+    assert re.search(rf"{re.escape(paths[side])}: norm 10\.?\d* is off the unit sphere",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["mu_src", "mu_tgt"])
+@pytest.mark.parametrize("method", ["realign", "blockwise", "anchor-only"])
+def test_align_refuses_a_saved_operator_whose_means_are_longer_than_1(
+        tmp_path, saved_operators, capsys, method, field):
+    kind = "blockwise" if method == "blockwise" else "realign"
+    cls = BlockwiseStats if kind == "blockwise" else AlignmentStats
+    stats = cls.from_payload(load_artifact(saved_operators[kind]).payload)
+    stats = dataclasses.replace(stats, **{field: getattr(stats, field) * 10.0})
+    paths = {kind: str(tmp_path / "long.stats")}
+    save_artifact(StatsArtifact(stats.kind, stats.to_payload()), paths[kind])
+    in_path = write_rows(tmp_path / "in.emb", unit_rows(np.ones((4, STREAM_DIMS))))
+    assert align_with_stats(method, in_path, tmp_path / "out.emb", paths) == 2
+    err = capsys.readouterr().err
+    assert f"{paths[kind]}: {field} has length" in err and "longer than 1 + 0.0001" in err
+    assert not (tmp_path / "out.emb").exists()
 
 
 @pytest.mark.parametrize("method, stage", [("realign", "affine-stage"), ("blockwise", "anchor"),
                                            ("anchor-only", "anchor"), ("c3", "noise-stage")])
 def test_align_norm_overflow_exits_3_with_no_output(workdir, capsys, method, stage):
     # each once exited 0: c3 --sigma 1e300 and anchor-only wrote all-zero rows and realign
-    # identical ones, because every row was divided by an infinite norm
+    # identical ones, because every row was divided by an infinite norm.  Rows x 1e200 are
+    # now refused as `--in` is read, by the unit-sphere rule, before any stage; the stages'
+    # own overflow is pinned on the library operators in test_realign.py
     rows = read_embeddings(str(workdir / "src.emb"))
     huge = write_rows(workdir / "huge.emb", rows if method == "c3" else rows * 1e200)
     out = workdir / "out.emb"
     assert main(["align", "--method", method, "--in", huge, "--out", str(out),
                  "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
                  "--sigma", "1e300"]) == 3
-    assert capsys.readouterr().err.rstrip().endswith(
-        f"{stage} normalization: norm overflowed at row 0")
+    where = f"{stage} normalization" if method == "c3" else huge
+    assert capsys.readouterr().err.rstrip().endswith(f"{where}: norm overflowed at row 0")
     assert not out.exists()
 
 
@@ -1022,7 +1091,7 @@ def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, mon
     (["--pairs", "-1"], 2, "pairs must be an integer in [1, 100000000], got -1 (--pairs)"),
     (["--k-mix", "0"], 2, "k_mix must be an integer >= 1, got 0 (--k-mix)"),
     (["--k-mix", "3000"], 2, "k=3000 must be positive and smaller than the pooled size 3000"),
-    (["zero-norm"], 3, "numerical degeneracy: zero-norm row 4"),
+    (["zero-norm"], 3, "numerical degeneracy: cosine histogram: norm is zero at row 4"),
     (["non-finite"], 2, "non-finite value in row 9"),
     (["other-dims"], 2, "centroids have mismatched shapes"),
 ])

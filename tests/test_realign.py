@@ -418,6 +418,26 @@ def test_every_operator_refuses_rows_of_another_width_with_one_message():
             op.apply(src[:, :5])
 
 
+@pytest.mark.parametrize("operator, stage", [("realign", "affine-stage"), ("blockwise", "anchor"),
+                                             ("anchor-only", "anchor")])
+def test_every_operator_refuses_a_row_whose_norm_overflows_naming_the_stage(operator, stage):
+    # `gapalign align` refuses such rows as it reads them; the operators refuse them on their own
+    rng = np.random.default_rng(20)
+    src = anisotropic_sphere_sample(rng, 500, 6)
+    tgt = anisotropic_sphere_sample(rng, 500, 6, kappa=4.0)
+    stats_src, stats_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
+    if operator == "realign":
+        op = estimate_realign(stats_src, stats_tgt, src)
+    elif operator == "blockwise":
+        frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=0.9)
+        op = estimate_blockwise(frame, stats_src, stats_tgt, src)
+    else:
+        op = C3Baseline(stats_src.mean, stats_tgt.mean, sigma=0.0)
+    with pytest.raises(DegenerateInputError, match=f"^{stage} normalization: norm overflowed "
+                                                   "at row 3$"):
+        op.apply(np.vstack([src[:3], src[3:10] * 1e200]))
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-8])
 def test_estimate_realign_rejects_an_eps_that_is_not_finite_and_non_negative(eps):
     stats = ModalityStats(mean=np.zeros(2), trace=1.0, n=10)
@@ -608,6 +628,7 @@ class TestBlockwise:
         ("mu_src", np.zeros(5)),
         ("mu_tgt", np.array([0, 0, np.inf, 0, 0, 0])),
         ("mu_drift", np.full(6, np.nan)),
+        ("mu_drift", np.full(6, 0.5)),  # longer than 1; apply once turned every row to -mu_drift
     ])
     def test_malformed_fields_rejected(self, field, value):
         rng = np.random.default_rng(29)

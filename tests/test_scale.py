@@ -1,18 +1,25 @@
 """Row scale: a power of two scales the moments exactly and leaves scale-free outputs
-bitwise unchanged, and moments that overflow float64 on finite rows exit 3 naming
-the overflow, with no output file and no numpy ``RuntimeWarning`` (an error here).
+bitwise unchanged, and moments or row norms that overflow float64 on finite rows exit 3
+naming the overflow, with no output file and no numpy ``RuntimeWarning`` (an error
+here).  ``align`` refuses a row scaled off the unit sphere, naming it, with exit 2.
 """
 
+import contextlib
 import json
+import os
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapalign import (DataFormatError, build_frame, cosine_histogram, js_divergence,
-                      knn_mixing_rate, stats_of, sym_eig, write_embeddings)
+from gapalign import (C3Baseline, ContrastiveBatch, DataFormatError, DegenerateInputError,
+                      build_frame, cosine_histogram, estimate_blockwise, estimate_realign,
+                      js_divergence, knn_mixing_rate, phantom_drift, read_embeddings, stats_of,
+                      sym_eig, tyler_shape, write_embeddings)
 from gapalign.cli import main
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -73,14 +80,17 @@ ALIGN = "align --in src{s}.emb --calib-src src{s}.emb --calib-tgt tgt{s}.emb --m
 @pytest.mark.parametrize("scale", ["1e160", "1e200"])
 @pytest.mark.parametrize("line, message", [
     ("stats --in src{s}.emb", "moments of 300 rows overflow"),
-    (ALIGN + "realign", "moments of 300 rows overflow"),
-    (ALIGN + "blockwise", "moments of 300 rows overflow"),
-    ("sample-curve --src src{s}.emb --tgt tgt{s}.emb --sizes 10,50", "moments of 10 rows overflow"),
-    (ALIGN + "c3", "noise-stage normalization: norm overflowed at row 0"),
-    (ALIGN + "anchor-only", "anchor normalization: norm overflowed at row 0"),
+    (ALIGN + "realign", "src{s}.emb: norm overflowed at row 0"),
+    (ALIGN + "blockwise", "src{s}.emb: norm overflowed at row 0"),
+    ("sample-curve --src src{s}.emb --tgt tgt{s}.emb --sizes 10,50",
+     "src{s}.emb: norm overflowed at row 0"),
+    (ALIGN + "c3", "src{s}.emb: norm overflowed at row 0"),
+    (ALIGN + "anchor-only", "src{s}.emb: norm overflowed at row 0"),
 ], ids=["stats", "realign", "blockwise", "sample-curve", "c3", "anchor-only"])
 def test_moments_that_overflow_exit_3_naming_it(capsys, scale, line, message):
-    # finite rows whose squares overflow: a numerical degeneracy, not malformed data
+    # finite rows whose squares overflow: a numerical degeneracy, not malformed data.
+    # align and sample-curve take each row's norm (the unit-sphere rule) before its moments
+    message = message.format(s=scale)
     assert main([*line.format(s=scale).split(), "--out", "out"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("gapalign: numerical degeneracy: ") and message in err
@@ -88,15 +98,23 @@ def test_moments_that_overflow_exit_3_naming_it(capsys, scale, line, message):
 
 
 @pytest.mark.usefixtures("scaled_pair")
-def test_frame_blockwise_and_diagnose_work_where_covariance_squares_overflow():
+def test_frame_blockwise_and_diagnose_work_where_covariance_squares_overflow(capsys):
     # covariance entries near 1e200, whose squares overflow in a Frobenius norm
     for s in ("1", "2^332"):
         for line in ("stats --in src{s}.emb --out src{s}.stats",
                      "stats --in tgt{s}.emb --out tgt{s}.stats",
                      "frame --x src{s}.stats --y tgt{s}.stats --out frame{s}.json",
-                     ALIGN + "blockwise --out blockwise{s}.emb",
                      "diagnose --a src{s}.emb --b tgt{s}.emb --pairs 2000 --report diag{s}.json"):
             assert main(line.format(s=s).split()) == 0
+    # `align` takes unit rows only; blockwise calibration itself still works at this scale
+    assert main((ALIGN + "blockwise --out blockwise{s}.emb").format(s="1").split()) == 0
+    assert main((ALIGN + "blockwise --out blockwise{s}.emb").format(s="2^332").split()) == 2
+    assert "src2^332.emb: norm 8.749" in capsys.readouterr().err
+    src, tgt = (read_embeddings(f"{side}2^332.emb") for side in ("src", "tgt"))
+    stats = [stats_of(rows, track_cov=True) for rows in (src, tgt)]
+    frame = build_frame(stats[0].covariance, stats[1].covariance)
+    aligned = estimate_blockwise(frame, *stats, src).apply(src)
+    np.testing.assert_allclose(np.sqrt((aligned * aligned).sum(axis=1)), 1.0, rtol=1e-12)
     # LAPACK rescales a matrix this large by a factor that is not a power of two
     np.testing.assert_allclose(np.load("frame2^332.json.basis.npy"),
                                np.load("frame1.json.basis.npy"), atol=1e-12)
@@ -124,3 +142,79 @@ def test_stats_whose_batches_overflow_only_when_merged_exits_3(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "moments of 12288 rows overflow float64" in err and "Warning" not in err
     assert not list(Path(".").glob("big.json*"))
+
+
+def _one_huge_row(unit=False):
+    """Twelve finite rows of width 4 (unit ones if ``unit``); row 7 is scaled by 1e200."""
+    rows = np.random.default_rng(3).normal(size=(12, 4))
+    if unit:
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[7] *= 1e200
+    return rows
+
+
+# each once printed numpy's overflow warning: tyler_shape then raised "matrix contains
+# non-finite entries" (exit 2), phantom_drift returned a drift norm as if the row were absent
+@pytest.mark.parametrize("call, message", [
+    (lambda: tyler_shape(_one_huge_row()), "samples"),
+    (lambda: phantom_drift(np.ones(4), _one_huge_row()), "noise samples"),
+    (lambda: ContrastiveBatch(_one_huge_row(unit=True), np.eye(4)[np.arange(12) % 4],
+                              temperature=0.1), "anchors"),
+], ids=["tyler_shape", "phantom_drift", "ContrastiveBatch"])
+def test_a_row_whose_squares_overflow_is_refused_naming_it(call, message):
+    with pytest.raises(DegenerateInputError, match=f"^{message}: norm overflowed at row 7$"):
+        call()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-400, 500))
+def test_tyler_shape_is_bitwise_unchanged_by_a_power_of_two(seed, e):
+    rows = np.random.default_rng(seed).normal(size=(200, 4))
+    base, scaled = tyler_shape(rows), tyler_shape(np.ldexp(rows, e))
+    assert np.array_equal(scaled.sigma_hat, base.sigma_hat)
+    assert scaled.iterations == base.iterations
+
+
+def _library_align(method, src, tgt):
+    """What ``align --in src --calib-src src --calib-tgt tgt`` maps, through the library."""
+    cov = method == "blockwise"
+    s, t = stats_of(src, track_cov=cov), stats_of(tgt, track_cov=cov)
+    if method == "realign":
+        return estimate_realign(s, t, src).apply(src)
+    if method == "blockwise":
+        return estimate_blockwise(build_frame(s.covariance, t.covariance), s, t, src).apply(src)
+    return C3Baseline(s.mean, t.mean, 0.04 if method == "c3" else 0.0).apply(src)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(method=st.sampled_from(["realign", "blockwise", "c3", "anchor-only"]),
+       role=st.sampled_from(["in", "calib-src", "calib-tgt"]),
+       row=st.integers(0, 299), e=st.integers(-400, 500))
+@example(method="realign", role="in", row=0, e=0)
+@example(method="blockwise", role="calib-src", row=299, e=0)
+@example(method="c3", role="calib-tgt", row=5, e=0)
+@example(method="anchor-only", role="in", row=17, e=0)
+def test_align_refuses_a_row_scaled_off_the_sphere_and_maps_unit_rows_as_the_library(
+        method, role, row, e):
+    src, tgt = pair(0)
+    with tempfile.TemporaryDirectory() as work:
+        paths = {}
+        for name, rows in (("in", src), ("calib-src", src), ("calib-tgt", tgt)):
+            rows = rows.copy()
+            if name == role:
+                rows[row] = np.ldexp(rows[row], e)
+            paths[name] = os.path.join(work, f"{name}.emb")
+            write_embeddings(rows, paths[name])
+        out = os.path.join(work, "out.emb")
+        with contextlib.redirect_stdout(StringIO()), \
+                contextlib.redirect_stderr(StringIO()) as stderr:
+            code = main(["align", "--method", method, "--out", out,
+                         *(arg for name, path in paths.items() for arg in (f"--{name}", path))])
+        if e == 0:
+            assert code == 0
+            assert np.array_equal(read_embeddings(out), _library_align(method, src, tgt))
+        else:
+            assert code == 2 and not os.path.exists(out)
+            assert stderr.getvalue() == (
+                f"gapalign: {paths[role]}: norm {2.0**e:.9g} is off the unit sphere by more "
+                f"than 0.0001 at row {row}\n")
