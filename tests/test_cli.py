@@ -648,6 +648,7 @@ def test_align_rejects_non_finite_saved_stats(workdir, method, field):
     assert not out.exists()
 
 
+# explicit ids (the names pytest generated, frozen): editing a message renames no test
 @pytest.mark.parametrize("field, value, named", [
     ("mean", [0.1, 0.2, 0.3, 0.4], "covariance has shape (8, 8), expected (4, 4)"),
     ("mean", [[0.1] * 8], "mean has shape (1, 8)"),
@@ -663,6 +664,20 @@ def test_align_rejects_non_finite_saved_stats(workdir, method, field):
     ("trace", "1e3", "trace is not a numeric array (holds str)"),
     ("trace", True, "trace is not a numeric array (holds bool)"),
     ("mean", [True] + [0.1] * 7, "mean is not a numeric array (holds bool)"),
+], ids=[
+    "mean-value0-covariance has shape (8, 8), expected (4, 4)",
+    "mean-value1-mean has shape (1, 8)",
+    "mean-value2-mean contains non-finite",
+    "trace-nan-trace contains non-finite",
+    "trace--0.5-trace -0.5 is negative",
+    "trace-None-trace contains non-finite",
+    "n-0-n must be an integer >= 1",
+    "n-2.5-n must be an integer >= 1",
+    "covariance-value8-covariance has shape (8, 7)",
+    "covariance-value9-covariance contains non-finite",
+    "trace-1e3-trace is not a numeric array (holds str)",
+    "trace-True-trace is not a numeric array (holds bool)",
+    "mean-value12-mean is not a numeric array (holds bool)",
 ])
 def test_frame_rejects_malformed_stats_artifact(workdir, capsys, field, value, named):
     # before validation on load, a 4-entry mean with an 8 x 8 covariance or a
@@ -1086,6 +1101,7 @@ def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, mon
     assert not report.exists()
 
 
+# explicit ids (the names pytest generated, frozen): editing a message renames no test
 @pytest.mark.parametrize("extra,code,message", [
     (["--bins", "4"], 2, "bins must be an integer in [8, 1000000], got 4 (--bins)"),
     (["--pairs", "-1"], 2, "pairs must be an integer in [1, 100000000], got -1 (--pairs)"),
@@ -1094,6 +1110,14 @@ def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, mon
     (["zero-norm"], 3, "numerical degeneracy: cosine histogram: norm is zero at row 4"),
     (["non-finite"], 2, "non-finite value in row 9"),
     (["other-dims"], 2, "centroids have mismatched shapes"),
+], ids=[
+    "extra0-2-bins must be an integer in [8, 1000000], got 4 (--bins)",
+    "extra1-2-pairs must be an integer in [1, 100000000], got -1 (--pairs)",
+    "extra2-2-k_mix must be an integer >= 1, got 0 (--k-mix)",
+    "extra3-2-k=3000 must be positive and smaller than the pooled size 3000",
+    "extra4-3-numerical degeneracy: cosine histogram: norm is zero at row 4",
+    "extra5-2-non-finite value in row 9",
+    "extra6-2-centroids have mismatched shapes",
 ])
 def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, monkeypatch, extra, code, message):
     if message.endswith(f"({extra[0]})"):  # refused while the command line is parsed
@@ -1143,6 +1167,7 @@ def test_simulate_unknown_config_key(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 2
 
 
+# explicit ids (the names pytest generated, frozen): editing a message renames no test
 @pytest.mark.parametrize("config, key", [
     ("steps = 10\nlog_every = 20", "log_every"),  # once an IndexError traceback
     ("input_dim = 100000000000", "input_dim"),  # once an _ArrayMemoryError traceback
@@ -1154,6 +1179,17 @@ def test_simulate_unknown_config_key(tmp_path):
     ("temperature = nan", "temperature"),
     ("white_noise = inf", "white_noise"),
     ("batch_size = 20000", "batch_size"),  # 4 x 10^8 batch logits
+], ids=[
+    "steps = 10\nlog_every = 20-log_every",
+    "input_dim = 100000000000-input_dim",
+    "log_every = 0-log_every",
+    "noise_rank = -1-noise_rank",
+    "energy = 2-energy",
+    "steps = 1e3-steps",
+    "latent_dim = 0-latent_dim",
+    "temperature = nan-temperature",
+    "white_noise = inf-white_noise",
+    "batch_size = 20000-batch_size",
 ])
 def test_simulate_config_out_of_range_exits_2_naming_the_key_before_any_draw(
         tmp_path, capsys, monkeypatch, config, key):
