@@ -160,11 +160,14 @@ def _save_payload(obj, path, provenance):
 
 
 def _load_payload(path, *classes):
-    """Decode the artifact at ``path`` with whichever of ``classes`` has its kind."""
+    """Decode ``path`` with whichever of ``classes`` has its kind; a refusal names ``path``."""
     artifact = load_artifact(path)
     for cls in classes:
         if artifact.kind == cls.kind:
-            return cls.from_payload(artifact.payload)
+            try:
+                return cls.from_payload(artifact.payload)
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: {exc}") from exc
     kinds = " or ".join(cls.kind for cls in classes)
     raise DataFormatError(f"{path}: expected a {kinds} artifact, got {artifact.kind}")
 
@@ -276,11 +279,6 @@ def _operator(args):
     """
     if args.stats:
         op = _load_payload(args.stats, *_FITTED.get(args.method, (AlignmentStats, BlockwiseStats)))
-        for name in ("mu_src", "mu_tgt"):
-            length = float(np.linalg.norm(getattr(op, name)))
-            if length > 1.0 + _SPHERE_TOL:
-                raise DataFormatError(f"{args.stats}: {name} has length {length:.9g}, longer "
-                                      f"than 1 + {_SPHERE_TOL:g}; not a mean of unit rows")
         if args.method in _FITTED:
             return op
         mu_src, mu_tgt = op.mu_src, op.mu_tgt
@@ -530,8 +528,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample_curve(args):
-    src, tgt = (_on_sphere(read_embeddings(path), path, _SPHERE_TOL)
-                for path in (args.src, args.tgt))
+    src, tgt = (_unit_rows(path)[:] for path in (args.src, args.tgt))
     table = sample_complexity_curve(src, tgt, args.sizes, trials=args.trials, seed=args.seed,
                                     holdout=args.holdout)
     rows = [[e["size"], e["gap_mean"], e["gap_std"]] + [float(g) for g in e["gaps"]]

@@ -49,7 +49,10 @@ own trees; derived non-init fields are not written.  Decoding checks
 that the payload is a JSON object holding every field except those that
 default to None, decodes nested payloads and hands the rest to the
 constructor, whose ``__post_init__`` validates shapes, finiteness and
-scalar types.  Every failure is a ``DataFormatError``.
+scalar types.  Every failure is a ``DataFormatError``.  Each payload
+array passes through ``_checked``, which holds it as C-order float64,
+the layout of its sidecar: a fitted value and its loaded copy compute
+the same bits.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def _checked(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a finite float64 array of ``shape``.
+    """``value`` as a finite, C-ordered float64 array of ``shape``.
 
     A ``None`` entry of ``shape`` matches any length >= 1.  An empty value
     takes an expected zero-size shape, since JSON stores a 0 x 0 matrix as
@@ -199,7 +202,7 @@ def _checked(name: str, value, shape: tuple) -> np.ndarray:
         if odd:
             raise DataFormatError(f"{name} is not a numeric array (holds {', '.join(sorted(odd))})")
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{name} is not a numeric array ({exc})") from exc
     if arr.size == 0 and 0 in shape:

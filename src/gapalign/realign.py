@@ -21,14 +21,17 @@ Input rule: the operators are defined on the unit sphere.  Every source,
 calibration and target row must have a norm within ``_SPHERE_TOL`` =
 1e-4 of 1 (float32 unit rows miss it by about 1e-7).  Step 3 adds
 ``mu_tgt`` at the input's scale to unit rows, so rows of norm 10 would
-all turn toward the target mean.  ``gapalign align`` and ``sample-curve``
-check each input, calibration and target row once, in the pass that
-first reads it (the moment or mean pass of a calibration file, the apply
-pass of ``--in``, the read of a ``sample-curve`` file), with
-``io._on_sphere``; a row off the sphere exits 2 naming the file, the row
-and its norm.  A ``--stats`` operator whose ``mu_src`` or ``mu_tgt`` is
-longer than 1 + ``_SPHERE_TOL`` is refused, as is one whose ``mu_drift``
-is longer than 1.  The functions here take rows as given.
+all turn toward the target mean.  Each operator checks its means on
+construction (``_check_means``), so a fit and a loaded artifact are
+refused alike: a ``mu_src`` or ``mu_tgt`` longer than 1 + ``_SPHERE_TOL``,
+or a ``mu_drift`` longer than 1 + 1e-9, is a ``DataFormatError`` naming
+it.  ``gapalign align`` and ``sample-curve`` check each input,
+calibration and target row once, in the pass that first reads it (the
+moment or mean pass of a calibration file, the apply pass of ``--in``,
+the read of a ``sample-curve`` file), with ``io._on_sphere``; a row off
+the sphere exits 2 naming the file, the row and its norm.  A library
+``apply`` takes rows of any norm: only the commands see the target rows
+and the file names a refusal should name.
 
 Every operator maps rows to float64 rows with ``apply(rows, first_row=0)``,
 naming a norm collapse or overflow at its row counted from ``first_row``.
@@ -76,6 +79,24 @@ from .spectral import sym_apply
 
 _COLLAPSE = 1e-12
 _SPHERE_TOL = 1e-4  # how far off 1 a row's norm may be (the input rule above)
+# how far past length 1 each mean an operator carries may reach: a mean of
+# rows that keep the input rule, and the drift, a mean of rows made unit
+_MEAN_SLACK = {"mu_src": _SPHERE_TOL, "mu_tgt": _SPHERE_TOL, "mu_drift": 1e-9}
+
+
+def _check_means(op, dims=None) -> None:
+    """Each mean ``op`` carries as a finite (d,) float64 array no longer than 1 + its slack.
+
+    d is ``dims``, or the first mean's length if None.
+    """
+    for name, slack in _MEAN_SLACK.items():
+        if hasattr(op, name):
+            mean = _checked(name, getattr(op, name), (dims,))
+            dims, length = mean.shape[0], float(np.linalg.norm(mean))
+            if length > 1.0 + slack:
+                raise DataFormatError(f"{name} has length {length:.9g}, longer than "
+                                      f"1 + {slack:g}; not a mean of unit rows")
+            setattr(op, name, mean)
 
 
 def _normalize_in_place(rows: np.ndarray, stage: str, first_row: int) -> np.ndarray:
@@ -139,9 +160,7 @@ class AlignmentStats(Payload, kind="alignment_stats"):
     calib_n: int
 
     def __post_init__(self):
-        self.mu_src = _checked("mu_src", self.mu_src, (None,))
-        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (self.dims,))
-        self.mu_drift = _checked("mu_drift", self.mu_drift, (self.dims,))
+        _check_means(self)
         for name in ("trace_src", "trace_tgt", "scale", "eps"):
             setattr(self, name, float(_checked(name, getattr(self, name), ())))
         if self.eps < 0:  # the range estimate_realign fits with
@@ -151,8 +170,6 @@ class AlignmentStats(Payload, kind="alignment_stats"):
             expected = np.sqrt(np.divide(self.trace_tgt, self.trace_src + self.eps))
         if not np.isclose(self.scale, expected, rtol=1e-12, atol=0.0):
             raise DataFormatError("scale is inconsistent with the stored traces")
-        if np.linalg.norm(self.mu_drift) > 1.0 + 1e-9:
-            raise DataFormatError("mu_drift longer than 1; not a mean of unit vectors")
 
     @property
     def dims(self) -> int:
@@ -237,8 +254,7 @@ class C3Baseline:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        self.mu_src = _checked("mu_src", self.mu_src, (None,))
-        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (self.dims,))
+        _check_means(self)
         self.rng = np.random.Generator(np.random.Philox(key=self.seed))
 
     @property
@@ -290,17 +306,13 @@ class BlockwiseStats(Payload, kind="blockwise_stats"):
         self.basis_out = _checked("basis_out", self.basis_out, (d, d - r))
         self.t_in = _checked("t_in", self.t_in, (r, r))
         self.t_out = _checked("t_out", self.t_out, (d - r, d - r))
-        self.mu_src = _checked("mu_src", self.mu_src, (d,))
-        self.mu_tgt = _checked("mu_tgt", self.mu_tgt, (d,))
-        self.mu_drift = _checked("mu_drift", self.mu_drift, (d,))
+        _check_means(self, d)
         self.eig_floor = float(_checked("eig_floor", self.eig_floor, ()))
         if not 0 <= self.eig_floor <= 1:  # the range estimate_blockwise fits with
             raise DataFormatError(f"eig_floor must be in [0, 1], got {self.eig_floor}")
         _check_int("calib_n", self.calib_n, 1)
         if not isinstance(self.floored, bool):
             raise DataFormatError(f"floored must be a bool, got {self.floored!r}")
-        if np.linalg.norm(self.mu_drift) > 1.0 + 1e-9:
-            raise DataFormatError("mu_drift longer than 1; not a mean of unit vectors")
         basis, comp = self.frame.basis, self.basis_out
         self.operator = basis @ self.t_in.T @ basis.T + comp @ self.t_out.T @ comp.T
 

@@ -500,12 +500,12 @@ def test_sample_curve_refuses_rows_off_the_unit_sphere(scaled_by_10, capsys, sid
 @pytest.mark.parametrize("method", ["realign", "blockwise", "anchor-only"])
 def test_align_refuses_a_saved_operator_whose_means_are_longer_than_1(
         tmp_path, saved_operators, capsys, method, field):
+    # the constructor refuses such a mean, so the x 10 is written into the saved payload
     kind = "blockwise" if method == "blockwise" else "realign"
-    cls = BlockwiseStats if kind == "blockwise" else AlignmentStats
-    stats = cls.from_payload(load_artifact(saved_operators[kind]).payload)
-    stats = dataclasses.replace(stats, **{field: getattr(stats, field) * 10.0})
+    artifact = load_artifact(saved_operators[kind])
+    payload = {**artifact.payload, field: [10.0 * v for v in artifact.payload[field]]}
     paths = {kind: str(tmp_path / "long.stats")}
-    save_artifact(StatsArtifact(stats.kind, stats.to_payload()), paths[kind])
+    save_artifact(StatsArtifact(artifact.kind, payload), paths[kind])
     in_path = write_rows(tmp_path / "in.emb", unit_rows(np.ones((4, STREAM_DIMS))))
     assert align_with_stats(method, in_path, tmp_path / "out.emb", paths) == 2
     err = capsys.readouterr().err
@@ -607,22 +607,25 @@ def test_align_reduces_gap_via_saved_stats(workdir):
 
 
 def test_full_rank_blockwise_stats_apply_from_artifact(workdir):
-    # energy 1.0 gives a rank-d frame, so t_out is 0 x 0 and saved as []
-    stats_path = str(workdir / "full.stats")
-    out = str(workdir / "full.emb")
-    assert main([
-        "align", "--method", "blockwise",
-        "--in", str(workdir / "src.emb"), "--out", out,
-        "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
-        "--energy", "1.0", "--save-stats", stats_path,
-    ]) == 0
-    assert load_artifact(stats_path).payload["t_out"] == []
-    again = str(workdir / "full2.emb")
-    assert main([
-        "align", "--method", "blockwise",
-        "--in", str(workdir / "src.emb"), "--out", again, "--stats", stats_path,
-    ]) == 0
-    npt.assert_array_equal(read_embeddings(out), read_embeddings(again))
+    # energy 1.0 gives a rank-d frame, so t_out is 0 x 0 and saved as []; 0.7 gives a
+    # partial rank, whose frame is built in process and loaded with the same layout
+    for energy in ("1.0", "0.7"):
+        stats_path = str(workdir / "full.stats")
+        out = str(workdir / "full.emb")
+        assert main([
+            "align", "--method", "blockwise",
+            "--in", str(workdir / "src.emb"), "--out", out,
+            "--calib-src", str(workdir / "src.emb"), "--calib-tgt", str(workdir / "tgt.emb"),
+            "--energy", energy, "--save-stats", stats_path,
+        ]) == 0
+        t_out = load_artifact(stats_path).payload["t_out"]
+        assert t_out == [] if energy == "1.0" else t_out.shape[0] > 0
+        again = str(workdir / "full2.emb")
+        assert main([
+            "align", "--method", "blockwise",
+            "--in", str(workdir / "src.emb"), "--out", again, "--stats", stats_path,
+        ]) == 0
+        npt.assert_array_equal(read_embeddings(out), read_embeddings(again))
 
 
 @pytest.mark.parametrize("method, field", [("realign", "mu_tgt"), ("blockwise", "mu_drift")])
@@ -955,7 +958,7 @@ def test_align_rejects_a_saved_operator_fitted_outside_the_fit_ranges(workdir, c
     assert main(["align", "--method", method, "--in", str(workdir / "src.emb"), "--out", str(out),
                  "--stats", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"gapalign: {field} must be") and "Traceback" not in err
+    assert err.startswith(f"gapalign: {path}: {field} must be") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """The field-driven artifact codec and its files: exact round trips, bad input fails cleanly."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from gapalign import (
     ReferenceFrame,
     StatsArtifact,
     build_frame,
+    decompose_gap,
     load_artifact,
     save_artifact,
 )
@@ -29,7 +31,7 @@ def _json_payload(obj) -> dict:
     return json.loads(json.dumps(obj.to_payload(), default=np.ndarray.tolist))
 
 
-def _samples() -> dict:
+def _objects() -> dict:
     rng = np.random.default_rng(41)
     d = 6
     src = rng.normal(size=(400, d)) + np.linspace(0.5, 1.0, d)
@@ -39,7 +41,7 @@ def _samples() -> dict:
     stats_src, stats_tgt = stats_of(src, track_cov=True), stats_of(tgt, track_cov=True)
     frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=0.8, created_at_step=7)
     full = ReferenceFrame(basis=np.linalg.qr(rng.normal(size=(d, d)))[0], energy_threshold=1.0)
-    objects = {
+    return {
         "modality_stats": stats_src,
         "modality_stats_no_cov": stats_of(tgt),
         "reference_frame": frame,
@@ -49,10 +51,10 @@ def _samples() -> dict:
         "blockwise_stats_rank_d": estimate_blockwise(full, stats_of(src),
                                                      stats_of(tgt, track_cov=True), src),
     }
-    return {name: (type(obj), _json_payload(obj)) for name, obj in objects.items()}
 
 
-SAMPLES = _samples()
+OBJECTS = _objects()  # as fitted in process
+SAMPLES = {name: (type(obj), _json_payload(obj)) for name, obj in OBJECTS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -182,6 +184,39 @@ def test_v2_files_round_trip_bitwise(tmp_path, name):
     assert sorted(".".join(at) for at, _ in _refs(doc["payload"])) == SIDECARS[name]
     assert sorted(os.listdir(tmp_path)) == ["a.json"] + [f"a.json.{f}.npy" for f in SIDECARS[name]]
     _assert_same_bits(_load(cls, path).to_payload(), obj.to_payload())
+
+
+def _arrays(obj, at=()):
+    """(field path, array) of every array a payload holds, derived and nested ones too."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, gapalign.io.Payload):
+            yield from _arrays(value, at + (f.name,))
+        elif isinstance(value, np.ndarray):
+            yield ".".join(at + (f.name,)), value
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_every_payload_array_is_c_ordered_float64_on_construction(name):
+    # a built frame once held its basis in F order, and its loaded copy in C order
+    arrays = dict(_arrays(OBJECTS[name]))
+    assert arrays
+    for path, value in arrays.items():
+        assert value.dtype == np.float64 and value.flags.c_contiguous, path
+
+
+@pytest.mark.parametrize("name", ["reference_frame", "alignment_stats", "blockwise_stats",
+                                  "blockwise_stats_rank_d"])
+def test_a_saved_and_loaded_copy_computes_the_bits_of_the_fitted_value(tmp_path, name):
+    # decompose_gap through a built frame and through its loaded copy once differed in bits
+    obj = OBJECTS[name]
+    back = _load(type(obj), _save(obj, tmp_path / "a.json"))
+    rows = np.random.default_rng(43).normal(size=(2, 300, obj.dims))
+    a, b = rows / np.linalg.norm(rows, axis=2, keepdims=True)
+    if name == "reference_frame":
+        _assert_same_bits(vars(decompose_gap(a, b, back)), vars(decompose_gap(a, b, obj)))
+    else:
+        _assert_same_bits(back.apply(a), obj.apply(a))
 
 
 @pytest.mark.parametrize("fixture, cls", [("v1_modality_stats.json", ModalityStats),

@@ -174,8 +174,7 @@ class TestApply:
 
     def test_centered_point_maps_to_anchor_ray(self):
         rng = np.random.default_rng(4)
-        mu_src = rng.normal(size=5)
-        mu_tgt = rng.normal(size=5)
+        mu_src, mu_tgt = (0.5 * v / np.linalg.norm(v) for v in rng.normal(size=(2, 5)))
         drift = rng.normal(size=5) * 0.05
         stats = make_stats(mu_src, mu_tgt, 2.0, 1.0, drift)
         out = stats.apply(mu_src[None])[0]

@@ -106,15 +106,15 @@ def test_frame_blockwise_and_diagnose_work_where_covariance_squares_overflow(cap
                      "frame --x src{s}.stats --y tgt{s}.stats --out frame{s}.json",
                      "diagnose --a src{s}.emb --b tgt{s}.emb --pairs 2000 --report diag{s}.json"):
             assert main(line.format(s=s).split()) == 0
-    # `align` takes unit rows only; blockwise calibration itself still works at this scale
+    # `align` takes unit rows only, and the blockwise fit refuses the mean of such rows
     assert main((ALIGN + "blockwise --out blockwise{s}.emb").format(s="1").split()) == 0
     assert main((ALIGN + "blockwise --out blockwise{s}.emb").format(s="2^332").split()) == 2
     assert "src2^332.emb: norm 8.749" in capsys.readouterr().err
     src, tgt = (read_embeddings(f"{side}2^332.emb") for side in ("src", "tgt"))
     stats = [stats_of(rows, track_cov=True) for rows in (src, tgt)]
     frame = build_frame(stats[0].covariance, stats[1].covariance)
-    aligned = estimate_blockwise(frame, *stats, src).apply(src)
-    np.testing.assert_allclose(np.sqrt((aligned * aligned).sum(axis=1)), 1.0, rtol=1e-12)
+    with pytest.raises(DataFormatError, match="^mu_src has length"):
+        estimate_blockwise(frame, *stats, src)
     # LAPACK rescales a matrix this large by a factor that is not a power of two
     np.testing.assert_allclose(np.load("frame2^332.json.basis.npy"),
                                np.load("frame1.json.basis.npy"), atol=1e-12)
@@ -184,6 +184,21 @@ def _library_align(method, src, tgt):
     if method == "blockwise":
         return estimate_blockwise(build_frame(s.covariance, t.covariance), s, t, src).apply(src)
     return C3Baseline(s.mean, t.mean, 0.04 if method == "c3" else 0.0).apply(src)
+
+
+@pytest.mark.parametrize("side, field", [("src", "mu_src"), ("tgt", "mu_tgt")])
+@pytest.mark.parametrize("method", ["realign", "blockwise", "c3"])
+def test_the_library_refuses_an_operator_fitted_to_rows_times_10(method, side, field):
+    # each once fitted, and step 3 then turned every output toward the target mean.
+    # |mean| is about 0.37 for src and 0.20 for tgt, so times 10 it is no mean of unit rows
+    rng = np.random.default_rng(12)
+    rows = {name: offset + rng.normal(size=(3000, 16)) for name, offset in (("src", 0.4),
+                                                                           ("tgt", -0.2))}
+    rows = {name: (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+            for name, x in rows.items()}
+    rows[side] = rows[side] * np.float32(10)
+    with pytest.raises(DataFormatError, match=f"^{field} has length"):
+        _library_align(method, rows["src"], rows["tgt"])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
