@@ -1,7 +1,8 @@
 """Row scale: a power of two scales the moments exactly and leaves scale-free outputs
 bitwise unchanged, and moments or row norms that overflow float64 on finite rows exit 3
 naming the overflow, with no output file and no numpy ``RuntimeWarning`` (an error
-here).  ``align`` refuses a row scaled off the unit sphere, naming it, with exit 2.
+here).  ``align`` refuses a row scaled off the unit sphere, naming it, with exit 2, and
+the library operators refuse a mean longer than any mean of unit rows.
 """
 
 import contextlib
@@ -189,8 +190,8 @@ def _library_align(method, src, tgt):
 @pytest.mark.parametrize("side, field", [("src", "mu_src"), ("tgt", "mu_tgt")])
 @pytest.mark.parametrize("method", ["realign", "blockwise", "c3"])
 def test_the_library_refuses_an_operator_fitted_to_rows_times_10(method, side, field):
-    # each once fitted, and step 3 then turned every output toward the target mean.
-    # |mean| is about 0.37 for src and 0.20 for tgt, so times 10 it is no mean of unit rows
+    # each once fitted without a word. |mean| is about 0.37 for src and 0.20 for tgt, so
+    # times 10 it is no mean of unit rows
     rng = np.random.default_rng(12)
     rows = {name: offset + rng.normal(size=(3000, 16)) for name, offset in (("src", 0.4),
                                                                            ("tgt", -0.2))}
