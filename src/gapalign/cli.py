@@ -56,6 +56,7 @@ from .io import (
     RowMap,
     StatsArtifact,
     _on_sphere,
+    _row_norms,
     atomic_write_text,
     file_digest,
     iter_embedding_batches,
@@ -440,9 +441,9 @@ def _cmd_simulate(args):
 
 def _unit_batch(rng, tau):
     """A random batch of 8 unit-norm anchor/candidate pairs in 16 dimensions."""
-    rows = rng.normal(size=(2, 8, 16))
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    return ContrastiveBatch(rows[0], rows[1], tau)
+    rows = rng.normal(size=(16, 16))
+    rows /= _row_norms(rows, "verify batch")[:, None]
+    return ContrastiveBatch(rows[:8], rows[8:], tau)
 
 
 def _verify_gradients(rng):

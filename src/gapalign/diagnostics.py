@@ -120,9 +120,9 @@ class _PairSample:
         data = _finite(rows, "non-finite value in row {} of rows")
         n = data.shape[0]
         if n < 2:
-            raise DataFormatError("need at least 2 rows to form pairs")
+            raise DataFormatError(f"rows must hold >= 2 rows to form pairs, got {n}")
         if bins < 8:
-            raise ValueError("use at least 8 bins")
+            raise ValueError(f"bins must be >= 8, got {bins}")
         if num_pairs <= 0:
             raise ValueError(f"num_pairs must be positive, got {num_pairs}")
         norms = _row_norms(data, "cosine histogram")
@@ -530,21 +530,22 @@ def sample_complexity_curve(
     them, the operator is applied to the held-out source rows, and the
     centroid distance to the held-out target is recorded.  Returns one
     row per size with the per-trial gaps and their mean and standard
-    deviation.  ``trials`` and every size must be at least 1.
+    deviation.  ``trials`` and every size must be at least 1, and
+    ``holdout`` (by default a fifth of the smaller side's rows) at least 2.
     """
     src = as_matrix(src_rows).astype(np.float64, copy=False)
     tgt = as_matrix(tgt_rows).astype(np.float64, copy=False)
     sizes = [int(s) for s in sizes]
-    if sorted(sizes) != sizes:
-        raise ValueError("sizes must be ascending")
-    if trials < 1 or min(sizes, default=0) < 1:
-        raise ValueError(f"trials and every size must be >= 1, got trials={trials}, sizes={sizes}")
+    if sorted(sizes) != sizes or min(sizes, default=0) < 1:
+        raise ValueError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
     if holdout is None:
         holdout = min(src.shape[0], tgt.shape[0]) // 5
     if holdout < 2:
-        raise DataFormatError("not enough rows to hold out a test split")
+        raise DataFormatError(f"holdout must be >= 2 rows, got {holdout}")
     perm_src = rng.permutation(src.shape[0])
     perm_tgt = rng.permutation(tgt.shape[0])
     held_src = src[perm_src[:holdout]]

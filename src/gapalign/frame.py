@@ -136,9 +136,9 @@ def _paired_rows(paired_a, paired_b, frame: ReferenceFrame):
 def paired_mean_gap(paired_a, paired_b, frame: ReferenceFrame) -> np.ndarray:
     """Mean of the index-paired differences, formed one row block at a time.
 
-    With two or more dims it is bitwise the ``mean_gap`` that
-    ``decompose_gap`` computes from the whole arrays (see
-    ``moments._mean_of``), in one float64 row block of memory.
+    It is bitwise the ``mean_gap`` that ``decompose_gap`` computes from the
+    whole arrays (both take ``moments._mean_of``), in one float64 row block
+    of memory.
     """
     x, y = _paired_rows(paired_a, paired_b, frame)
     return _mean_of(x.shape[0], frame.dims, lambda block, out: np.subtract(
@@ -164,7 +164,7 @@ def decompose_gap(paired_a, paired_b, frame: ReferenceFrame,
     x, y = _paired_rows(paired_a, paired_b, frame)
     resid_out = np.subtract(x, y, dtype=np.float64)
     if mean_gap is None:
-        mean_gap = resid_out.mean(axis=0)
+        mean_gap = _mean_of(*resid_out.shape, lambda block, out: np.copyto(out, resid_out[block]))
     bias_in = frame.coords(mean_gap)
     bias_out = mean_gap - frame.lift(bias_in)
     resid_out -= mean_gap

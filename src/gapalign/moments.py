@@ -21,12 +21,12 @@ merge, are refused before they are stored.  Memory is one ``_BLOCK``
 float64 block, plus what a producer needs for one piece (a file source's
 read buffer, a normalization), plus O(d^2), whatever the number of rows.
 
-Every ``accumulate`` call continues one walk: the column sum adds rows
-in input order (``_row_sums``), carried on from the state's.  So the mean
-of an array is bitwise ``rows.sum(axis=0) / n``, and calls over the
-batches of ``row_blocks(n, k * _BLOCK)`` give bitwise the moments of one
-call over all n rows (``stats`` reads its file so).  ``_mean_of`` sums
-the same way for passes that need only a mean (the mean gap, the drift).
+Every ``accumulate`` call continues one walk: the column sum adds the sums
+of the pieces of ``row_blocks(n)`` in order (``_row_sums``), so calls over
+the batches of ``row_blocks(n, k * _BLOCK)`` give bitwise the moments of
+one call over all n rows (``stats`` reads its file so), and the round-off
+grows with n / 1,024 additions, not n.  ``_mean_of`` sums the same pieces
+for passes that need only a mean (the mean gap, the drift).
 """
 
 from __future__ import annotations
@@ -56,22 +56,19 @@ def _row_sums(n: int, dims: int, fill, size: int = _ROW_BLOCK, total=None):
     ``fill(piece, out)`` writes the rows the global slice ``piece`` names
     into ``out``, so a producer's own temporaries are a piece wide however
     wide ``size`` is.  ``total`` is the column sum of every row up to the
-    block's end, after the starting ``total`` if one is given.  The running
-    total is carried as row 0 of the buffer and summed together with the
-    block's rows, so every row is added to the total in input order.  That
-    is the order numpy's axis-0 sum of a C-contiguous array with two or
-    more columns uses, so ``total`` is bitwise that whole-array sum.
+    block's end, after the starting ``total`` if one is given: each piece
+    is summed (numpy's axis-0 sum) as it is filled, and the piece sums are
+    added to the total in order.  For a ``size`` that is a multiple of
+    ``_ROW_BLOCK`` the pieces are the slices of ``row_blocks(n)``, so
+    ``total`` does not depend on ``size``.
     """
-    buf = np.empty((_widest_block(n, size) + 1, dims))
+    buf = np.empty((_widest_block(n, size), dims))
     for rows in row_blocks(n, size):
-        block = buf[1:rows.stop - rows.start + 1]
+        block = buf[:rows.stop - rows.start]
         for piece in row_blocks(block.shape[0]):
             fill(slice(rows.start + piece.start, rows.start + piece.stop), block[piece])
-        if total is None:
-            total = block.sum(axis=0)
-        else:
-            buf[0] = total
-            total = buf[:block.shape[0] + 1].sum(axis=0)
+            part = block[piece].sum(axis=0)
+            total = part if total is None else total + part
         yield rows, block, total
 
 
@@ -181,8 +178,7 @@ class MomentAccumulator:
                 # a non-finite sum needs the per-row search
                 if not np.isfinite(total).all():
                     _finite(block, "non-finite value in batch row {}", rows.start)
-                # the walk's first block's sum is the running total itself
-                mean = (block.sum(axis=0) if state.n else total) / k
+                mean = block.sum(axis=0) / k
                 block -= mean
                 scatter = block.T @ block if self.scatter is not None else None
                 delta = mean - state.sum / state.n if state.n else None
@@ -309,7 +305,7 @@ class Float32ReplayMean:
     """Deliberately single-precision mean accumulator.
 
     Adds each batch's float32 sum to a float32 running total, on purpose,
-    where ``MomentAccumulator`` adds every row in order in float64.  Only
+    where ``MomentAccumulator`` sums in float64, 1,024 rows at a time.  Only
     demonstrates the precision floor; never use it for real statistics.
     """
 

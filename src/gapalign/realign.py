@@ -58,7 +58,7 @@ calibration pass recomputes the intermediate rows it needs (the first
 normalization, the anchored rows) one block at a time instead of
 holding them for the whole set.  Covariances come from the centred
 moment kernel in ``moments``, and drift means from ``moments._mean_of``
-over ``_shape``, equal bitwise to a whole-array mean of the same rows.
+over ``_shape``, bitwise the ``stats_of`` mean of the same rows.
 Blockwise is applied as one composed d x d map, derived once from the
 stored per-block transforms and bases; its square roots come from
 ``spectral.sym_apply``.

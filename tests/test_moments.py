@@ -17,8 +17,23 @@ from gapalign import (
     stats_of,
 )
 from gapalign import moments as moments_module
+from gapalign.frame import ReferenceFrame, decompose_gap, paired_mean_gap
 from gapalign.io import _ROW_BLOCK as ROW_BLOCK
 from gapalign.io import EmbeddingFile, _widest_block, row_blocks, write_embeddings
+
+
+def piece_sum_mean(rows):
+    """The summation rule of every streamed mean, written out.
+
+    The float64 sum of each piece of ``row_blocks(n)`` (numpy's axis-0
+    sum), the piece sums added in order, over n.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    total = None
+    for piece in row_blocks(rows.shape[0]):
+        part = rows[piece].sum(axis=0)
+        total = part if total is None else total + part
+    return total / rows.shape[0]
 
 
 def two_pass_stats(rows):
@@ -252,7 +267,48 @@ def test_covariance_and_trace_accurate_far_from_the_origin(offset, batches):
 def test_mean_is_bitwise_the_whole_array_sum(n, dtype):
     rows = (np.random.default_rng(n).normal(size=(n, 8)) * 3.0 + 0.7).astype(dtype)
     mean = stats_of(rows, track_cov=n > 1).mean
-    assert np.array_equal(mean, rows.astype(np.float64).sum(axis=0) / n)
+    assert np.array_equal(mean, piece_sum_mean(rows))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 8])
+@pytest.mark.parametrize("n", [1, 2, ROW_BLOCK + 2, ROW_BLOCK + 3, ROW_BLOCK + 4, BLOCK + 1,
+                               BLOCK + 2, BLOCK + 3, BLOCK + 4, 2 * BLOCK + 2, 3 * BLOCK + 1])
+def test_every_streamed_mean_follows_one_rule(n, d, dtype):
+    # the moments, the mean of a pass, the mean gap and the split's default mean
+    # gap; a paired split needs two pairs, so one row has only the first two
+    rows = (np.random.default_rng(n).normal(size=(n, d)) * 3.0 + 0.7).astype(dtype)
+    means = [stats_of(rows).mean,
+             moments_module._mean_of(n, d, lambda block, out: np.copyto(out, rows[block]))]
+    if n > 1:
+        zeros, frame = np.zeros_like(rows), ReferenceFrame(np.eye(d)[:, :1], 0.9)
+        means += [paired_mean_gap(rows, zeros, frame), decompose_gap(rows, zeros, frame).mean_gap]
+    assert [mean.tobytes() for mean in means] == [piece_sum_mean(rows).tobytes()] * len(means)
+
+
+def test_mean_of_the_bench_replay_is_accurate():
+    # `gapalign bench --seed 10 --dims 64`'s replay; a walk that added every row
+    # to one running total read 1.25e-13
+    gen = np.random.default_rng(11)
+    acc, oracle = MomentAccumulator(64, track_cov=False), CompensatedMean(64)
+    for _ in range(50):
+        block = gen.normal(size=(10_000, 64)) + 0.75
+        acc.accumulate(block)
+        oracle.accumulate(block)
+    assert np.linalg.norm(acc.finalize().mean - oracle.mean()) <= 4e-15
+
+
+def test_mean_of_4m_rows_is_accurate():
+    # streamed in 100k-row batches; a walk that added every row to one running
+    # total was off by 345 ulp of |mean| here, this rule by 9
+    rng = np.random.default_rng(0)
+    acc, oracle = MomentAccumulator(16, track_cov=False), CompensatedMean(16)
+    for _ in range(40):
+        batch = rng.normal(0.6, 0.3, size=(100_000, 16))
+        acc.accumulate(batch)
+        oracle.accumulate(batch)
+    truth = oracle.mean()
+    assert np.linalg.norm(acc.finalize().mean - truth) <= 16 * np.spacing(np.linalg.norm(truth))
 
 
 @pytest.mark.parametrize("track_cov", [True, False])
