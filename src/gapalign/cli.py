@@ -73,7 +73,6 @@ from .moments import (
     ModalityStats,
     MomentAccumulator,
     _BLOCK,
-    _mean_of,
     shrink,
     stats_of,
 )
@@ -287,17 +286,15 @@ def _operator(args):
         raise DataFormatError("provide --stats or both --calib-src and --calib-tgt")
     else:
         calib_src, calib_tgt = _unit_rows(args.calib_src), _unit_rows(args.calib_tgt)
+        stats_src, stats_tgt = (stats_of(rows, track_cov=args.method == "blockwise")
+                                for rows in (calib_src, calib_tgt))
         if args.method == "blockwise":
-            stats_src = stats_of(calib_src, track_cov=True)
-            stats_tgt = stats_of(calib_tgt, track_cov=True)
             frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
             return estimate_blockwise(frame, stats_src, stats_tgt, calib_src.source,
                                       eig_floor=args.eig_floor)
         if args.method == "realign":
-            return estimate_realign(stats_of(calib_src), stats_of(calib_tgt), calib_src.source,
-                                    eps=args.eps)
-        mu_src, mu_tgt = (_mean_of(*rows.shape, lambda block, out, rows=rows: np.copyto(
-            out, rows[block])) for rows in (calib_src, calib_tgt))
+            return estimate_realign(stats_src, stats_tgt, calib_src.source, eps=args.eps)
+        mu_src, mu_tgt = stats_src.mean, stats_tgt.mean
     return C3Baseline(mu_src, mu_tgt, args.sigma if args.method == "c3" else 0.0, args.seed)
 
 

@@ -18,13 +18,15 @@ Row-blocked passes read their inputs through a row source: anything
 with ``shape``, ``ndim``, ``dtype`` and row-range slicing, sliced one
 block at a time.  An in-memory array is one.  ``EmbeddingFile`` is one
 over a regular emb1 file: each slice reads just those rows, so a pass
-holds one block of the file however many rows it has.  ``row_source``
-opens a path as one or the other, and ``RowMap`` maps a function over a
-source's row blocks.  ``write_embeddings`` writes any row source one
-block at a time, so an output computed block by block is written as it
-is computed and never held whole.  Rows are plain arrays: ``EmbeddingSet``
-is only a name for ``np.ascontiguousarray``, kept while the benchmark's
-fixture writer (``perfbench/workloads.py``) still wraps its rows in it.
+holds one block of the file however many rows it has.  Every read (a
+whole file, a row range, a batch or a slice) returns a new array that
+the caller owns.  ``row_source`` opens a path as one or the other, and
+``RowMap`` maps a function over a source's row blocks.
+``write_embeddings`` writes any row source one block at a time, so an
+output computed block by block is written as it is computed and never
+held whole.  Rows are plain arrays: ``EmbeddingSet`` is only a name for
+``np.ascontiguousarray``, kept while the benchmark's fixture writer
+(``perfbench/workloads.py``) still wraps its rows in it.
 
 Statistics artifacts (moment summaries, reference frames, calibrated
 alignment operators) persist as a JSON file plus the ``.npy`` sidecars
@@ -137,8 +139,8 @@ def _row_norms(rows, what: str, first_row: int = 0, floor: float = 0.0) -> np.nd
 
     So float32 rows are widened a piece at a time, and a row's sum of squares
     is the same reduction whatever piece holds it.  A norm below ``floor``,
-    zero or overflowed raises ``DegenerateInputError("<what>: norm ... at row
-    i")``, i the first such row counted from ``first_row``.
+    zero, overflowed or NaN raises ``DegenerateInputError("<what>: norm ...
+    at row i")``, i the first such row counted from ``first_row``.
     """
     n = rows.shape[0]
     norms, squares = np.empty(n), np.empty((_widest_block(n, _NORM_ROWS), rows.shape[1]))
@@ -147,10 +149,10 @@ def _row_norms(rows, what: str, first_row: int = 0, floor: float = 0.0) -> np.nd
             part = squares[:piece.stop - piece.start]
             np.copyto(part, rows[piece])
             np.sqrt(np.square(part, out=part).sum(axis=1), out=norms[piece])
-    bad = (norms < floor) | (norms == 0) | (norms == np.inf)
+    bad = ~(norms >= floor) | (norms == 0) | (norms == np.inf)  # a NaN fails ``>=``
     if bad.any():
         i = int(np.argmax(bad))
-        how = ("overflowed" if norms[i] == np.inf
+        how = ("is NaN" if np.isnan(norms[i]) else "overflowed" if norms[i] == np.inf
                else f"collapsed below {floor}" if floor else "is zero")
         raise DegenerateInputError(f"{what}: norm {how} at row {first_row + i}")
     return norms
@@ -159,7 +161,7 @@ def _row_norms(rows, what: str, first_row: int = 0, floor: float = 0.0) -> np.nd
 def _on_sphere(rows, what: str, tol: float, first_row: int = 0):
     """``rows``; ``DataFormatError`` naming the first row whose norm is off 1 by more than ``tol``.
 
-    The norms come from ``_row_norms``, which refuses a zero or overflowing one first.
+    The norms come from ``_row_norms``, which refuses a zero, overflowing or NaN one first.
     """
     norms = _row_norms(rows, what, first_row)
     off = np.abs(norms - 1.0) > tol
@@ -353,9 +355,8 @@ def _native(payload: np.ndarray) -> np.ndarray:
     return payload if payload.dtype.isnative else payload.astype(payload.dtype.newbyteorder("="))
 
 
-def read_embeddings(path: str, rows: slice | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Load a whole embedding file, or one row range of an emb1 file, as an (N, d) array.
+def read_embeddings(path: str, rows: slice | None = None) -> np.ndarray:
+    """Load a whole embedding file, or one row range of an emb1 file, as a new (N, d) array.
 
     The header, the payload size and finiteness are checked.
 
@@ -366,10 +367,6 @@ def read_embeddings(path: str, rows: slice | None = None,
     rows : slice, optional
         Read only this contiguous row range of an emb1 file.  The header
         and the payload size are checked as for a whole read.
-    out : ndarray, optional
-        A C-contiguous array of the header's dtype and exactly the shape of
-        the rows read.  The payload is read into it, and on a
-        little-endian host it is the returned array.
 
     Raises
     ------
@@ -378,7 +375,7 @@ def read_embeddings(path: str, rows: slice | None = None,
         (the message names the offending row's index in the whole file).
     """
     if _is_csv(path):
-        if rows is not None or out is not None:
+        if rows is not None:
             raise ValueError("row ranges are read from emb1 files only")
         batches = list(_iter_csv_batches(path, _ROW_BLOCK))
         if not batches:
@@ -391,18 +388,12 @@ def read_embeddings(path: str, rows: slice | None = None,
         hi = max(lo, hi)
         if step != 1:
             raise ValueError("only contiguous row ranges can be read")
-        if out is not None and (out.shape != (hi - lo, dims) or out.dtype != dtype
-                                or not out.flags.c_contiguous):
-            raise ValueError(f"out must be a C-contiguous {dtype} array of shape {(hi - lo, dims)}")
         if lo:
             fh.seek(lo * dims * dtype.itemsize, os.SEEK_CUR)
-        if out is None:
-            out = _read_rows(fh, hi - lo, dims, dtype, stream)
-        elif fh.readinto(out) != out.nbytes:
-            out = None
-        if out is None or (hi == n and fh.read(1)):
+        data = _read_rows(fh, hi - lo, dims, dtype, stream)
+        if data is None or (hi == n and fh.read(1)):
             raise _size_error(path, dtype, n, dims)
-    return _finite(_native(out), "non-finite value in row {}", lo)
+    return _finite(_native(data), "non-finite value in row {}", lo)
 
 
 def _size_error(path: str, dtype, rows: int, dims: int) -> DataFormatError:
@@ -419,12 +410,8 @@ class EmbeddingFile:
     ``read_embeddings`` and checks them for finiteness, naming a bad row by
     its index in the whole file.  Opening checks the header and the payload
     size, so a truncated or oversized file fails before any pass reads a
-    row.  Each read fills one buffer that the source reuses, grown to the
-    largest range read so far: rows returned by a read stay valid until the
-    same source's next read.  Every pass reads at most one piece of
-    ``_widest_block`` rows at a time (the moment kernel fills its wider
-    blocks piece by piece), so the buffer holds at most one piece.  There is
-    no ``data``; nothing holds every row.
+    row.  Each read returns a new array that the caller owns, and the
+    source holds no rows between reads.
     """
 
     ndim = 2
@@ -435,14 +422,9 @@ class EmbeddingFile:
         self.path = path
         self.shape = (rows, dims)
         self.dtype = dtype.newbyteorder("=")
-        self._buffer = np.empty((0, dims), dtype=dtype)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0])
-        k = max(hi - lo, 0)
-        if self._buffer.shape[0] < k:
-            self._buffer = np.empty((k, self.shape[1]), dtype=self._buffer.dtype)
-        return read_embeddings(self.path, rows=rows, out=self._buffer[:k])
+        return read_embeddings(self.path, rows=rows)
 
 
 class RowMap:

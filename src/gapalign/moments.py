@@ -19,7 +19,7 @@ cancellation in sum(x x^T) / n - mean mean^T.  Accumulators merge with
 the same update, and moments that overflow float64, in a call or in a
 merge, are refused before they are stored.  Memory is one ``_BLOCK``
 float64 block, plus what a producer needs for one piece (a file source's
-read buffer, a normalization), plus O(d^2), whatever the number of rows.
+read, a normalization), plus O(d^2), whatever the number of rows.
 
 Every ``accumulate`` call continues one walk: the column sum adds the sums
 of the pieces of ``row_blocks(n)`` in order (``_row_sums``), so calls over
@@ -240,7 +240,7 @@ class MomentAccumulator:
         n >= 2.
         """
         if self.n < 1:
-            raise DegenerateInputError("cannot finalize an empty accumulator")
+            raise DegenerateInputError("cannot take the mean of 0 rows")
         cov = None
         if self.scatter is not None:
             if self.n < 2:

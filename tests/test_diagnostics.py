@@ -26,6 +26,7 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign import diagnostics
+from gapalign.io import EmbeddingFile
 from gapalign.cli import main
 from gapalign.diagnostics import (_has_duplicate_rows, _neighbor_indices, _PairSample, _screen,
                                   _widened)
@@ -704,6 +705,27 @@ class TestKnnOverlap:
         x = np.random.default_rng(27).normal(size=(50, 8))
         with pytest.raises(DataFormatError, match="row 11 of rows_before"):
             knn_overlap(with_nan(x, 11), x, k=5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_on_file_sources_equals_knn_on_their_rows_bit_for_bit(tmp_path, dtype):
+    # 1,500 rows per set span two kNN tiles; the kernel holds one tile of a source
+    # while it reads another, which a file source's reused read buffer once overwrote
+    rng = np.random.default_rng(33)
+    n = 1_500
+    assert n > diagnostics._TILE
+    a = unit_rows(rng.normal(size=(n, 16))).astype(dtype)
+    b = unit_rows(rng.normal(size=(n, 16)) + 0.3).astype(dtype)
+    after = unit_rows(a + 0.2 * rng.normal(size=(n, 16))).astype(dtype)
+    files = []
+    for name, rows in (("a", a), ("b", b), ("after", after)):
+        write_embeddings(rows, str(tmp_path / f"{name}.emb1"))
+        files.append(EmbeddingFile(str(tmp_path / f"{name}.emb1")))
+    file_a, file_b, file_after = files
+    assert knn_mixing_rate(file_a, file_b, k=10) == knn_mixing_rate(a, b, k=10)
+    assert knn_overlap(file_a, file_after, k=10) == knn_overlap(a, after, k=10)
+    for points, rows in (((file_a, file_b), (a, b)), (file_a, a)):
+        assert np.array_equal(_neighbor_indices(points, 10), _neighbor_indices(rows, 10))
 
 
 class TestDiagnoseMemory:

@@ -225,6 +225,21 @@ def test_embedding_file_slices_like_the_whole_array(tmp_path, dtype):
         npt.assert_array_equal(got, rows[lo:hi])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slices_of_one_file_source_alive_together_hold_their_own_rows(tmp_path, dtype):
+    # a file source once read every slice into one buffer it reused, so a
+    # second, narrower read overwrote the first slice's leading rows
+    rows = np.random.default_rng(6).normal(size=(40, 3)).astype(dtype)
+    path = str(tmp_path / "rows.emb")
+    write_embeddings(rows, path)
+    src = EmbeddingFile(path)
+    for source in (src, RowMap(src, lambda block, lo: block)):
+        first, second = source[0:30], source[30:40]
+        assert not np.shares_memory(first, second)
+        npt.assert_array_equal(first, rows[0:30])
+        npt.assert_array_equal(second, rows[30:40])
+
+
 def test_embedding_file_checks_size_on_open_and_names_rows_in_the_whole_file(tmp_path):
     rows = np.ones((3000, 4))
     rows[2500, 3] = np.nan

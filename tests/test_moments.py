@@ -16,6 +16,7 @@ from gapalign import (
     shrink,
     stats_of,
 )
+from gapalign import io as io_module
 from gapalign import moments as moments_module
 from gapalign.frame import ReferenceFrame, decompose_gap, paired_mean_gap
 from gapalign.io import _ROW_BLOCK as ROW_BLOCK
@@ -398,12 +399,20 @@ def test_blockwise_calibration_from_files_holds_one_block_and_pieces(tmp_path):
     assert traced_peak(calibrate) < block + 4 * _widest_block(n) * d * 8 + 12 * d * d * 8
 
 
-def test_file_read_buffers_hold_at_most_one_piece(tmp_path):
+def test_file_read_buffers_hold_at_most_one_piece(tmp_path, monkeypatch):
     n = 20_000
     src, tgt, calibrate = blockwise_from_files(tmp_path, n, 64)
+    read, ranges = io_module.read_embeddings, []
+
+    def recorded(path, rows=None):
+        ranges.append(rows)
+        return read(path, rows=rows)
+
+    monkeypatch.setattr(io_module, "read_embeddings", recorded)
     calibrate()
-    # a source's buffer grows to the widest range read from it
-    assert max(src._buffer.shape[0], tgt._buffer.shape[0]) <= _widest_block(n)
+    # every slice of a source is one range read, each returning a new array
+    assert ranges and all(rows is not None for rows in ranges)
+    assert max(rows.stop - rows.start for rows in ranges) <= _widest_block(n)
 
 
 def test_non_finite_row_in_a_later_block_leaves_state_unchanged():

@@ -418,10 +418,15 @@ def test_every_operator_refuses_rows_of_another_width_with_one_message():
             op.apply(src[:, :5])
 
 
-@pytest.mark.parametrize("operator, stage", [("realign", "affine-stage"), ("blockwise", "anchor"),
-                                             ("anchor-only", "anchor")])
-def test_every_operator_refuses_a_row_whose_norm_overflows_naming_the_stage(operator, stage):
-    # `gapalign align` refuses such rows as it reads them; the operators refuse them on their own
+@pytest.mark.parametrize("operator, stage, scale, how", [
+    pytest.param(operator, stage, scale, how, id=f"{operator}-{stage}{suffix}")
+    for operator, stage in (("realign", "affine-stage"), ("blockwise", "anchor"),
+                            ("anchor-only", "anchor"))
+    for scale, how, suffix in ((1e200, "overflowed", ""), (np.nan, "is NaN", "-NaN"))])
+def test_every_operator_refuses_a_row_whose_norm_overflows_naming_the_stage(operator, stage,
+                                                                              scale, how):
+    # `gapalign align` refuses such rows as it reads them; the operators refuse them on their
+    # own, and a NaN norm as they refuse an overflowed one
     rng = np.random.default_rng(20)
     src = anisotropic_sphere_sample(rng, 500, 6)
     tgt = anisotropic_sphere_sample(rng, 500, 6, kappa=4.0)
@@ -433,9 +438,9 @@ def test_every_operator_refuses_a_row_whose_norm_overflows_naming_the_stage(oper
         op = estimate_blockwise(frame, stats_src, stats_tgt, src)
     else:
         op = C3Baseline(stats_src.mean, stats_tgt.mean, sigma=0.0)
-    with pytest.raises(DegenerateInputError, match=f"^{stage} normalization: norm overflowed "
+    with pytest.raises(DegenerateInputError, match=f"^{stage} normalization: norm {how} "
                                                    "at row 3$"):
-        op.apply(np.vstack([src[:3], src[3:10] * 1e200]))
+        op.apply(np.vstack([src[:3], src[3:10] * scale]))
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-8])

@@ -145,26 +145,31 @@ def test_stats_whose_batches_overflow_only_when_merged_exits_3(tmp_path, capsys,
     assert not list(Path(".").glob("big.json*"))
 
 
-def _one_huge_row(unit=False):
-    """Twelve finite rows of width 4 (unit ones if ``unit``); row 7 is scaled by 1e200."""
+def _one_huge_row(unit=False, scale=1e200):
+    """Twelve finite rows of width 4 (unit ones if ``unit``); row 7 is scaled by ``scale``."""
     rows = np.random.default_rng(3).normal(size=(12, 4))
     if unit:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    rows[7] *= 1e200
+    rows[7] *= scale
     return rows
 
 
 # each once printed numpy's overflow warning: tyler_shape then raised "matrix contains
-# non-finite entries" (exit 2), phantom_drift returned a drift norm as if the row were absent
-@pytest.mark.parametrize("call, message", [
-    (lambda: tyler_shape(_one_huge_row()), "samples"),
-    (lambda: phantom_drift(np.ones(4), _one_huge_row()), "noise samples"),
-    (lambda: ContrastiveBatch(_one_huge_row(unit=True), np.eye(4)[np.arange(12) % 4],
-                              temperature=0.1), "anchors"),
-], ids=["tyler_shape", "phantom_drift", "ContrastiveBatch"])
-def test_a_row_whose_squares_overflow_is_refused_naming_it(call, message):
-    with pytest.raises(DegenerateInputError, match=f"^{message}: norm overflowed at row 7$"):
-        call()
+# non-finite entries" (exit 2), phantom_drift returned a drift norm as if the row were absent;
+# a NaN row passed all three (the ContrastiveBatch "all unit-norm")
+@pytest.mark.parametrize("call, message, scale, how", [
+    pytest.param(call, message, scale, how, id=name + suffix)
+    for name, call, message in (
+        ("tyler_shape", lambda scale: tyler_shape(_one_huge_row(scale=scale)), "samples"),
+        ("phantom_drift", lambda scale: phantom_drift(np.ones(4), _one_huge_row(scale=scale)),
+         "noise samples"),
+        ("ContrastiveBatch", lambda scale: ContrastiveBatch(
+            _one_huge_row(unit=True, scale=scale), np.eye(4)[np.arange(12) % 4],
+            temperature=0.1), "anchors"))
+    for scale, how, suffix in ((1e200, "overflowed", ""), (np.nan, "is NaN", "-NaN"))])
+def test_a_row_whose_squares_overflow_is_refused_naming_it(call, message, scale, how):
+    with pytest.raises(DegenerateInputError, match=f"^{message}: norm {how} at row 7$"):
+        call(scale)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
