@@ -26,10 +26,10 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign import diagnostics
-from gapalign.io import EmbeddingFile
 from gapalign.cli import main
 from gapalign.diagnostics import (_has_duplicate_rows, _neighbor_indices, _PairSample, _screen,
                                   _widened)
+from gapalign.io import EmbeddingFile
 
 
 def unit_rows(rows):

@@ -401,7 +401,7 @@ def test_blockwise_calibration_from_files_holds_one_block_and_pieces(tmp_path):
 
 def test_file_read_buffers_hold_at_most_one_piece(tmp_path, monkeypatch):
     n = 20_000
-    src, tgt, calibrate = blockwise_from_files(tmp_path, n, 64)
+    _, _, calibrate = blockwise_from_files(tmp_path, n, 64)
     read, ranges = io_module.read_embeddings, []
 
     def recorded(path, rows=None):
@@ -410,7 +410,7 @@ def test_file_read_buffers_hold_at_most_one_piece(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io_module, "read_embeddings", recorded)
     calibrate()
-    # every slice of a source is one range read, each returning a new array
+    # every slice of a file source is one range read, at most one piece wide
     assert ranges and all(rows is not None for rows in ranges)
     assert max(rows.stop - rows.start for rows in ranges) <= _widest_block(n)
 

@@ -146,7 +146,7 @@ def test_stats_whose_batches_overflow_only_when_merged_exits_3(tmp_path, capsys,
 
 
 def _one_huge_row(unit=False, scale=1e200):
-    """Twelve finite rows of width 4 (unit ones if ``unit``); row 7 is scaled by ``scale``."""
+    """Twelve rows of width 4 (unit ones if ``unit``); row 7 is scaled by ``scale``."""
     rows = np.random.default_rng(3).normal(size=(12, 4))
     if unit:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
