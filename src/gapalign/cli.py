@@ -188,6 +188,7 @@ def _cmd_stats(args):
         if acc is None:
             acc = MomentAccumulator(batch.shape[1], track_cov=not args.no_cov)
         acc.accumulate(batch)
+        del batch  # not held while the next batch is read
     if acc is None:
         raise DataFormatError(f"{args.in_path}: no rows found")
     stats = acc.finalize()
@@ -290,6 +291,7 @@ def _operator(args):
                                 for rows in (calib_src, calib_tgt))
         if args.method == "blockwise":
             frame = build_frame(stats_src.covariance, stats_tgt.covariance, energy=args.energy)
+            stats_src.covariance = None  # calibration reads only the source's mean
             return estimate_blockwise(frame, stats_src, stats_tgt, calib_src.source,
                                       eig_floor=args.eig_floor)
         if args.method == "realign":

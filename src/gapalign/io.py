@@ -471,6 +471,8 @@ def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
     comes in batches of ``batch_rows`` lines, and its ``stats`` is not
     bitwise ``stats_of``.  The header and a regular file's size are
     checked before the first batch; a non-finite row is named by its index.
+    The reader holds no batch once it has yielded it, so a caller that
+    drops each batch holds one batch while the next is read.
     """
     if batch_rows < 1:
         raise ValueError("batch_rows must be >= 1")
@@ -485,6 +487,7 @@ def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
             if data is None:
                 raise _size_error(path, dtype, rows, dims)
             yield _finite(_native(data), "non-finite value in row {}", block.start)
+            del data
         if fh.read(1):
             raise _size_error(path, dtype, rows, dims)
 
@@ -507,10 +510,12 @@ def _iter_csv_batches(path: str, batch_rows: int):
                     if one.size and one.shape[1] != dims:
                         raise DataFormatError(f"{path}: line {number} has {one.shape[1]} "
                                               f"columns, expected {dims}")
+            del lines  # about 15 KB of text per 768-d row: not held while the batch is used
             if data.size:
                 dims = data.shape[1]
                 yield _finite(data, "non-finite value in row {}", row)
                 row += data.shape[0]
+            del data
 
 
 def _parse_csv(lines: list) -> np.ndarray | None:

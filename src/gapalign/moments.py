@@ -19,7 +19,10 @@ cancellation in sum(x x^T) / n - mean mean^T.  Accumulators merge with
 the same update, and moments that overflow float64, in a call or in a
 merge, are refused before they are stored.  Memory is one ``_BLOCK``
 float64 block, plus what a producer needs for one piece (a file source's
-read, a normalization), plus O(d^2), whatever the number of rows.
+read, a normalization), plus three d x d float64 arrays (the state's
+scatter, the running merged scatter and the block's scatter) and the
+``io._NORM_ROWS`` rows of the merge's rank-1 update that it adds at a
+time, whatever the number of rows.
 
 Every ``accumulate`` call continues one walk: the column sum adds the sums
 of the pieces of ``row_blocks(n)`` in order (``_row_sums``), so calls over
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, DegenerateInputError
-from .io import (_ROW_BLOCK, Payload, _check_int, _checked, _finite, _widest_block, as_matrix,
-                 row_blocks)
+from .io import (_NORM_ROWS, _ROW_BLOCK, Payload, _check_int, _checked, _finite, _widest_block,
+                 as_matrix, row_blocks)
 
 # Rows per block of the moment kernel.  The block's scatter GEMM dominates
 # its cost.  stats_of on 50k x 768 float32 rows (2-core host, best of 5)
@@ -193,7 +196,7 @@ class MomentAccumulator:
         ``delta`` is the new rows' mean minus the current mean, None if
         either side has no rows.  Returns the merged ``(sumsq_norm,
         scatter)`` and assigns nothing; the merged scatter is built in
-        ``scatter_b``, which the caller gives up.
+        ``scatter_b``, which the caller gives up, with no d x d temporary.
         """
         sumsq = self.sumsq_norm + sumsq_b
         if self.scatter is not None:
@@ -201,10 +204,12 @@ class MomentAccumulator:
         if delta is not None:
             weight = self.n * n_b / (self.n + n_b)
             sumsq += weight * float(delta @ delta)
-            if self.scatter is not None:
-                outer = np.outer(delta, delta)
-                outer *= weight
-                scatter_b += outer
+            if self.scatter is not None:  # weight * outer(delta, delta), _NORM_ROWS rows at a time
+                buf = np.empty((_widest_block(self.dims, _NORM_ROWS), self.dims))
+                for rows in row_blocks(self.dims, _NORM_ROWS):
+                    part = np.multiply.outer(delta[rows], delta, out=buf[:rows.stop - rows.start])
+                    part *= weight
+                    scatter_b[rows] += part
         return sumsq, scatter_b
 
     def _commit(self, n: int, total, sumsq: float, scatter) -> "MomentAccumulator":

@@ -8,6 +8,7 @@ import struct
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +37,7 @@ from gapalign import (
     substitution_operator,
     write_embeddings,
 )
+from gapalign import cli as cli_module
 from gapalign.cli import _write_csv, main
 from gapalign.io import file_digest, row_source
 from gapalign.moments import ModalityStats, MomentAccumulator
@@ -414,6 +416,29 @@ def test_align_and_decompose_memory_does_not_grow_with_rows(tmp_path, command):
         # 4.9 MiB at 20k rows and 19.5 MiB at 80k
         bound = 4 * 4096 * d * 8 + (2 * n * 8 if command == "decompose" else 0)
         assert traced_peak(argv) < bound, n
+
+
+def test_blockwise_align_frees_the_source_covariance_before_the_anchored_pass(workdir,
+                                                                              monkeypatch):
+    # the anchored covariance pass reads the source's mean only, so the raw source
+    # covariance the frame was built from is not held beside the pass's d x d arrays
+    build_frame, accumulate_from = cli_module.build_frame, MomentAccumulator.accumulate_from
+    source_cov, alive = [], []
+
+    def recorded_build_frame(cov_a, cov_b, **kwargs):
+        source_cov.append(weakref.ref(cov_a))
+        return build_frame(cov_a, cov_b, **kwargs)
+
+    def recorded_accumulate_from(self, n, fill):
+        alive.extend(ref() is not None for ref in source_cov)
+        return accumulate_from(self, n, fill)
+
+    monkeypatch.setattr(cli_module, "build_frame", recorded_build_frame)
+    monkeypatch.setattr(MomentAccumulator, "accumulate_from", recorded_accumulate_from)
+    src, tgt = str(workdir / "src.emb"), str(workdir / "tgt.emb")
+    assert main(["align", "--method", "blockwise", "--in", src, "--out",
+                 str(workdir / "out.emb"), "--calib-src", src, "--calib-tgt", tgt]) == 0
+    assert alive == [False]
 
 
 def write_rows(path, rows):

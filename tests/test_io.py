@@ -1,9 +1,11 @@
+import collections
 import contextlib
 import os
 import struct
 import tempfile
 import threading
 import tracemalloc
+import weakref
 from io import StringIO
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from gapalign import (
     save_artifact,
     write_embeddings,
 )
+from gapalign import io as io_module
 from gapalign.cli import main
 from gapalign.io import (EmbeddingFile, EmbeddingSet, RowMap, _finite, _widest_block, as_matrix,
                          row_blocks, row_source)
@@ -146,6 +149,32 @@ def test_streaming_visits_rows_once_in_order(tmp_path):
     got = [b for b in iter_embedding_batches(path, batch_rows=10)]
     assert [g.shape[0] for g in got] == [10] * 10 + [3]
     npt.assert_array_equal(np.vstack(got), rows)
+
+
+@pytest.mark.parametrize("reader", ["iter_embedding_batches", "stats"])
+@pytest.mark.parametrize("name", ["rows.emb1", "rows.csv"])
+def test_no_batch_is_alive_when_the_next_read_starts(tmp_path, monkeypatch, name, reader):
+    # so a reader holds one batch, not two, while it reads; `stats` reads 4,096-row batches
+    path = str(tmp_path / name)
+    write_embeddings(np.random.default_rng(6).normal(size=(2 * 4096 + 100, 4)), path)
+    batches, stale = [], []
+
+    def recorded(read):
+        def wrapper(*args):
+            stale.extend(ref for ref in batches if ref() is not None)
+            data = read(*args)
+            if data is not None:
+                batches.append(weakref.ref(data))
+            return data
+        return wrapper
+
+    for reads in ("_read_rows", "_parse_csv"):
+        monkeypatch.setattr(io_module, reads, recorded(getattr(io_module, reads)))
+    if reader == "stats":
+        assert main(["stats", "--in", path, "--out", str(tmp_path / "rows.stats")]) == 0
+    else:  # a consumer that drops each batch before asking for the next
+        collections.deque(iter_embedding_batches(path, batch_rows=1000), maxlen=0)
+    assert len(batches) > 2 and not stale
 
 
 @pytest.mark.parametrize("rows,dims", [(2**36, 4), (2**20, 2**31)])

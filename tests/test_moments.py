@@ -350,6 +350,40 @@ def test_stats_of_memory_does_not_grow_with_n():
     assert peak_large < peak_small + (1 << 20)
 
 
+@pytest.mark.parametrize("how", ["merge", "accumulate"])
+@pytest.mark.parametrize("d", [200, 768])
+def test_rank1_update_is_bitwise_the_outer_product_formula(d, how):
+    # Chan et al.'s update adds weight * outer(delta, delta) to the scatters' sum; d = 768
+    # is a multiple of the rows it is added in at a time, 200 is not
+    rng = np.random.default_rng(d)
+    first, more = rng.normal(size=(300, d)) + 0.5, rng.normal(size=(200, d)) - 0.5
+    acc = MomentAccumulator(d).accumulate(first)
+    if how == "merge":
+        other = MomentAccumulator(d).accumulate(more)
+        delta, want = other.sum / other.n - acc.sum / acc.n, other.scatter.copy()
+    else:
+        mean = more.sum(axis=0) / more.shape[0]
+        centred = more - mean
+        delta, want = mean - acc.sum / acc.n, centred.T @ centred
+    want += acc.scatter
+    outer = np.outer(delta, delta)
+    outer *= acc.n * more.shape[0] / (acc.n + more.shape[0])
+    want += outer
+    got = acc.merge(other) if how == "merge" else acc.accumulate(more)
+    assert got.scatter.tobytes() == want.tobytes()
+
+
+def test_continuing_a_walk_holds_no_outer_product():
+    # beyond the kernel's block: the block's scatter and the rank-1 update's rows (1.33
+    # d x d); a d x d outer product of the update as well reads 2.07 d x d
+    d = 512
+    rng = np.random.default_rng(58)
+    acc = MomentAccumulator(d).accumulate(rng.normal(size=(600, d)))
+    more = rng.normal(size=(700, d))
+    block = _widest_block(700, BLOCK) * d * 8
+    assert traced_peak(lambda: acc.accumulate(more)) - block < 1.5 * d * d * 8
+
+
 def unit_sample(rng, n, d, spread):
     raw = rng.normal(size=d) + spread * rng.normal(size=(n, d)) * np.linspace(1.0, 0.2, d)
     return (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
