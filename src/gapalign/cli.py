@@ -114,11 +114,21 @@ def _bounded(flag: str, kind, lo, hi=None, open_lo=False):
     return parse
 
 
-def _listed(parse):
-    """argparse ``type=`` for a comma list whose every entry ``parse`` parses and checks."""
+def _listed(flag: str, kind, lo, hi=None, ascending=False):
+    """argparse ``type=`` for a comma list of ``_bounded(flag, kind, lo, hi)`` entries.
+
+    With ``ascending``, an entry below the one before it exits 2 as an out-of-range one does.
+    """
+    parse = _bounded(flag, kind, lo, hi)
 
     def parse_list(text):
-        return [parse(entry) for entry in text.split(",")]
+        values = []
+        for entry in text.split(","):
+            values.append(parse(entry))
+            if ascending and len(values) > 1 and values[-1] < values[-2]:
+                name = flag.lstrip("-").replace("-", "_")
+                raise GapAlignError(f"{name} must be ascending, got {entry} ({flag})")
+        return values
 
     parse_list.__name__ = f"{parse.__name__} list"
     return parse_list
@@ -568,8 +578,6 @@ def _cmd_bench(args):
     adds time, and cycling through the sizes keeps a slow spell of the host
     off any one size's passes.
     """
-    if sorted(args.sizes) != args.sizes:
-        raise DataFormatError("bench sizes must be ascending")
     rng = np.random.default_rng(args.seed)
     chunk = rng.normal(size=(_BENCH_CHUNK, args.dims)) + 0.75
     MomentAccumulator(args.dims, track_cov=not args.no_cov).accumulate(chunk)
@@ -701,7 +709,7 @@ def build_parser():
     p.add_argument("--trace", default="trace.csv")
     p.add_argument("--ablation", action="store_true")
     p.add_argument("--ablation-report", default="ablation.json")
-    p.add_argument("--seeds", type=_listed(_bounded("--seeds", int, lo=0)), default="0,1,2,3,4",
+    p.add_argument("--seeds", type=_listed("--seeds", int, lo=0), default="0,1,2,3,4",
                    help="--ablation: comma-separated training seeds, each >= 0")
     p.set_defaults(func=_cmd_simulate)
 
@@ -713,7 +721,7 @@ def build_parser():
                        help="held-out gap vs calibration sample size")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
-    p.add_argument("--sizes", type=_listed(_bounded("--sizes", int, lo=1)), required=True,
+    p.add_argument("--sizes", type=_listed("--sizes", int, lo=1, ascending=True), required=True,
                    help="ascending comma-separated calibration sizes, each >= 1")
     p.add_argument("--trials", type=_bounded("--trials", int, lo=1, hi=10_000), default=5,
                    help="draws per size, 1 to 10^4")
@@ -725,8 +733,8 @@ def build_parser():
     p = sub.add_parser("bench", parents=[seeded],
                        help="accumulator throughput, state size, and precision floor",
                        description=_cmd_bench.__doc__)
-    p.add_argument("--sizes", type=_listed(_bounded("--sizes", float, lo=_BENCH_CHUNK, hi=1e8)),
-                   default="100000,500000,1000000",
+    p.add_argument("--sizes", default="100000,500000,1000000",
+                   type=_listed("--sizes", float, lo=_BENCH_CHUNK, hi=1e8, ascending=True),
                    help="ascending comma-separated row counts, each 10^4 to 10^8")
     # at 1,024 dims the offset-covariance check holds two 20,000 x 1,024 long-double arrays
     p.add_argument("--dims", type=_bounded("--dims", int, lo=1, hi=1024), default=64,

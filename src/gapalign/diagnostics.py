@@ -10,13 +10,14 @@ Every sampled metric takes an explicit seed and is deterministic under
 it.  The histogram and kNN metrics never widen a whole input set: they
 read float32 or float64 rows in place and widen to float64 one block or
 tile at a time; blocks, pair blocks and tile ranges all come from
-``io.row_blocks``.  A cosine histogram scores its sampled pairs by one of
-two routes with the same counts.  Standalone, it gathers and scores them
-``_PAIR_BLOCK`` at a time, so its working memory is bounded by that
-block size rather than by ``num_pairs x d``.  Deferred and handed to
-``knn_mixing_rate``, it reads each pair's dot product off the Gram tile
-of the pooled kNN pass that holds it, and gathers only pairs whose tile
-cosine lies within a round-off margin of a bin edge (``_PairSample``).
+``io.row_blocks``.  A cosine histogram's pairs, held as (lower row, higher
+row) in lower-row order, are scored by one of two routes with the same
+counts.  Standalone, they are gathered and scored a ``row_blocks`` block
+at a time, so working memory is bounded by that block rather than by
+``num_pairs x d``.  Deferred and handed to ``knn_mixing_rate``, each
+Gram tile of the pooled kNN pass finds its pairs from its own bounds, and
+only pairs whose tile cosine lies within a round-off margin of a bin edge
+are gathered (``_PairSample``).
 Nearest neighbors are exact, from square Gram tiles of ``_TILE`` rows a
 side merged into a running k nearest per row, with ties broken toward
 the lower index; memory beyond the inputs is O(tile^2 + n k).  A row
@@ -42,7 +43,6 @@ from .io import _finite, _row_norms, as_matrix, row_blocks
 from .moments import stats_of
 from .realign import estimate_realign
 
-_PAIR_BLOCK = 1024  # sampled pairs gathered and scored at a time
 # Rows per side of a kNN distance tile: its Gram, distances and candidate mask
 # take 17 MiB however many rows the sets have.  On 8,000 pooled 768-d rows
 # (k = 20, 2-core host) 512/768/1,024/1,536-row tiles took 1.30/1.20/1.23/1.30 s.
@@ -98,10 +98,11 @@ class _PairSample:
     """One set's seeded index pairs and the bin counts of their cosines.
 
     A pair's cosine is its float64 dot product over the product of the
-    two row norms, clipped to [-1, 1].  ``gathered`` forms the dot
+    two row norms, clipped to [-1, 1].  Pairs are held as (lower row
+    ``i``, higher row ``j``), sorted by ``i``.  ``gathered`` forms the dot
     product from the two rows gathered and widened; the tile route
-    (``sort_into_tiles``, then ``score_tile`` on each Gram tile of a
-    pooled kNN pass) reads it off the tile instead.  The two summation
+    (``score_tile`` on each Gram tile of a pooled kNN pass) reads it off
+    the tile, at the pair's lower row and higher column.  The two summation
     orders differ, but each lies within gamma_d * |x||y| of the exact dot
     product, gamma_d = d u / (1 - d u) with u = 2^-53 (Higham, "Accuracy
     and Stability of Numerical Algorithms", 2002, sec. 3.1), and |x||y|
@@ -129,8 +130,11 @@ class _PairSample:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=num_pairs)
         j = (i + rng.integers(1, n, size=num_pairs)) % n
+        lower, higher = np.minimum(i, j), np.maximum(i, j)
+        order = np.argsort(lower)
         index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        self.data, self.norms, self.i, self.j = data, norms, i.astype(index), j.astype(index)
+        self.i, self.j = lower[order].astype(index), higher[order].astype(index)
+        self.data, self.norms, self.base = data, norms, 0
         self.normal = (norms >= _NORMAL_NORMS[0]) & (norms <= _NORMAL_NORMS[1])
         self.margin = 4 * (data.shape[1] + 2) * 2.0**-53
         self.edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -138,9 +142,9 @@ class _PairSample:
         self.pair_count, self.smoothing = num_pairs, smoothing
 
     def gathered(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Cosines of the pairs ``(i, j)``, from rows gathered ``_PAIR_BLOCK`` pairs at a time."""
+        """Cosines of the pairs ``(i, j)``, from rows gathered a ``row_blocks`` block at a time."""
         cos = np.empty(i.size)
-        for block in row_blocks(i.size, _PAIR_BLOCK):
+        for block in row_blocks(i.size):
             ii, jj = i[block], j[block]
             left = self.data[ii].astype(np.float64, copy=False)
             right = self.data[jj].astype(np.float64, copy=False)
@@ -150,40 +154,14 @@ class _PairSample:
     def count(self, cos: np.ndarray) -> None:
         self.counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=self.edges)[0]
 
-    def sort_into_tiles(self, spans, base: int) -> None:
-        """Trade the pairs for their offsets in the Gram tiles of a pooled pass over ``spans``.
-
-        ``spans`` are the pass's ``row_blocks``, and the set's rows are the
-        pooled rows from ``base`` on.  A pair is read at (lower row, higher
-        row) of the tile of their spans, tiles being the span pairs (a, b)
-        with a <= b.  ``offsets`` holds each tile's pairs contiguously
-        (int32: a tile has at most ``(chunk + 2)^2`` entries), and
-        ``tiles`` maps a tile's first row and column to their slice.
-        """
-        m, size = len(spans), spans[0].stop  # every span but the last is ``size`` rows wide
-        widths = np.array([span.stop - span.start for span in spans])
-        p = np.minimum(self.i, self.j).astype(np.int64) + base
-        q = np.maximum(self.i, self.j).astype(np.int64) + base
-        sp, sq = np.minimum(p // size, m - 1), np.minimum(q // size, m - 1)
-        tile = sp * m + sq
-        offsets = (p - sp * size) * widths[sq] + (q - sq * size)
-        self.offsets = offsets[np.argsort(tile)].astype(np.int32)
-        ends = np.cumsum(np.bincount(tile, minlength=m * m)).tolist()
-        self.tiles = {(spans[t // m].start, spans[t % m].start): slice(start, end)
-                      for t, (start, end) in enumerate(zip([0] + ends, ends)) if start < end}
-        self.base = base
-        self.i = self.j = None
-
     def score_tile(self, lo_a: int, lo_b: int, gram: np.ndarray) -> None:
         """Count the pairs read off ``gram``, the dot products of pooled rows lo_a.. by lo_b.."""
-        part = self.tiles.get((lo_a, lo_b))
-        if part is None:
-            return
-        offsets = self.offsets[part]
-        i, j = np.divmod(offsets, gram.shape[1])
-        i += lo_a - self.base
-        j += lo_b - self.base
-        cos = gram.reshape(-1)[offsets] / (self.norms[i] * self.norms[j])
+        lo_a, lo_b = lo_a - self.base, lo_b - self.base  # the set's rows start at pooled row base
+        run = slice(*np.searchsorted(self.i, (lo_a, lo_a + gram.shape[0])))  # lower row in the tile
+        i, j = self.i[run], self.j[run]
+        on = (j >= lo_b) & (j < lo_b + gram.shape[1])  # and higher row among its columns
+        i, j = i[on], j[on]
+        cos = gram[i - lo_a, j - lo_b] / (self.norms[i] * self.norms[j])
         bins = self.counts.size
         with np.errstate(invalid="ignore"):  # a non-finite cosine casts to some index
             at = np.clip(((cos + 1.0) * (0.5 * bins)).astype(np.intp), 0, bins - 1)
@@ -352,8 +330,9 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
 
     ``on_tile(lo_a, lo_b, gram)``, if given, sees each Gram tile of dot
     products between the ranges starting at rows ``lo_a <= lo_b`` before
-    it is used, and must not change it.  Deferred cosine histograms
-    score their pairs there (``_PairSample``).
+    it is used, and must not change it: a consumer finds the tile's rows
+    and columns from ``lo_a``, ``lo_b`` and ``gram.shape``.  Deferred
+    cosine histograms score their pairs there (``_PairSample``).
     """
     parts = points if isinstance(points, tuple) else (points,)
     spans = list(row_blocks(sum(part.shape[0] for part in parts), chunk))
@@ -415,18 +394,16 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
         raise ValueError(f"k={k} must be positive and smaller than the pooled size {n}")
     pending = [(hist, rows, base) for hist, rows, base in zip(histograms, (a, b), (0, a.shape[0]))
                if hist is not None]
-    for hist, rows, _ in pending:
+    for hist, rows, base in pending:
         if hist._pending is None or hist._pending.data is not rows:
             raise ValueError("histograms must be deferred histograms of rows_a and rows_b")
-    spans = list(row_blocks(n, _TILE))
-    for hist, _, base in pending:
-        hist._pending.sort_into_tiles(spans, base)
+        hist._pending.base = base
 
     def score(lo_a, lo_b, gram):
         for hist, _, _ in pending:
             hist._pending.score_tile(lo_a, lo_b, gram)
 
-    nn = _neighbor_indices((a, b), k, _TILE, on_tile=score)  # the tiles ``spans`` names
+    nn = _neighbor_indices((a, b), k, _TILE, on_tile=score)
     for hist, _, _ in pending:
         hist.masses, hist._pending = hist._pending.masses(), None
     # pooled index i lies in the second set when i >= len(a)

@@ -10,9 +10,11 @@ path ending in ``.csv`` is CSV, and every other path is emb1.
   ``read_embeddings(path, rows=slice(lo, hi))`` reads one row range.
 * ``csv`` -- one row per line, comma-separated decimal floats; ``#``
   comments and empty lines are skipped, but a line holding only spaces
-  or tabs is malformed.  Loading always promotes to
-  float64.  Whole-file reads and streamed batches parse the same way:
-  ``np.loadtxt`` over a fixed number of lines at a time.
+  or tabs is malformed.  Loading always promotes to float64.  A whole
+  read, and each streamed batch of ``batch_rows`` data rows (comment and
+  blank lines not counted), is one ``np.loadtxt`` call on one open
+  handle: no line text is held.  The batches are those of ``row_blocks``
+  unless n mod ``batch_rows`` is 1 or 2 (``iter_embedding_batches``).
 
 Row-blocked passes read their inputs through a row source: anything
 with ``shape``, ``ndim``, ``dtype`` and row-range slicing, sliced one
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import os
 import stat
@@ -377,10 +378,10 @@ def read_embeddings(path: str, rows: slice | None = None) -> np.ndarray:
     if _is_csv(path):
         if rows is not None:
             raise ValueError("row ranges are read from emb1 files only")
-        batches = list(_iter_csv_batches(path, _ROW_BLOCK))
-        if not batches:
+        data = next(_iter_csv_batches(path, None), None)  # one batch: the whole file
+        if data is None:
             raise DataFormatError(f"{path}: empty CSV has no dimension information")
-        return np.concatenate(batches)
+        return data
 
     with open(path, "rb") as fh:
         dtype, n, dims, stream = _read_emb1_header(fh, path)
@@ -467,10 +468,12 @@ def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
 
     An emb1 file's batches are the slices of ``row_blocks(n, batch_rows)``
     (the last up to ``batch_rows + 2`` rows): ``stats`` walks the moment
-    kernel's blocks.  A CSV file's row count is unknown until read, so it
-    comes in batches of ``batch_rows`` lines, and its ``stats`` is not
-    bitwise ``stats_of``.  The header and a regular file's size are
-    checked before the first batch; a non-finite row is named by its index.
+    kernel's blocks.  A CSV file's batches hold ``batch_rows`` data rows,
+    comment and blank lines not counted, the last the rest: the same slices
+    unless n > ``batch_rows`` and n mod ``batch_rows`` is 1 or 2.  So a CSV
+    file's ``stats`` is bitwise ``stats_of`` unless n mod 4,096 is 1 or 2.
+    The header and a regular file's size are checked before the first
+    batch; a non-finite row is named by its index.
     The reader holds no batch once it has yielded it, so a caller that
     drops each batch holds one batch while the next is read.
     """
@@ -492,40 +495,51 @@ def iter_embedding_batches(path: str, batch_rows: int) -> Iterator[np.ndarray]:
             raise _size_error(path, dtype, rows, dims)
 
 
-def _iter_csv_batches(path: str, batch_rows: int):
-    """``np.loadtxt`` on ``batch_rows`` lines at a time; every row as wide as the first."""
+def _iter_csv_batches(path: str, batch_rows: int | None):
+    """``batch_rows`` data rows (None: all) per ``_parse_csv`` call on one handle."""
     dims, row = None, 0
     with open(path, "rb") as fh:
-        for first_line in itertools.count(1, batch_rows):
-            lines = list(itertools.islice(fh, batch_rows))
-            if not lines:
-                return
-            data = _parse_csv(lines)
+        while True:
+            start = fh.tell() if fh.seekable() else None  # numpy stops at a batch's last row
+            data = _parse_csv(fh, batch_rows)
             if data is None or (dims and data.size and data.shape[1] != dims):
-                for number, line in enumerate(lines, first_line):
-                    one = _parse_csv([line])
-                    if one is None:
-                        raise DataFormatError(f"{path}: malformed CSV at line {number}")
-                    dims = dims or (one.shape[1] if one.size else None)
-                    if one.size and one.shape[1] != dims:
-                        raise DataFormatError(f"{path}: line {number} has {one.shape[1]} "
-                                              f"columns, expected {dims}")
-            del lines  # about 15 KB of text per 768-d row: not held while the batch is used
-            if data.size:
-                dims = data.shape[1]
-                yield _finite(data, "non-finite value in row {}", row)
-                row += data.shape[0]
-            del data
+                raise _csv_error(path, fh, start, dims)
+            if not data.size:
+                return
+            dims = data.shape[1]
+            yield _finite(data, "non-finite value in row {}", row)
+            if data.shape[0] != batch_rows:  # a short batch, or the whole file, is the last
+                return
+            row += data.shape[0]
+            del data  # not held while the next batch is parsed
 
 
-def _parse_csv(lines: list) -> np.ndarray | None:
-    """``lines`` as a float64 matrix, or None if ``np.loadtxt`` rejects them."""
-    with warnings.catch_warnings():  # lines holding only comments or blanks are no error
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+def _parse_csv(source, max_rows: int | None = None) -> np.ndarray | None:
+    """Up to ``max_rows`` data rows of ``source`` (a handle or lines) as float64, or None."""
+    with warnings.catch_warnings():  # comment and blank lines, or none with data, are no error
+        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
         try:
-            return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
+            return np.loadtxt(source, delimiter=",", ndmin=2, max_rows=max_rows)
         except ValueError:
             return None
+
+
+def _csv_error(path: str, fh, start: int | None, dims) -> DataFormatError:
+    """The error naming the first bad line of ``fh`` from byte ``start`` (None: a stream) on."""
+    if start is None:
+        return DataFormatError(f"{path}: malformed CSV stream (not read again to find the line)")
+    fh.seek(0)
+    number = sum(fh.read(min(_STREAM_CHUNK, start - at)).count(b"\n")
+                 for at in range(0, start, _STREAM_CHUNK))
+    for number, line in enumerate(fh, number + 1):
+        one = _parse_csv([line])
+        if one is None:
+            return DataFormatError(f"{path}: malformed CSV at line {number}")
+        dims = dims or (one.shape[1] if one.size else None)
+        if one.size and one.shape[1] != dims:
+            return DataFormatError(f"{path}: line {number} has {one.shape[1]} columns, "
+                                   f"expected {dims}")
+    return DataFormatError(f"{path}: malformed CSV")
 
 
 def write_embeddings(embeddings, path: str) -> None:

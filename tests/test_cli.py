@@ -929,7 +929,9 @@ def _command_line(command, workdir, out):
     ("sample-curve", "--trials", "0"),
     ("sample-curve", "--holdout", "1"),
     ("sample-curve", "--sizes", "50,0"),
+    ("sample-curve", "--sizes", "60,50"),  # once refused only after both inputs were read
     ("bench", "--sizes", "9999"),
+    ("bench", "--sizes", "20000,10000"),  # once refused in the command's body
     ("simulate", "--seeds", "-1"),
 ])
 def test_absurd_sizes_and_negative_seeds_exit_2_before_any_work(workdir, capsys, monkeypatch,

@@ -26,6 +26,7 @@ from gapalign import (
     load_artifact,
     read_embeddings,
     save_artifact,
+    stats_of,
     write_embeddings,
 )
 from gapalign import io as io_module
@@ -397,6 +398,91 @@ def test_csv_readers_agree(tmp_path, name, batch_rows):
         npt.assert_array_equal(whole, expected)
         npt.assert_array_equal(np.vstack(batches), whole)
         assert all(b.shape[0] <= batch_rows for b in batches)
+
+
+def _csv_with_a_comment_and_a_blank_line(path, rows):
+    write_embeddings(rows, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("# rows\n" + "".join(lines[:3]) + "\n" + "".join(lines[3:]))
+
+
+def test_whole_csv_read_holds_the_rows_once(tmp_path):
+    # the reader once kept every batch in a list and concatenated them: 2.0 x the rows
+    rows = np.random.default_rng(31).normal(size=(3000, 256))
+    path = tmp_path / "rows.csv"
+    _csv_with_a_comment_and_a_blank_line(path, rows)
+    got = []
+    peak = _traced_peak(lambda: got.append(read_embeddings(str(path))))
+    npt.assert_array_equal(got[0], rows)
+    assert peak < 1.5 * rows.nbytes
+
+
+def test_batched_csv_read_holds_one_batch_without_its_text(tmp_path):
+    # batches were once parsed from a list of their lines: 3.8 x one batch's rows
+    rows = np.random.default_rng(32).normal(size=(3000, 256))
+    path = tmp_path / "rows.csv"
+    _csv_with_a_comment_and_a_blank_line(path, rows)
+    sizes = []
+
+    def walk():  # drops each batch before asking for the next
+        for batch in iter_embedding_batches(str(path), batch_rows=1000):
+            sizes.append(batch.shape[0])
+            del batch
+
+    peak = _traced_peak(walk)
+    assert sizes == [1000, 1000, 1000]
+    assert peak < 2 * 1000 * 256 * 8
+
+
+@pytest.mark.parametrize("n", [8292, 12288])
+def test_csv_stats_is_bitwise_stats_of_the_whole_read(tmp_path, n):
+    # batches of 4,096 data rows, comment and blank lines not counted, are the
+    # slices of row_blocks(n, 4096) here; batches of 4,096 lines were not
+    path = tmp_path / "rows.csv"
+    _csv_with_a_comment_and_a_blank_line(path, np.random.default_rng(n).normal(size=(n, 5)))
+    out = str(tmp_path / "rows.stats")
+    assert main(["stats", "--in", str(path), "--out", out]) == 0
+    saved = ModalityStats.from_payload(load_artifact(out).payload)
+    whole = stats_of(read_embeddings(str(path)), track_cov=True)
+    assert saved.n == whole.n == n and saved.trace == whole.trace
+    assert np.array_equal(saved.mean, whole.mean)
+    assert np.array_equal(saved.covariance, whole.covariance)
+
+
+def test_a_bad_csv_line_is_found_by_parsing_only_its_batch_again(tmp_path, monkeypatch):
+    # the lines of the batches before it are counted, not parsed one by one
+    path = tmp_path / "rows.csv"
+    path.write_text("1,2\n" * 10 + "3,x\n")
+    lines_parsed, parse = [], io_module._parse_csv
+
+    def counted(source, *args):
+        if isinstance(source, list):
+            lines_parsed.extend(source)
+        return parse(source, *args)
+
+    monkeypatch.setattr(io_module, "_parse_csv", counted)
+    with pytest.raises(DataFormatError, match="malformed CSV at line 11"):
+        collections.deque(iter_embedding_batches(str(path), batch_rows=4), maxlen=0)
+    assert lines_parsed == [b"1,2\n", b"1,2\n", b"3,x\n"]
+
+
+def test_malformed_csv_fifo_is_refused_without_waiting_on_it(tmp_path, capsys):
+    # a malformed regular file is read again to name the line; a FIFO cannot be,
+    # and reopened it would wait for a writer that never comes
+    fifo = str(tmp_path / "pipe.csv")
+    os.mkfifo(fifo)
+    codes = []
+    reader = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(["stats", "--in", fifo, "--out", str(tmp_path / "pipe.stats")])))
+    reader.start()
+    Path(fifo).write_bytes(b"1,2\n3,x\n5,6\n")  # opens once the reader has opened it
+    reader.join(timeout=30)
+    if reader.is_alive():  # the writer a reopened FIFO waits for, so the thread ends
+        Path(fifo).write_bytes(b"")
+        reader.join(timeout=30)
+        pytest.fail("the reader waited on the FIFO")
+    assert codes == [2]
+    assert capsys.readouterr().err.startswith(f"gapalign: {fifo}: malformed CSV")
 
 
 def test_artifact_round_trip_modality_stats(tmp_path):
