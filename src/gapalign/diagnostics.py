@@ -7,21 +7,28 @@ centroid shift caused by projecting anisotropic noise onto the sphere,
 and a sample-complexity sweep for alignment calibration.
 
 Every sampled metric takes an explicit seed and is deterministic under
-it.  The histogram and kNN metrics never widen a whole input set: they
-read float32 or float64 rows in place and widen to float64 one block or
-tile at a time; blocks, pair blocks and tile ranges all come from
-``io.row_blocks``.  A cosine histogram's pairs, held as (lower row, higher
-row) in lower-row order, are scored by one of two routes with the same
-counts.  Standalone, they are gathered and scored a ``row_blocks`` block
-at a time, so working memory is bounded by that block rather than by
-``num_pairs x d``.  Deferred and handed to ``knn_mixing_rate``, each
-Gram tile of the pooled kNN pass finds its pairs from its own bounds, and
-only pairs whose tile cosine lies within a round-off margin of a bin edge
-are gathered (``_PairSample``).
+it.  The histogram and kNN metrics never widen a whole input set.  They
+take float32 or float64 arrays or row sources (``io.row_source``), slice
+them one block or tile range at a time and widen only that slice to
+float64; blocks, pair blocks and tile ranges all come from
+``io.row_blocks``.  So on row sources nothing holds a whole input: a
+histogram's pair sample reads each ``row_blocks`` block once for its row
+norms, the duplicate-row check reads each block once for its hashes and
+once more where hashes agree, and a kNN pass reads each tile range once
+for its diagonal tile and once more for every later range's tile with it.
+A cosine histogram's pairs, held as (lower row, higher row) in lower-row
+order, are scored by one of two routes with the same counts.
+Standalone, on an array, they are gathered and scored a ``row_blocks``
+block at a time, so working memory is bounded by that block rather than
+by ``num_pairs x d``.  Deferred and handed to ``knn_mixing_rate``, each
+Gram tile of the pooled kNN pass finds its pairs from its own bounds,
+and only pairs whose tile cosine lies within a round-off margin of a bin
+edge are gathered, from the two float64 row ranges the tile was
+multiplied from (``_PairSample``).
 Nearest neighbors are exact, from square Gram tiles of ``_TILE`` rows a
 side merged into a running k nearest per row, with ties broken toward
-the lower index; memory beyond the inputs is O(tile^2 + n k).  A row
-first takes its k nearest in its diagonal tile; every other tile is
+the lower index; memory is O(tile^2 + n k) beyond an in-memory input.  A
+row first takes its k nearest in its diagonal tile; every other tile is
 screened in Gram space, with a round-off margin, so that only entries
 that can enter a row's k nearest get a distance (``_neighbor_indices``).
 This is meant for desk-scale inputs (up to around 1e5 rows), not
@@ -141,21 +148,32 @@ class _PairSample:
         self.counts = np.zeros(bins, dtype=np.int64)
         self.pair_count, self.smoothing = num_pairs, smoothing
 
-    def gathered(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Cosines of the pairs ``(i, j)``, from rows gathered a ``row_blocks`` block at a time."""
+    def gathered(self, i: np.ndarray, j: np.ndarray, rows_i=None, rows_j=None,
+                 at_i: int = 0, at_j: int = 0) -> np.ndarray:
+        """Cosines of the pairs ``(i, j)``, from rows gathered a ``row_blocks`` block at a time.
+
+        Row ``i`` is ``rows_i[i - at_i]`` and row ``j`` is ``rows_j[j - at_j]``;
+        both default to the set itself, which must then be an array.
+        """
+        rows_i = self.data if rows_i is None else rows_i
+        rows_j = self.data if rows_j is None else rows_j
         cos = np.empty(i.size)
         for block in row_blocks(i.size):
             ii, jj = i[block], j[block]
-            left = self.data[ii].astype(np.float64, copy=False)
-            right = self.data[jj].astype(np.float64, copy=False)
+            left = rows_i[ii - at_i].astype(np.float64, copy=False)
+            right = rows_j[jj - at_j].astype(np.float64, copy=False)
             cos[block] = np.einsum("ij,ij->i", left, right) / (self.norms[ii] * self.norms[jj])
         return cos
 
     def count(self, cos: np.ndarray) -> None:
         self.counts += np.histogram(np.clip(cos, -1.0, 1.0), bins=self.edges)[0]
 
-    def score_tile(self, lo_a: int, lo_b: int, gram: np.ndarray) -> None:
-        """Count the pairs read off ``gram``, the dot products of pooled rows lo_a.. by lo_b.."""
+    def score_tile(self, lo_a: int, lo_b: int, gram: np.ndarray, rows_a, rows_b) -> None:
+        """Count the pairs read off ``gram``, the dot products of pooled rows lo_a.. by lo_b..
+
+        ``rows_a`` and ``rows_b`` are those rows as float64; a pair that must
+        be re-scored is gathered from them, so the set is not read again.
+        """
         lo_a, lo_b = lo_a - self.base, lo_b - self.base  # the set's rows start at pooled row base
         run = slice(*np.searchsorted(self.i, (lo_a, lo_a + gram.shape[0])))  # lower row in the tile
         i, j = self.i[run], self.j[run]
@@ -170,7 +188,7 @@ class _PairSample:
         clear = np.minimum(cos - self.edges[at], self.edges[at + 1] - cos) > self.margin
         clear &= self.normal[i] & self.normal[j]
         self.counts += np.bincount(at[clear], minlength=bins)
-        self.count(self.gathered(i[~clear], j[~clear]))
+        self.count(self.gathered(i[~clear], j[~clear], rows_a, rows_b, lo_a, lo_b))
 
     def masses(self) -> np.ndarray:
         masses = self.counts / float(self.pair_count)
@@ -198,12 +216,16 @@ def cosine_histogram(
     triangular kernel (half-width 2 bins) and renormalizes.
 
     The input is checked and the pairs drawn here either way.  By
-    default they are scored here too, from gathered rows.  A
-    ``deferred`` histogram has ``masses`` None until it is passed to
-    ``knn_mixing_rate(..., histograms=...)`` with the same ``rows``,
-    whose O(N^2) pooled pass reads each pair's dot product off its Gram
-    tiles; the masses are bitwise the gathered ones (``_PairSample``).
+    default they are scored here too, from rows gathered out of ``rows``,
+    which must then be an array.  A ``deferred`` histogram has ``masses``
+    None until it is passed to ``knn_mixing_rate(..., histograms=...)``
+    with the same ``rows``, an array or a row source, whose O(N^2) pooled
+    pass reads each pair's dot product off its Gram tiles; the masses are
+    bitwise the gathered ones (``_PairSample``).
     """
+    if not deferred and not isinstance(as_matrix(rows), np.ndarray):
+        raise ValueError("a row source's cosine histogram is scored by knn_mixing_rate: "
+                         "pass deferred=True")
     sample = _PairSample(rows, num_pairs, bins, smoothing, seed)
     hist = CosineHistogram(bin_edges=sample.edges, masses=None, pair_count=num_pairs,
                            sampling_seed=seed, _pending=sample)
@@ -231,18 +253,21 @@ def js_divergence(p: CosineHistogram, q: CosineHistogram) -> float:
     return max(0.0, 0.5 * kl(pm, mid) + 0.5 * kl(qm, mid))
 
 
-def _widened(parts, rows: slice) -> np.ndarray:
-    """The ``rows`` of the row concatenation of ``parts``, as float64."""
+def _widened(parts, rows: slice, out=None) -> np.ndarray:
+    """The ``rows`` of the row concatenation of ``parts`` as float64, in the first rows of ``out``.
+
+    Each part is sliced once, so a row source is read once per part the rows span.
+    """
     lo, hi = rows.start, rows.stop
-    pieces, start = [], 0
+    out = np.empty((hi - lo, parts[0].shape[1])) if out is None else out[:hi - lo]
+    start = 0
     for part in parts:
         stop = start + part.shape[0]
         if lo < stop and start < hi:
-            pieces.append(part[max(lo - start, 0):min(hi, stop) - start])
+            np.copyto(out[max(start - lo, 0):min(hi, stop) - lo],
+                      part[max(lo - start, 0):min(hi, stop) - start])
         start = stop
-    if len(pieces) == 1:
-        return pieces[0].astype(np.float64, copy=False)
-    return np.concatenate(pieces, dtype=np.float64)
+    return out
 
 
 def _merge_tile(best_d, best_i, row, col, dist, k: int):
@@ -298,16 +323,17 @@ def _merge_screened(best_d, best_i, gram, sq_rows, sq_cols, axis: int, col0: int
 def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.ndarray:
     """Exact k nearest neighbors of every row among all other rows.
 
-    ``points`` is one matrix or a tuple of matrices read as their row
-    concatenation; rows are widened to float64 one tile at a time, so no
-    pooled copy is made.  Squared distances ``(|a|^2 + |b|^2) - 2 a.b``
+    ``points`` is one matrix or row source, or a tuple of them read as
+    their row concatenation; rows are widened to float64 one tile range at
+    a time, so no pooled copy is made.  Squared distances ``(|a|^2 + |b|^2) - 2 a.b``
     come from Gram tiles between ranges of ``chunk`` rows (``row_blocks``),
     each unordered pair of ranges multiplied once for both ranges' rows
     (float addition commutes, and the BLAS product's transpose equals the
     swapped product, checked bit for bit on OpenBLAS 0.3.31).  Every row
     keeps a running k nearest in (distance, index) order (``_merge_tile``),
     so the result equals the first k columns of a stable ``argsort`` of
-    each full distance row.  Memory beyond the inputs is O(chunk^2 + n k).
+    each full distance row.  Memory beyond an in-memory input is
+    O(chunk^2 + chunk d + n k).
     Rows must be finite; one of norm 2^510 or more, whose distances could
     overflow, raises ``DegenerateInputError``.  Returns an (n, k) index
     array, nearest first.
@@ -328,30 +354,40 @@ def _neighbor_indices(points, k: int, chunk: int = _TILE, on_tile=None) -> np.nd
     formed; those with d2 <= kth are merged, a tie at ``kth`` going to the
     index key.
 
-    ``on_tile(lo_a, lo_b, gram)``, if given, sees each Gram tile of dot
-    products between the ranges starting at rows ``lo_a <= lo_b`` before
-    it is used, and must not change it: a consumer finds the tile's rows
-    and columns from ``lo_a``, ``lo_b`` and ``gram.shape``.  Deferred
-    cosine histograms score their pairs there (``_PairSample``).
+    ``on_tile(lo_a, lo_b, gram, rows_a, rows_b)``, if given, sees each
+    Gram tile of dot products between the ranges starting at rows ``lo_a
+    <= lo_b`` before it is used, with those ranges' rows as float64, and
+    must neither change nor keep any of them, as their buffers are reused:
+    a consumer finds the tile's rows and columns from ``lo_a``, ``lo_b`` and
+    ``gram.shape``.  Deferred cosine histograms score their pairs there
+    (``_PairSample``).
+
+    Row sources are sliced one range at a time: range b when its tiles
+    begin, where its squared norms are taken and checked, and each range
+    a < b again for tile (a, b).
     """
     parts = points if isinstance(points, tuple) else (points,)
     spans = list(row_blocks(sum(part.shape[0] for part in parts), chunk))
     widths = [span.stop - span.start for span in spans]
-    sq = np.concatenate([np.einsum("ij,ij->i", block, block)
-                         for block in (_widened(parts, span) for span in spans)])
-    if not sq.max() < 2.0**1020:  # else a squared distance could overflow
-        raise DegenerateInputError(f"row {int(np.argmax(~(sq < 2.0**1020)))} has norm >= 2^510")
-    # the Gram and distance tiles reuse two buffers, so no tile is allocated twice
+    sq = np.empty(spans[-1].stop)
+    # the Gram and distance tiles, and the two ranges' float64 rows, reuse buffers,
+    # so no tile or range is allocated twice
     buffers = np.empty((2, max(widths) ** 2))
+    ranges = np.empty((2, max(widths), parts[0].shape[1]))
     best = []
     for b, span_b in enumerate(spans):
-        rows_b = _widened(parts, span_b)
+        rows_b = _widened(parts, span_b, ranges[1])
+        sq[span_b] = np.einsum("ij,ij->i", rows_b, rows_b)
+        if not sq[span_b].max() < 2.0**1020:  # else a squared distance could overflow
+            at = span_b.start + int(np.argmax(~(sq[span_b] < 2.0**1020)))
+            raise DegenerateInputError(f"row {at} has norm >= 2^510")
         for a in (b, *range(b)):  # the diagonal tile first
             span_a, shape = spans[a], (widths[a], widths[b])
             gram, d2 = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
-            np.matmul(rows_b if a == b else _widened(parts, span_a), rows_b.T, out=gram)
+            rows_a = rows_b if a == b else _widened(parts, span_a, ranges[0])
+            np.matmul(rows_a, rows_b.T, out=gram)
             if on_tile is not None:
-                on_tile(span_a.start, span_b.start, gram)
+                on_tile(span_a.start, span_b.start, gram, rows_a, rows_b)
             if a < b:  # the distance buffer holds the candidate masks
                 hit = buffers[1].view(bool)[:gram.size].reshape(shape)
                 for axis, (own, col0) in enumerate(((a, span_b.start), (b, span_a.start))):
@@ -399,9 +435,9 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
             raise ValueError("histograms must be deferred histograms of rows_a and rows_b")
         hist._pending.base = base
 
-    def score(lo_a, lo_b, gram):
+    def score(*tile):
         for hist, _, _ in pending:
-            hist._pending.score_tile(lo_a, lo_b, gram)
+            hist._pending.score_tile(*tile)
 
     nn = _neighbor_indices((a, b), k, _TILE, on_tile=score)
     for hist, _, _ in pending:
@@ -412,11 +448,12 @@ def knn_mixing_rate(rows_a, rows_b, k: int = 20, histograms=()) -> float:
 
 
 def _has_duplicate_rows(data) -> bool:
-    """Whether two rows of ``data`` are equal as numbers (-0.0 equals 0.0).
+    """Whether two rows of ``data`` (a matrix or row source) are equal as numbers, -0.0 as 0.0.
 
     Rows are hashed a block at a time from the bits of their float64
-    values plus 0.0, which turns -0.0 into 0.0; rows whose hashes agree
-    are then compared byte for byte.  Memory is O(n + block x d).
+    values plus 0.0, which turns -0.0 into 0.0.  Rows whose hashes agree
+    are then read again, block by block, and compared byte for byte.
+    Memory is O(n + block x d) plus the rows whose hashes agree.
     """
     # odd weights are invertible modulo 2^64, so no column's bits are lost
     weights = 2 * np.random.default_rng(0).integers(0, 2**63, data.shape[1], dtype=np.uint64) + 1
@@ -426,10 +463,15 @@ def _has_duplicate_rows(data) -> bool:
         bits *= weights
         keys[block] = bits.sum(axis=1)
     ranked = np.sort(keys)
-    for key in np.unique(ranked[1:][ranked[1:] == ranked[:-1]]):
-        rows = np.add(data[keys == key], 0.0, dtype=np.float64)
-        if len({row.tobytes() for row in rows}) < len(rows):
-            return True
+    suspects = np.flatnonzero(np.isin(keys, ranked[1:][ranked[1:] == ranked[:-1]]))
+    seen = set()  # equal rows have equal hashes, so only these need their bytes kept
+    for block in row_blocks(data.shape[0]):
+        rows = suspects[slice(*np.searchsorted(suspects, (block.start, block.stop)))]
+        if rows.size:
+            for row in np.add(data[block][rows - block.start], 0.0, dtype=np.float64):
+                if row.tobytes() in seen:
+                    return True
+                seen.add(row.tobytes())
     return False
 
 

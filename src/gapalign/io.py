@@ -97,6 +97,7 @@ _ROW_BLOCK = 1024
 _MIN_TAIL = 3  # a trailing block narrower than this joins the one before it
 _STREAM_CHUNK = 1 << 20  # bytes read from an emb1 stream at a time
 _NORM_ROWS = 128  # rows whose squares ``_row_norms`` forms at a time
+_CSV_GROUP = 1024  # data rows per parse when a failed CSV read is scanned for its bad line
 
 
 def row_blocks(n: int, size: int = _ROW_BLOCK) -> Iterator[slice]:
@@ -125,9 +126,13 @@ def _widest_block(n: int, size: int = _ROW_BLOCK) -> int:
 def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
     """``rows`` as a matrix; ``DataFormatError(message.format(i))`` if row i is non-finite.
 
-    ``i`` is the first such row, counted from ``first_row``.
+    ``i`` is the first such row, counted from ``first_row``.  An ``EmbeddingFile``
+    is returned unread: each read of it refuses a non-finite row, named by its
+    index in the whole file, so a scan here would read the file once more.
     """
     rows = as_matrix(rows)
+    if isinstance(rows, EmbeddingFile):
+        return rows
     for block in row_blocks(rows.shape[0]):
         good = np.isfinite(rows[block]).all(axis=1)
         if not good.all():
@@ -138,18 +143,23 @@ def _finite(rows, message: str, first_row: int = 0) -> np.ndarray:
 def _row_norms(rows, what: str, first_row: int = 0, floor: float = 0.0) -> np.ndarray:
     """Each row's float64 norm, its squares formed ``_NORM_ROWS`` rows at a time in one buffer.
 
-    So float32 rows are widened a piece at a time, and a row's sum of squares
-    is the same reduction whatever piece holds it.  A norm below ``floor``,
-    zero, overflowed or NaN raises ``DegenerateInputError("<what>: norm ...
-    at row i")``, i the first such row counted from ``first_row``.
+    ``rows`` is a matrix or a row source, sliced once per ``row_blocks``
+    block.  So float32 rows are widened a piece at a time, and a row's sum of
+    squares is the same reduction whatever piece holds it.  Every row is read
+    before any norm is judged: a norm below ``floor``, zero, overflowed or
+    NaN then raises ``DegenerateInputError("<what>: norm ... at row i")``, i
+    the first such row counted from ``first_row``.
     """
     n = rows.shape[0]
     norms, squares = np.empty(n), np.empty((_widest_block(n, _NORM_ROWS), rows.shape[1]))
     with np.errstate(over="ignore"):  # an infinite norm is refused below
-        for piece in row_blocks(n, _NORM_ROWS):
-            part = squares[:piece.stop - piece.start]
-            np.copyto(part, rows[piece])
-            np.sqrt(np.square(part, out=part).sum(axis=1), out=norms[piece])
+        for block in row_blocks(n):
+            data = rows[block]
+            for piece in row_blocks(data.shape[0], _NORM_ROWS):
+                part = squares[:piece.stop - piece.start]
+                np.copyto(part, data[piece])
+                np.sqrt(np.square(part, out=part).sum(axis=1),
+                        out=norms[block.start + piece.start:block.start + piece.stop])
     bad = ~(norms >= floor) | (norms == 0) | (norms == np.inf)  # a NaN fails ``>=``
     if bad.any():
         i = int(np.argmax(bad))
@@ -524,13 +534,31 @@ def _parse_csv(source, max_rows: int | None = None) -> np.ndarray | None:
             return None
 
 
+def _newlines(fh, lo: int, hi: int) -> int:
+    """The line ends in bytes ``lo`` to ``hi`` of ``fh``, read ``_STREAM_CHUNK`` bytes at a time."""
+    fh.seek(lo)
+    return sum(fh.read(min(_STREAM_CHUNK, hi - at)).count(b"\n")
+               for at in range(lo, hi, _STREAM_CHUNK))
+
+
 def _csv_error(path: str, fh, start: int | None, dims) -> DataFormatError:
-    """The error naming the first bad line of ``fh`` from byte ``start`` (None: a stream) on."""
+    """The error naming the first bad line of ``fh`` from byte ``start`` (None: a stream) on.
+
+    The lines from ``start`` are parsed again ``_CSV_GROUP`` data rows per
+    ``_parse_csv`` call, and one line per call only from the first group
+    that fails or changes width.
+    """
     if start is None:
         return DataFormatError(f"{path}: malformed CSV stream (not read again to find the line)")
-    fh.seek(0)
-    number = sum(fh.read(min(_STREAM_CHUNK, start - at)).count(b"\n")
-                 for at in range(0, start, _STREAM_CHUNK))
+    number = _newlines(fh, 0, start)
+    while True:
+        group = _parse_csv(fh, _CSV_GROUP)
+        if group is None or not group.size or group.shape[1] != (dims or group.shape[1]):
+            break
+        dims, stop = group.shape[1], fh.tell()
+        number += _newlines(fh, start, stop)
+        start = stop
+    fh.seek(start)
     for number, line in enumerate(fh, number + 1):
         one = _parse_csv([line])
         if one is None:

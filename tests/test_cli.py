@@ -30,6 +30,7 @@ from gapalign import (
     cosine_histogram,
     js_divergence,
     knn_mixing_rate,
+    knn_overlap,
     load_artifact,
     read_embeddings,
     save_artifact,
@@ -38,6 +39,7 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign import cli as cli_module
+from gapalign import diagnostics
 from gapalign.cli import _write_csv, main
 from gapalign.io import file_digest, row_source
 from gapalign.moments import ModalityStats, MomentAccumulator
@@ -1095,27 +1097,61 @@ def test_diagnose_deterministic_given_seed(workdir):
 
 
 def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
+    # the command reads its three inputs as row sources; the library calls take arrays
     rng = np.random.default_rng(12)
     a = unit_rows(rng.standard_normal((700, 12)) + 0.2).astype(np.float32)
     b = unit_rows(rng.standard_normal((650, 12))).astype(np.float32)
     a[10:20], a[30:35] = a[:10], -a[40:45]
     b[:8], b[50:54] = b[100:108], -b[60:64]
-    paths = [str(tmp_path / name) for name in ("a.emb", "b.emb")]
-    for rows, path in zip((a, b), paths):
-        write_embeddings(rows, path)
-    plots = tmp_path / "plots"
-    assert main(["diagnose", "--a", paths[0], "--b", paths[1], "--report", str(tmp_path / "r.json"),
-                 "--plots-dir", str(plots), "--pairs", "20000", "--seed", "3"]) == 0
-    doc = json.loads((tmp_path / "r.json").read_text())
-    hist_a = cosine_histogram(a, num_pairs=20000, seed=3)
-    hist_b = cosine_histogram(b, num_pairs=20000, seed=4)
-    assert doc["js_divergence_nats"] == js_divergence(hist_a, hist_b)
-    assert doc["knn_mixing_rate"] == knn_mixing_rate(a, b, k=20)
-    mids = 0.5 * (hist_a.bin_edges[:-1] + hist_a.bin_edges[1:])
-    expected = str(tmp_path / "expected.csv")
-    _write_csv(expected, ["bin_center", "mass_a", "mass_b"],
-               list(zip(mids.tolist(), hist_a.masses.tolist(), hist_b.masses.tolist())))
-    assert (plots / "cosine_hist.csv").read_bytes() == Path(expected).read_bytes()
+    after = unit_rows(a + 0.3 * rng.standard_normal(a.shape)).astype(np.float32)
+    for dtype in (np.float32, np.float64):  # of --a
+        paths = [str(tmp_path / name) for name in ("a.emb", "b.emb", "after.emb")]
+        for rows, path in zip((a.astype(dtype), b, after), paths):
+            write_embeddings(rows, path)
+        plots = tmp_path / "plots"
+        with pytest.warns(UserWarning, match="duplicate rows in the 'before' set"):
+            assert main(["diagnose", "--a", paths[0], "--b", paths[1], "--overlap-with", paths[2],
+                         "--report", str(tmp_path / "r.json"), "--plots-dir", str(plots),
+                         "--pairs", "20000", "--seed", "3"]) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        hist_a = cosine_histogram(a.astype(dtype), num_pairs=20000, seed=3)
+        hist_b = cosine_histogram(b, num_pairs=20000, seed=4)
+        assert doc["js_divergence_nats"] == js_divergence(hist_a, hist_b)
+        assert doc["knn_mixing_rate"] == knn_mixing_rate(a.astype(dtype), b, k=20)
+        with pytest.warns(UserWarning, match="duplicate rows in the 'before' set"):
+            assert doc["knn_overlap"] == knn_overlap(a.astype(dtype), after, k=10)
+        mids = 0.5 * (hist_a.bin_edges[:-1] + hist_a.bin_edges[1:])
+        expected = str(tmp_path / "expected.csv")
+        _write_csv(expected, ["bin_center", "mass_a", "mass_b"],
+                   list(zip(mids.tolist(), hist_a.masses.tolist(), hist_b.masses.tolist())))
+        assert (plots / "cosine_hist.csv").read_bytes() == Path(expected).read_bytes()
+
+
+def test_diagnose_memory_is_inputs_plus_tile_buffers(tmp_path):
+    # float64 inputs of 2,000 x 512: holding --a and --b, and --overlap-with beside
+    # them for the overlap passes, peaked at 43 MiB; streaming them, at 34 MiB
+    n, d = 2000, 512
+    rng = np.random.default_rng(13)
+    paths = [str(tmp_path / f"{name}.emb") for name in ("a", "b", "after")]
+    for shift, path in zip((0.2, 0.0, 0.2), paths):
+        write_embeddings(unit_rows(rng.standard_normal((n, d)) + shift), path)
+    peak = traced_peak(["diagnose", "--a", paths[0], "--b", paths[1], "--overlap-with", paths[2],
+                        "--pairs", "20000", "--report", str(tmp_path / "r.json")])
+    inputs, tiles = 3 * n * d * 8, 2 * diagnostics._TILE**2 * 8
+    assert peak < inputs + tiles
+
+
+def test_diagnose_refuses_an_overlap_set_of_another_row_count_before_any_pass(
+        workdir, capsys, monkeypatch):
+    # the row counts were once compared only after the pooled kNN pass
+    short = write_rows(workdir / "short.emb", read_embeddings(str(workdir / "src.emb"))[:-1])
+    monkeypatch.setattr(diagnostics, "_neighbor_indices", lambda *a, **k: pytest.fail("kNN pass"))
+    monkeypatch.setattr(cli_module, "cosine_histogram", lambda *a, **k: pytest.fail("pair sample"))
+    report = workdir / "diag.json"
+    assert main(["diagnose", "--a", str(workdir / "src.emb"), "--b", str(workdir / "tgt.emb"),
+                 "--overlap-with", short, "--report", str(report)]) == 2
+    assert "--overlap-with has 1499 rows and --a has 1500" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("value", [str(2**40), "0", "-1"])
@@ -1123,7 +1159,7 @@ def test_diagnose_is_bitwise_the_standalone_library_calls(tmp_path):
 def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, monkeypatch, flag,
                                                             value):
     # 10^13 pairs or 10^14 bins once raised a numpy _ArrayMemoryError traceback, exit 1
-    monkeypatch.setattr("gapalign.cli.read_embeddings", lambda *a, **k: pytest.fail("read"))
+    monkeypatch.setattr("gapalign.cli.row_source", lambda *a, **k: pytest.fail("read"))
     report = workdir / "diag.json"
     assert main(["diagnose", "--a", str(workdir / "src.emb"), "--b", str(workdir / "tgt.emb"),
                  "--report", str(report), flag, value]) == 2
@@ -1152,7 +1188,7 @@ def test_diagnose_rejects_sizes_out_of_range_before_reading(workdir, capsys, mon
 ])
 def test_diagnose_errors_before_the_kNN_pass(workdir, capsys, monkeypatch, extra, code, message):
     if message.endswith(f"({extra[0]})"):  # refused while the command line is parsed
-        monkeypatch.setattr("gapalign.cli.read_embeddings", lambda *a, **k: pytest.fail("read"))
+        monkeypatch.setattr("gapalign.cli.row_source", lambda *a, **k: pytest.fail("read"))
     a = str(workdir / "src.emb")
     if extra[0] in ("zero-norm", "non-finite", "other-dims"):
         rows = read_embeddings(a).copy()

@@ -26,6 +26,7 @@ from gapalign import (
     write_embeddings,
 )
 from gapalign import diagnostics
+from gapalign import io as io_module
 from gapalign.cli import main
 from gapalign.diagnostics import (_has_duplicate_rows, _neighbor_indices, _PairSample, _screen,
                                   _widened)
@@ -569,12 +570,13 @@ class TestTileScoredHistograms:
         half_margin = 2 * (d + 2) * 2.0**-53
         score_tile = _PairSample.score_tile
 
-        def pushed(sample, lo_a, lo_b, gram):
+        def pushed(sample, lo_a, lo_b, gram, *rows):
             scale = np.outer(norms[lo_a:lo_a + gram.shape[0]], norms[lo_b:lo_b + gram.shape[1]])
             cos = gram / scale
             at = np.clip(np.searchsorted(edges, cos, side="right"), 1, bins)
             down = cos - edges[at - 1] <= edges[at] - cos
-            score_tile(sample, lo_a, lo_b, gram + np.where(down, -half_margin, half_margin) * scale)
+            score_tile(sample, lo_a, lo_b, gram + np.where(down, -half_margin, half_margin) * scale,
+                       *rows)
 
         monkeypatch.setattr(_PairSample, "score_tile", pushed)
         _, hists = self.fused(a, b, 10, 16, 8, num_pairs=3000, bins=bins)
@@ -726,6 +728,43 @@ def test_knn_on_file_sources_equals_knn_on_their_rows_bit_for_bit(tmp_path, dtyp
     assert knn_overlap(file_a, file_after, k=10) == knn_overlap(a, after, k=10)
     for points, rows in (((file_a, file_b), (a, b)), (file_a, a)):
         assert np.array_equal(_neighbor_indices(points, 10), _neighbor_indices(rows, 10))
+
+
+def test_file_rows_re_scored_off_the_tiles_give_the_in_memory_masses(tmp_path, monkeypatch):
+    # the cosine of two equal rows is 1, an edge of the grid, so every pair of the
+    # first set is re-scored; its rows come from the tile's float64 ranges, not reads
+    rng = np.random.default_rng(44)
+    a = np.repeat(unit_rows(rng.normal(size=(1, 8))), 1500, axis=0).astype(np.float32)
+    b = unit_rows(rng.normal(size=(1300, 8))).astype(np.float32)
+    files = []
+    for name, rows in (("a", a), ("b", b)):
+        write_embeddings(rows, str(tmp_path / f"{name}.emb1"))
+        files.append(EmbeddingFile(str(tmp_path / f"{name}.emb1")))
+    with pytest.raises(ValueError, match="deferred=True"):  # standalone pairs need an array
+        cosine_histogram(files[0], num_pairs=10)
+    reads, rescored = [], {}
+    read, gathered = io_module.read_embeddings, _PairSample.gathered
+
+    def counted_read(*args, **kwargs):
+        reads.append(args)
+        return read(*args, **kwargs)
+
+    def counted_gather(sample, i, *rest):
+        rescored[sample.base] = rescored.get(sample.base, 0) + i.size
+        return gathered(sample, i, *rest)
+
+    monkeypatch.setattr(io_module, "read_embeddings", counted_read)
+    monkeypatch.setattr(_PairSample, "gathered", counted_gather)
+    hists = [cosine_histogram(x, num_pairs=5000, seed=s, deferred=True)
+             for s, x in enumerate(files)]
+    mixing = knn_mixing_rate(*files, k=10, histograms=hists)
+    assert rescored[0] == 5000
+    # two blocks per set for the norms, then 3 tile ranges, one across both sets
+    assert len(reads) == 12
+    monkeypatch.undo()
+    assert mixing == knn_mixing_rate(a, b, k=10)
+    for s, (x, hist) in enumerate(zip((a, b), hists)):
+        assert np.array_equal(hist.masses, cosine_histogram(x, num_pairs=5000, seed=s).masses)
 
 
 class TestDiagnoseMemory:

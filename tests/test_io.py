@@ -466,6 +466,31 @@ def test_a_bad_csv_line_is_found_by_parsing_only_its_batch_again(tmp_path, monke
     assert lines_parsed == [b"1,2\n", b"1,2\n", b"3,x\n"]
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("3,x\n", "malformed CSV at line 3002"),
+    ("3,4,5\n", "line 3002 has 3 columns, expected 2"),
+])
+def test_a_failed_whole_csv_read_is_parsed_again_a_group_of_lines_at_a_time(
+        tmp_path, monkeypatch, bad, message):
+    # the whole read was once parsed again one line per call from its first line:
+    # naming line 3,002 of this file took 3,003 calls
+    path = tmp_path / "rows.csv"
+    path.write_text("# rows\n" + "1,2\n" * 3000 + bad + "1,2\n" * 5)
+    handle_calls, lines_parsed, parse = [], [], io_module._parse_csv
+
+    def counted(source, *args):
+        (lines_parsed if isinstance(source, list) else handle_calls).append(source)
+        return parse(source, *args)
+
+    monkeypatch.setattr(io_module, "_parse_csv", counted)
+    with pytest.raises(DataFormatError, match=message):
+        read_embeddings(str(path))
+    # the whole read, then groups of 1,024 rows: lines 1-1025, 1026-2049 and the
+    # failing one from line 2050, whose lines are then parsed one at a time
+    assert len(handle_calls) == 1 + 3
+    assert lines_parsed == [[b"1,2\n"]] * (3001 - 2049) + [[bad.encode()]]
+
+
 def test_malformed_csv_fifo_is_refused_without_waiting_on_it(tmp_path, capsys):
     # a malformed regular file is read again to name the line; a FIFO cannot be,
     # and reopened it would wait for a writer that never comes
