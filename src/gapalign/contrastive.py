@@ -64,20 +64,23 @@ def loss_and_grads(anchors, candidates, tau: float, head: str = "dot") -> Contra
     candidates, the per-anchor losses and the softmax rows."""
     b = anchors.shape[0]
     if head == "dot":
-        logits = anchors @ candidates.T / tau
+        logits = anchors @ candidates.T
     else:
         logits = -(
             np.sum(anchors * anchors, axis=1)[:, None]
             + np.sum(candidates * candidates, axis=1)[None, :]
             - 2.0 * anchors @ candidates.T
-        ) / tau
+        )
+    logits /= tau
     shift = logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits - shift)
+    weights = logits - shift
+    np.exp(weights, out=weights)
     total = weights.sum(axis=1, keepdims=True)
     losses = np.log(total[:, 0]) + shift[:, 0] - np.diag(logits)
 
     weights /= total
-    coeff = weights - np.eye(b)  # d loss_i / d logit_ij
+    coeff = weights.copy()  # d loss_i / d logit_ij
+    coeff.flat[::b + 1] -= 1.0
     if head == "dot":
         grad_x = coeff @ candidates / (tau * b)
         grad_y = coeff.T @ anchors / (tau * b)

@@ -18,11 +18,26 @@ strength) on a held-out probe set.
 Gradients are closed-form throughout (two-layer chain rule through the
 normalization), so a finite-difference oracle can check the entire
 training step end to end.
+
+A run holds numpy's OpenBLAS to one thread and restores its count when
+the run ends, also when it raises; a caller's other threads that use
+BLAS during the run are single-threaded too.  At one BLAS thread the
+trace does not depend on the thread count the process started with,
+and a second core is free for a helper thread that takes each step's
+draws from the random stream one step ahead, while the calling thread
+runs the step before.  The helper makes the same calls in the same
+order as draws taken inline, which is what a run does where no
+OpenBLAS is found; both give the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -225,21 +240,30 @@ class PairedDataGenerator:
         self.white_std = config.white_noise
         self.stream = np.random.default_rng(config.data_seed + 1)
 
-    def draw(self, n: int):
-        cfg = self.config
-        z = self.stream.normal(size=(n, cfg.latent_dim)) * self.latent_std
+    def _normals(self, n: int) -> list:
+        """The stream's draws for one ``draw(n)``, in the order it takes them."""
+        k, m, q = self.config.latent_dim, self.config.input_dim, self.config.noise_rank
+        return [self.stream.normal(size=shape)
+                for shape in ((n, k), (n, k), (n, k), (n, q), (n, m), (n, q), (n, m))]
+
+    def draw(self, n: int, normals=None):
+        """``n`` paired input rows, made from ``normals``: the list ``_normals(n)`` returns,
+        which this call consumes.  Without it, the call takes its draws itself."""
+        z, eta_x, eta_y, mix_x, white_x, mix_y, white_y = (
+            self._normals(n) if normals is None else normals)
+        z *= self.latent_std
         # per-channel readout noise with its own decay profile: pair
         # alignment along each latent axis is noise-limited, so the
         # paired-difference spectrum follows this profile (as reshaped by
         # the encoder's learned gains) rather than flattening out
-        eta_x = self.stream.normal(size=z.shape) * self.channel_noise_std
-        eta_y = self.stream.normal(size=z.shape) * self.channel_noise_std
+        eta_x *= self.channel_noise_std
+        eta_y *= self.channel_noise_std
         u_x = (z + eta_x) @ self.map_x.T + self.offset_x
-        u_x += self.stream.normal(size=(n, cfg.noise_rank)) @ self.noise_mix_x.T
-        u_x += self.white_std * self.stream.normal(size=u_x.shape)
+        u_x += mix_x @ self.noise_mix_x.T
+        u_x += self.white_std * white_x
         u_y = (z + eta_y) @ self.map_y.T + self.offset_y
-        u_y += self.stream.normal(size=(n, cfg.noise_rank)) @ self.noise_mix_y.T
-        u_y += self.white_std * self.stream.normal(size=u_y.shape)
+        u_y += mix_y @ self.noise_mix_y.T
+        u_y += self.white_std * white_y
         return u_x, u_y
 
 
@@ -276,12 +300,15 @@ class _Encoders:
         gw_x = grad_hx.T @ u_x
         gw_y = grad_hy.T @ u_y
         if self.config.shared_encoder:
-            shared = gw_x + gw_y
-            self.w_x = self.w_x - lr * shared
+            gw_x += gw_y
+            gw_x *= lr
+            self.w_x -= gw_x
             self.w_y = self.w_x
         else:
-            self.w_x = self.w_x - lr * gw_x
-            self.w_y = self.w_y - lr * gw_y
+            gw_x *= lr
+            gw_y *= lr
+            self.w_x -= gw_x
+            self.w_y -= gw_y
 
 
 def _batch_loss_and_grads(e_x, e_y, config: SimulatorConfig):
@@ -296,15 +323,117 @@ def _probe_anchor_gradients(e_x, e_y, config: SimulatorConfig):
                       * len(e_x[lo:lo + b]) for lo in range(0, len(e_x), b)])
 
 
+def _openblas():
+    """The thread-count getter and setter of an OpenBLAS mapped into this process, or None.
+
+    The library is found among the process's mapped files, as threadpoolctl finds it,
+    and its symbols go by the names of numpy's wheel builds and of system builds."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in os.path.basename(line.rstrip()).lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "", "_64")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread in the block, then restore its count; yield whether
+    an OpenBLAS was found."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+@contextlib.contextmanager
+def _taken_ahead(take, sizes: list):
+    """Yield an iterator over ``take(n)`` for each n of ``sizes``, in order.
+
+    A helper thread computes each item while the caller holds the one before.  An
+    exception it raises is raised again by the caller's ``next``.  The thread is
+    joined when the block exits, after the item it is computing, if any."""
+    slot, failure = [], []
+    ready = threading.Semaphore(0)  # an item, or the failure, is in its list
+    wanted = threading.Semaphore(1)  # the caller has taken the item before
+    stop = threading.Event()
+
+    def helper():
+        try:
+            for n in sizes:
+                wanted.acquire()
+                if stop.is_set():
+                    return
+                slot.append(take(n))
+                ready.release()
+        except BaseException as error:  # re-raised on the calling thread
+            failure.append(error)
+            ready.release()
+
+    def items():
+        for _ in sizes:
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            item = slot.pop()
+            wanted.release()
+            yield item
+
+    thread = threading.Thread(target=helper, name="gapalign-draws", daemon=True)
+    thread.start()
+    try:
+        yield items()
+    finally:
+        stop.set()
+        wanted.release()
+        thread.join()
+
+
 def run_toy_training(config: SimulatorConfig) -> TrainingTrace:
     """Train the toy dual encoder and trace frame statistics after the freeze.
+
+    The run holds OpenBLAS to one thread, so the trace does not depend on the
+    thread count the process runs at, and takes each step's draws one step
+    ahead on a helper thread (see the module docstring).  It restores the
+    thread count and joins the helper before it returns or raises.
 
     Raises ``DegenerateInputError`` naming the step if the loss diverges.
     """
     config.validate()
-    generator = PairedDataGenerator(config)
+    with _one_blas_thread() as pinned:
+        generator = PairedDataGenerator(config)
+        if not pinned:
+            return _train(config, generator, itertools.repeat(None))
+        sizes = [config.probe_size] + [config.batch_size] * config.steps
+        with _taken_ahead(generator._normals, sizes) as normals:
+            return _train(config, generator, normals)
+
+
+def _train(config: SimulatorConfig, generator: PairedDataGenerator, normals) -> TrainingTrace:
+    """The training loop of ``run_toy_training``; ``normals`` yields each draw's normals,
+    the probe's first, or None for a draw that takes its own."""
     encoders = _Encoders(config)
-    probe_x, probe_y = generator.draw(config.probe_size)
+    probe_x, probe_y = generator.draw(config.probe_size, next(normals))
 
     log_steps = [t for t in range(config.log_every, config.steps + 1, config.log_every)]
     freeze_at = next(
@@ -319,7 +448,7 @@ def run_toy_training(config: SimulatorConfig) -> TrainingTrace:
     last_loss = float("nan")
 
     for step in range(1, config.steps + 1):
-        u_x, u_y = generator.draw(config.batch_size)
+        u_x, u_y = generator.draw(config.batch_size, next(normals))
         e_x, raw_x, norms_x = encoders.embed(u_x, encoders.w_x)
         e_y, raw_y, norms_y = encoders.embed(u_y, encoders.w_y)
         loss, grad_ex, grad_ey = _batch_loss_and_grads(e_x, e_y, config)

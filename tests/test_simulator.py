@@ -1,7 +1,15 @@
+import contextlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import gapalign
 from gapalign import ContrastiveBatch, DegenerateInputError
 from gapalign.contrastive import loss_and_grads
 from gapalign import simulator
@@ -226,3 +234,135 @@ class TestAblation:
             assert name in report
             assert len(report[name]["terminal_gamma"]) == 2
         assert report["baseline_over_shared"] > 1.0
+
+
+class _SamplingError(Exception):
+    pass
+
+
+def assert_same_trace(got, want):
+    assert (got.freeze_step, got.rank) == (want.freeze_step, want.rank)
+    for name in got._SERIES:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def run_bounded(config, timeout=120):
+    """``run_toy_training`` on a thread of its own, so a run that never returns fails the
+    test instead of stalling it; raises what the run raised.  The overflow warnings of a
+    diverging run are silenced: test_divergence_reports_step is the one that shows them."""
+    outcome = {}
+
+    def target():
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcome["trace"] = run_toy_training(config)
+        except BaseException as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"run_toy_training still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["trace"]
+
+
+class TestDrawsAhead:
+    """Each step's draws are taken one step ahead on a helper thread while BLAS holds to one."""
+
+    DIVERGING = dict(normalize_outputs=False, learning_rate=50.0, steps=400)
+
+    @staticmethod
+    def counts():
+        """The live Python threads and, where an OpenBLAS is found, its thread count."""
+        blas = simulator._openblas()
+        return threading.active_count(), None if blas is None else blas[0]()
+
+    @pytest.fixture
+    def two_blas_threads(self):
+        """OpenBLAS at two threads, whatever an earlier run left it at, so a run that
+        leaves it at one shows; the count before is restored after the test."""
+        blas = simulator._openblas()
+        if blas is None:
+            yield
+            return
+        get, set_ = blas
+        before = get()
+        set_(2)
+        try:
+            yield
+        finally:
+            set_(before)
+
+    def test_trace_bytes_independent_of_blas_threads(self, tmp_path):
+        (tmp_path / "sim.cfg").write_text("steps = 100\nlog_every = 10\n")
+        src = str(Path(gapalign.__file__).resolve().parent.parent)
+        traces = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"trace{threads}.csv"
+            subprocess.run([sys.executable, "-m", "gapalign.cli", "simulate", "--config",
+                            str(tmp_path / "sim.cfg"), "--trace", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+
+    def test_inline_draws_bitwise_equal_to_draws_ahead(self, monkeypatch):
+        config = tiny_config()
+        taken = []
+        normals = PairedDataGenerator._normals
+
+        def recording(generator, n):
+            taken.append((threading.current_thread(), n))
+            return normals(generator, n)
+
+        monkeypatch.setattr(PairedDataGenerator, "_normals", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the helper and the caller take turns far more often
+        try:
+            ahead = run_toy_training(config)
+        finally:
+            sys.setswitchinterval(interval)
+        ahead_taken, taken[:] = taken[:], []
+        blas = simulator._openblas()
+        monkeypatch.setattr(simulator, "_openblas", lambda: None)
+        with contextlib.ExitStack() as stack:
+            if blas is not None:  # one BLAS thread, as the run with draws ahead holds it
+                get, set_ = blas
+                stack.callback(set_, get())
+                set_(1)
+            inline = run_toy_training(config)
+        assert_same_trace(inline, ahead)
+        sizes = [config.probe_size] + [config.batch_size] * config.steps
+        assert [n for _, n in ahead_taken] == [n for _, n in taken] == sizes
+        assert {thread for thread, _ in taken} == {threading.current_thread()}
+        if blas is not None:
+            helpers = {thread for thread, _ in ahead_taken}
+            assert len(helpers) == 1 and threading.current_thread() not in helpers
+
+    @pytest.mark.parametrize("overrides", [{}, DIVERGING], ids=["returns", "diverges"])
+    def test_no_thread_or_blas_count_outlives_the_run(self, overrides, two_blas_threads):
+        before = self.counts()
+        assert before[1] in (None, 2)
+        with pytest.raises(DegenerateInputError) if overrides else contextlib.nullcontext():
+            run_bounded(tiny_config(**overrides))
+        assert self.counts() == before
+
+    def test_sampling_error_reaches_caller_with_its_type(self, monkeypatch, two_blas_threads):
+        normals = PairedDataGenerator._normals
+        calls = []
+
+        def failing(generator, n):
+            calls.append(n)
+            if len(calls) == 3:
+                raise _SamplingError("third draw")
+            return normals(generator, n)
+
+        monkeypatch.setattr(PairedDataGenerator, "_normals", failing)
+        before = self.counts()
+        with pytest.raises(_SamplingError, match="third draw"):
+            run_bounded(tiny_config())
+        assert self.counts() == before
+        assert len(calls) == 3
